@@ -6,18 +6,16 @@
 namespace sac {
 
 SetAssocCache::SetAssocCache(std::uint64_t bytes, int ways,
-                             unsigned line_bytes, unsigned sectors_per_line,
-                             std::unique_ptr<ReplacementPolicy> policy)
+                             unsigned line_bytes, unsigned sectors_per_line)
     : numSets(bytes / (static_cast<std::uint64_t>(ways) * line_bytes)),
       numWays(ways),
       lineBytes(line_bytes),
       lineShift(floorLog2(line_bytes)),
       sectorsPerLine(sectors_per_line),
       split(ways),
-      repl(policy ? std::move(policy) : std::make_unique<LruPolicy>()),
       lines(numSets * static_cast<std::uint64_t>(ways)),
-      tagKeys_(numSets * static_cast<std::uint64_t>(ways), 0),
-      wayScratch_(static_cast<std::size_t>(ways))
+      tagKeys_(lines.size(), 0),
+      lastUse_(lines.size(), 0)
 {
     SAC_ASSERT(numSets > 0, "cache has zero sets");
     SAC_ASSERT(isPowerOfTwo(numSets), "set count must be a power of two");
@@ -37,24 +35,18 @@ SetAssocCache::setIndex(Addr line_addr) const
            (numSets - 1);
 }
 
-CacheLine *
-SetAssocCache::findLine(Addr line_addr)
+std::uint64_t
+SetAssocCache::findWay(Addr line_addr) const
 {
-    const auto set = setIndex(line_addr);
     const std::uint64_t key = tagKey(line_addr >> lineShift);
-    const std::uint64_t row = set * static_cast<std::uint64_t>(numWays);
+    const std::uint64_t row =
+        setIndex(line_addr) * static_cast<std::uint64_t>(numWays);
     const std::uint64_t *keys = &tagKeys_[row];
     for (int w = 0; w < numWays; ++w) {
         if (keys[w] == key)
-            return &lines[row + static_cast<std::uint64_t>(w)];
+            return row + static_cast<std::uint64_t>(w);
     }
-    return nullptr;
-}
-
-const CacheLine *
-SetAssocCache::findLine(Addr line_addr) const
-{
-    return const_cast<SetAssocCache *>(this)->findLine(line_addr);
+    return noWay;
 }
 
 CacheAccessResult
@@ -62,21 +54,21 @@ SetAssocCache::access(Addr line_addr, unsigned sector, bool is_write)
 {
     SAC_ASSERT(sector < sectorsPerLine, "sector out of range");
     CacheAccessResult res;
-    CacheLine *line = findLine(line_addr);
-    if (!line)
+    const std::uint64_t i = findWay(line_addr);
+    if (i == noWay)
         return res;
-    line->lastUse = ++useClock;
-    const std::uint32_t bit = 1u << sector;
-    if (!(line->sectorValid & bit)) {
+    lastUse_[i] = ++useClock;
+    if (!hasSector(i, sector)) {
         res.sectorMiss = true;
         return res;
     }
     res.hit = true;
     if (is_write) {
-        if (!line->dirty)
+        CacheLine &line = lines[i];
+        if (!line.dirty)
             ++dirtyCount_;
-        line->dirty = true;
-        line->sectorDirty |= bit;
+        line.dirty = true;
+        line.sectorDirty |= 1u << sector;
     }
     return res;
 }
@@ -84,8 +76,8 @@ SetAssocCache::access(Addr line_addr, unsigned sector, bool is_write)
 bool
 SetAssocCache::probe(Addr line_addr, unsigned sector) const
 {
-    const CacheLine *line = findLine(line_addr);
-    return line && (line->sectorValid & (1u << sector));
+    const std::uint64_t i = findWay(line_addr);
+    return i != noWay && hasSector(i, sector);
 }
 
 EvictResult
@@ -97,16 +89,17 @@ SetAssocCache::insert(Addr line_addr, unsigned sector, ChipId home,
     EvictResult res;
     const std::uint32_t bit = 1u << sector;
 
-    if (CacheLine *line = findLine(line_addr)) {
+    if (const std::uint64_t i = findWay(line_addr); i != noWay) {
         // Sector fill into an already-present line.
-        line->sectorValid |= bit;
+        CacheLine &line = lines[i];
+        line.sectorValid |= bit;
         if (dirty) {
-            if (!line->dirty)
+            if (!line.dirty)
                 ++dirtyCount_;
-            line->dirty = true;
-            line->sectorDirty |= bit;
+            line.dirty = true;
+            line.sectorDirty |= bit;
         }
-        line->lastUse = ++useClock;
+        lastUse_[i] = ++useClock;
         return res;
     }
 
@@ -114,35 +107,38 @@ SetAssocCache::insert(Addr line_addr, unsigned sector, ChipId home,
     const int count = partition == partitionLocal ? split : numWays - split;
     SAC_ASSERT(count > 0, "allocation into an empty partition");
 
-    const auto set = setIndex(line_addr);
-    const std::uint64_t row = set * static_cast<std::uint64_t>(numWays);
-    CacheLine *base = &lines[row];
-
-    for (int w = 0; w < numWays; ++w) {
-        wayScratch_[static_cast<std::size_t>(w)] = {base[w].valid,
-                                                    base[w].lastUse};
+    // LRU victim within the partition's ways: the first invalid way
+    // (key 0), else the first way with the oldest stamp.
+    const std::uint64_t row =
+        setIndex(line_addr) * static_cast<std::uint64_t>(numWays);
+    const std::uint64_t *keys = &tagKeys_[row];
+    const std::uint64_t *stamps = &lastUse_[row];
+    int victim = first;
+    for (int w = first; w < first + count; ++w) {
+        if (keys[w] == 0) {
+            victim = w;
+            break;
+        }
+        if (stamps[w] < stamps[victim])
+            victim = w;
     }
-    const int victim = repl->victim(wayScratch_, first, count);
-    SAC_ASSERT(victim >= first && victim < first + count,
-               "victim outside partition");
 
-    CacheLine &slot = base[victim];
-    if (slot.valid) {
+    const std::uint64_t i = row + static_cast<std::uint64_t>(victim);
+    CacheLine &slot = lines[i];
+    if (keys[victim] != 0) {
         res.evicted = true;
         res.dirty = slot.dirty;
         res.lineAddr = slot.lineAddr;
         res.home = slot.home;
         countRemove(slot);
     }
-    slot.valid = true;
     slot.dirty = dirty;
     slot.lineAddr = line_addr;
-    slot.tag = line_addr >> lineShift;
-    tagKeys_[row + static_cast<std::uint64_t>(victim)] = tagKey(slot.tag);
     slot.home = home;
     slot.sectorValid = sectorsPerLine == 1 ? 1u : bit;
     slot.sectorDirty = dirty ? slot.sectorValid : 0u;
-    slot.lastUse = ++useClock;
+    tagKeys_[i] = tagKey(line_addr >> lineShift);
+    lastUse_[i] = ++useClock;
     countInsert(slot);
     return res;
 }
@@ -157,28 +153,33 @@ void
 SetAssocCache::flushIf(const std::function<bool(const CacheLine &)> &pred,
                        const std::function<void(const CacheLine &)> &writeback)
 {
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        CacheLine &line = lines[i];
-        if (!line.valid || !pred(line))
+    for (std::uint64_t i = 0; i < lines.size(); ++i) {
+        const CacheLine &line = lines[i];
+        if (tagKeys_[i] == 0 || !pred(line))
             continue;
         if (line.dirty && writeback)
             writeback(line);
-        countRemove(line);
-        line = CacheLine{};
-        tagKeys_[i] = 0;
+        removeWay(i);
     }
 }
 
 bool
 SetAssocCache::invalidate(Addr line_addr)
 {
-    if (CacheLine *line = findLine(line_addr)) {
-        countRemove(*line);
-        tagKeys_[static_cast<std::uint64_t>(line - lines.data())] = 0;
-        *line = CacheLine{};
-        return true;
-    }
-    return false;
+    const std::uint64_t i = findWay(line_addr);
+    if (i == noWay)
+        return false;
+    removeWay(i);
+    return true;
+}
+
+void
+SetAssocCache::removeWay(std::uint64_t i)
+{
+    countRemove(lines[i]);
+    lines[i] = CacheLine{};
+    tagKeys_[i] = 0;
+    lastUse_[i] = 0;
 }
 
 void

@@ -19,10 +19,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
-#include "cache/replacement.hh"
 #include "common/types.hh"
 
 namespace sac {
@@ -31,27 +29,24 @@ namespace sac {
 constexpr int partitionLocal = 0;
 constexpr int partitionRemote = 1;
 
-/** Metadata of one cache line. */
+/**
+ * Cold metadata of one resident cache line: what a hit, a fill or an
+ * eviction reads once the way is known. Validity, the probe key and
+ * the LRU stamp live in SetAssocCache's packed per-way arrays instead.
+ */
 struct CacheLine
 {
-    bool valid = false;
-    bool dirty = false;
     Addr lineAddr = 0;
-    /**
-     * Precomputed lineAddr >> lineShift, maintained by insert(). Tag
-     * probes compare against this directly so findLine does not
-     * redo the shift for every way on every lookup (the hottest loop
-     * in the simulator — every L1 and LLC access walks it).
-     */
-    Addr tag = 0;
     /** Home chip of the line (writeback destination for replicas). */
     ChipId home = invalidChip;
     /** Bitmask of valid sectors (all set for conventional caches). */
     std::uint32_t sectorValid = 0;
     /** Bitmask of dirty sectors. */
     std::uint32_t sectorDirty = 0;
-    std::uint64_t lastUse = 0;
+    bool dirty = false;
 };
+
+static_assert(sizeof(CacheLine) <= 24, "CacheLine outgrew 24 bytes");
 
 /** Outcome of a cache access. */
 struct CacheAccessResult
@@ -72,8 +67,12 @@ struct EvictResult
 };
 
 /**
- * Tag array with LRU (or pluggable) replacement, optional sectoring
- * and a two-class way partition.
+ * Tag array with LRU replacement, optional sectoring and a two-class
+ * way partition.
+ *
+ * Struct-of-arrays layout: a probe scans one packed row of 8-byte tag
+ * keys and victim selection scans that row plus the parallel row of
+ * LRU stamps, so neither touches the CacheLine records.
  */
 class SetAssocCache
 {
@@ -83,11 +82,9 @@ class SetAssocCache
      * @param ways associativity
      * @param line_bytes line size
      * @param sectors_per_line 1 for conventional caches
-     * @param policy victim selection (defaults to LRU)
      */
     SetAssocCache(std::uint64_t bytes, int ways, unsigned line_bytes,
-                  unsigned sectors_per_line = 1,
-                  std::unique_ptr<ReplacementPolicy> policy = nullptr);
+                  unsigned sectors_per_line = 1);
 
     /**
      * Looks up @p line_addr / @p sector, updating recency on a tag
@@ -153,8 +150,27 @@ class SetAssocCache
     std::uint64_t setIndex(Addr line_addr) const;
 
   private:
-    CacheLine *findLine(Addr line_addr);
-    const CacheLine *findLine(Addr line_addr) const;
+    /** No way holds the line (findWay's miss result). */
+    static constexpr std::uint64_t noWay = ~std::uint64_t{0};
+
+    /** Flat index (set * ways + way) of @p line_addr, or noWay. */
+    std::uint64_t findWay(Addr line_addr) const;
+
+    /**
+     * True when sector @p sector of the valid line at @p i is present.
+     * A conventional line is always whole (sectorValid == 1), so that
+     * case never reads the CacheLine record.
+     */
+    bool
+    hasSector(std::uint64_t i, unsigned sector) const
+    {
+        if (sectorsPerLine == 1)
+            return sector == 0;
+        return (lines[i].sectorValid & (1u << sector)) != 0;
+    }
+
+    /** Drops the valid line at @p i (counters, key and record). */
+    void removeWay(std::uint64_t i);
 
     /** Counter bookkeeping for a line entering the valid set. */
     void countInsert(const CacheLine &line);
@@ -181,18 +197,17 @@ class SetAssocCache
     unsigned sectorsPerLine;
     int split; // ways [0, split) = class 0, [split, ways) = class 1
     std::uint64_t useClock = 0;
-    std::unique_ptr<ReplacementPolicy> repl;
     std::vector<CacheLine> lines; // numSets x numWays, row-major
     /**
-     * Mirror of (valid, tag) per way, packed 8 bytes each so a probe
-     * touches one or two cache lines instead of walking the 48-byte
-     * CacheLine records — findLine is the hottest loop in the
-     * simulator (every L1 and LLC access). 0 means invalid;
-     * maintained by every path that flips validity or retags a way.
+     * Probe key per way, (tag << 1) | 1, packed 8 bytes each so a
+     * probe touches one or two host cache lines — findWay is the
+     * hottest loop in the simulator (every L1 and LLC access). 0 means
+     * the way is invalid, and is the only record of validity;
+     * maintained by every path that fills, retags or drops a way.
      */
     std::vector<std::uint64_t> tagKeys_; // numSets x numWays, row-major
-    /** Reused by insert() so victim selection never allocates. */
-    std::vector<WayState> wayScratch_;
+    /** LRU stamp per way (useClock at its last touch), beside tagKeys_. */
+    std::vector<std::uint64_t> lastUse_; // numSets x numWays, row-major
     std::uint64_t validCount_ = 0;
     std::uint64_t dirtyCount_ = 0;
     /** Valid lines per home chip, indexed by home + 1 (invalidChip

@@ -1,11 +1,24 @@
 #include "common/config.hh"
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "common/bitutil.hh"
 #include "common/log.hh"
 
 namespace sac {
+
+namespace {
+
+/** Largest cluster, slice or warp count: Packet carries the ids as
+ *  int16, and the warp scheduler packs warp ids into 16-bit keys. */
+constexpr int maxPacketIndex = std::numeric_limits<std::int16_t>::max();
+
+/** Largest NoC size of one packet (Packet::bytes is 16-bit). */
+constexpr unsigned maxPacketBytes = std::numeric_limits<std::uint16_t>::max();
+
+} // namespace
 
 void
 GpuConfig::validate() const
@@ -15,18 +28,22 @@ GpuConfig::validate() const
     // which knob a generated configuration got wrong and keep going.
     if (numChips < 1 || numChips > 16)
         invalid("GpuConfig.numChips", "must be in [1, 16], got ", numChips);
-    if (clustersPerChip < 1)
-        invalid("GpuConfig.clustersPerChip", "must be positive, got ",
-                clustersPerChip);
-    if (slicesPerChip < 1)
-        invalid("GpuConfig.slicesPerChip", "must be positive, got ",
-                slicesPerChip);
+    if (clustersPerChip < 1 || clustersPerChip > maxPacketIndex)
+        invalid("GpuConfig.clustersPerChip", "must be in [1, ",
+                maxPacketIndex, "], got ", clustersPerChip);
+    if (slicesPerChip < 1 || slicesPerChip > maxPacketIndex)
+        invalid("GpuConfig.slicesPerChip", "must be in [1, ",
+                maxPacketIndex, "], got ", slicesPerChip);
     if (channelsPerChip < 1)
         invalid("GpuConfig.channelsPerChip", "must be positive, got ",
                 channelsPerChip);
-    if (!isPowerOfTwo(lineBytes) || lineBytes < 32)
-        invalid("GpuConfig.lineBytes",
-                "must be a power of two >= 32, got ", lineBytes);
+    if (!isPowerOfTwo(lineBytes) || lineBytes < 32 ||
+        lineBytes > maxPacketBytes)
+        invalid("GpuConfig.lineBytes", "must be a power of two in [32, ",
+                maxPacketBytes, "], got ", lineBytes);
+    if (requestBytes > maxPacketBytes)
+        invalid("GpuConfig.requestBytes", "must be at most ", maxPacketBytes,
+                ", got ", requestBytes);
     if (!isPowerOfTwo(pageBytes) || pageBytes < lineBytes)
         invalid("GpuConfig.pageBytes",
                 "must be a power of two >= lineBytes, got ", pageBytes);
@@ -64,9 +81,9 @@ GpuConfig::validate() const
     if (interChipBw <= 0)
         invalid("GpuConfig.interChipBw", "must be positive, got ",
                 interChipBw);
-    if (warpsPerCluster < 1)
-        invalid("GpuConfig.warpsPerCluster", "must be positive, got ",
-                warpsPerCluster);
+    if (warpsPerCluster < 1 || warpsPerCluster > maxPacketIndex)
+        invalid("GpuConfig.warpsPerCluster", "must be in [1, ",
+                maxPacketIndex, "], got ", warpsPerCluster);
     if (clusterMshrs < 1)
         invalid("GpuConfig.clusterMshrs", "must be positive, got ",
                 clusterMshrs);

@@ -14,9 +14,7 @@ SmCluster::SmCluster(const GpuConfig &cfg, ChipId chip, ClusterId id,
          cfg.sectorsPerLine),
       l1Mshrs(static_cast<std::size_t>(cfg.clusterMshrs)),
       sched(cfg.warpsPerCluster),
-      warps(static_cast<std::size_t>(cfg.warpsPerCluster)),
-      nextPktId((static_cast<std::uint64_t>(chip) << 48) ^
-                (static_cast<std::uint64_t>(id) << 32))
+      warps(static_cast<std::size_t>(cfg.warpsPerCluster))
 {
 }
 
@@ -45,7 +43,6 @@ Packet
 SmCluster::makePacket(const MemAccess &acc, int warp, Cycle now) const
 {
     Packet pkt;
-    pkt.id = nextPktId;
     pkt.kind = PacketKind::Request;
     pkt.type = acc.type;
     pkt.lineAddr = acc.lineAddr;
@@ -105,7 +102,6 @@ SmCluster::issueOne(Cycle now, ClusterEnv &env)
         // Write-through, no allocate: the L1 copy (if any) is updated
         // in place and stays clean; the store heads for the LLC.
         Packet pkt = makePacket(acc, w, now);
-        ++nextPktId;
         env.injectMiss(std::move(pkt), now);
         ++outstandingWrites;
         sched.consume(w);
@@ -142,7 +138,6 @@ SmCluster::issueOne(Cycle now, ClusterEnv &env)
         park(w, acc, mshrParked_);
         return false;
     }
-    ++nextPktId;
     ++stats_.accesses;
     ++stats_.reads;
     ++stats_.l1Misses;

@@ -177,7 +177,6 @@ class SmCluster : public sim::Component
     int retiredWarps = 0;
     int stream_ = 0;
     Cycle pausedUntil = 0;
-    std::uint64_t nextPktId;
 
     ClusterStats stats_;
 };

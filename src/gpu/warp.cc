@@ -9,21 +9,24 @@ namespace sac {
 WarpScheduler::WarpScheduler(int num_warps)
     : numWarps(num_warps), inReady(static_cast<std::size_t>(num_warps), 0)
 {
-    SAC_ASSERT(num_warps > 0, "cluster needs at least one warp");
+    SAC_ASSERT(num_warps > 0 && num_warps <= (1 << warpBits),
+               "warp count out of range: ", num_warps);
 }
 
 void
 WarpScheduler::wake(int warp, Cycle at)
 {
     SAC_ASSERT(warp >= 0 && warp < numWarps, "bad warp id ", warp);
-    pending.emplace(at, warp);
+    SAC_ASSERT((at >> (64 - warpBits)) == 0, "wake cycle out of range ", at);
+    pending.push((at << warpBits) | static_cast<Pending>(warp));
 }
 
 void
 WarpScheduler::surfaceDue(Cycle now)
 {
-    while (!pending.empty() && pending.top().first <= now) {
-        const int warp = pending.top().second;
+    constexpr Pending warpMask = (Pending{1} << warpBits) - 1;
+    while (!pending.empty() && (pending.top() >> warpBits) <= now) {
+        const int warp = static_cast<int>(pending.top() & warpMask);
         pending.pop();
         if (!inReady[static_cast<std::size_t>(warp)]) {
             inReady[static_cast<std::size_t>(warp)] = 1;

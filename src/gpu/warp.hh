@@ -66,7 +66,7 @@ class WarpScheduler
     void
     advance(Cycle now)
     {
-        if (!pending.empty() && pending.top().first <= now)
+        if (!pending.empty() && (pending.top() >> warpBits) <= now)
             surfaceDue(now);
     }
 
@@ -98,11 +98,18 @@ class WarpScheduler
      */
     Cycle nextPendingCycle() const
     {
-        return pending.empty() ? cycleNever : pending.top().first;
+        return pending.empty() ? cycleNever : pending.top() >> warpBits;
     }
 
   private:
-    using Pending = std::pair<Cycle, int>;
+    /**
+     * Pending wake as one word, (cycle << warpBits) | warp: integer
+     * order is (cycle, warp) order, so the heap pops exactly as a
+     * heap of (cycle, warp) pairs would, at half the bytes per entry.
+     */
+    using Pending = std::uint64_t;
+    /** Low key bits holding the warp id (GpuConfig caps warps at 2^15). */
+    static constexpr unsigned warpBits = 16;
 
     /** Out-of-line slow path of advance(): pops every due warp. */
     void surfaceDue(Cycle now);

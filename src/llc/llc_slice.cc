@@ -63,13 +63,6 @@ LlcSlice::tick(Cycle now)
     tick(now, *env_);
 }
 
-Cycle
-LlcSlice::nextEventCycle(Cycle now) const
-{
-    SAC_ASSERT(env_ && mem_, "unbound slice component queried");
-    return nextEventCycle(now, *env_, mem_->nextEventCycle(now));
-}
-
 void
 LlcSlice::tick(Cycle now, SliceEnv &env)
 {
@@ -95,13 +88,10 @@ LlcSlice::tick(Cycle now, SliceEnv &env)
         const Packet *head = vcQ.peekReady(now);
         if (!head)
             break;
-        if (head->kind == PacketKind::Request && !head->bypassLlc) {
-            const bool present = array.probe(head->lineAddr, head->sector);
-            if (!present && homeMshrs.full() &&
-                !homeMshrs.has(head->lineAddr, head->sector)) {
-                ++stats_.stallsMshrFull;
-                break;
-            }
+        if (head->kind == PacketKind::Request && !head->bypassLlc &&
+            missWouldStall(homeMshrs, *head)) {
+            ++stats_.stallsMshrFull;
+            break;
         }
         Packet pkt = *head;
         vcQ.popHead();
@@ -140,9 +130,7 @@ LlcSlice::tick(Cycle now, SliceEnv &env)
                    !head->atHome,
                    "unexpected packet kind in slice request queue");
         // Head-of-line stall when a fresh miss cannot get an MSHR.
-        const bool present = array.probe(head->lineAddr, head->sector);
-        if (!present && mshrs.full() &&
-            !mshrs.has(head->lineAddr, head->sector)) {
+        if (missWouldStall(mshrs, *head)) {
             ++stats_.stallsMshrFull;
             break;
         }
@@ -152,15 +140,28 @@ LlcSlice::tick(Cycle now, SliceEnv &env)
     }
 }
 
-Cycle
-LlcSlice::nextEventCycle(Cycle now, const SliceEnv &env,
-                         Cycle mem_next) const
+bool
+LlcSlice::missWouldStall(const MshrFile &file, const Packet &head) const
 {
+    // The array probe is the costly test and only matters once the
+    // file is full; every test is side-effect free, so the order is
+    // invisible to the simulation.
+    return file.full() && !file.has(head.lineAddr, head.sector) &&
+           !array.probe(head.lineAddr, head.sector);
+}
+
+Cycle
+LlcSlice::nextEventCycle(Cycle now) const
+{
+    SAC_ASSERT(env_ && mem_, "unbound slice component queried");
     if (!fillQ.empty())
         return now;
     Cycle next = cycleNever;
     if (!missQ.empty()) {
-        next = env.memCanAccept(missQ.front().lineAddr) ? now : mem_next;
+        // A blocked head retries when the controller frees a slot.
+        next = env_->memCanAccept(missQ.front().lineAddr)
+                   ? now
+                   : mem_->nextEventCycle(now);
     }
     next = std::min(next, inQ.nextEventCycle(now));
     next = std::min(next, vcQ.nextEventCycle(now));

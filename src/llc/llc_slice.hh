@@ -93,7 +93,15 @@ class LlcSlice : public sim::Component
     const char *name() const override { return name_.c_str(); }
     /** One reference slice phase: tick(now, bound env). */
     void tick(Cycle now) override;
-    /** nextEventCycle(now, bound env, bound controller's next). */
+    /**
+     * Earliest cycle this slice might do work. Pending fills are
+     * work now; a blocked miss queue retries when the bound memory
+     * controller frees a slot (its next completion, queried only in
+     * that case); the input queues follow the BwQueue contract.
+     * MSHR-full head-of-line stalls deliberately report "now": the
+     * unblocking fill is someone else's event, and a ready head
+     * simply disables skipping until it drains (conservative, exact).
+     */
     Cycle nextEventCycle(Cycle now) const override;
 
     /** Input queue: the crossbar port that feeds this slice. */
@@ -113,18 +121,6 @@ class LlcSlice : public sim::Component
 
     /** Processes fills and requests for one cycle. */
     void tick(Cycle now, SliceEnv &env);
-
-    /**
-     * Earliest cycle this slice might do work. Pending fills are
-     * work now; a blocked miss queue retries when the memory
-     * controller frees a slot (@p mem_next, the controller's next
-     * completion); the input queues follow the BwQueue contract.
-     * MSHR-full head-of-line stalls deliberately report "now": the
-     * unblocking fill is someone else's event, and a ready head
-     * simply disables skipping until it drains (conservative, exact).
-     */
-    Cycle nextEventCycle(Cycle now, const SliceEnv &env,
-                         Cycle mem_next) const;
 
     /** Replays @p cycles idle refills (input queues + array budget). */
     void skipIdleCycles(Cycle cycles) override;
@@ -172,6 +168,12 @@ class LlcSlice : public sim::Component
     int index() const { return index_; }
 
   private:
+    /**
+     * True when request @p head must wait at the head of its queue:
+     * @p file is full, no entry for its line can take it as a merge,
+     * and the array does not hold it.
+     */
+    bool missWouldStall(const MshrFile &file, const Packet &head) const;
     void processRequest(Packet pkt, Cycle now, SliceEnv &env);
     void processFill(const Packet &pkt, Cycle now, SliceEnv &env);
     void forwardMiss(Packet pkt, Cycle now, SliceEnv &env);

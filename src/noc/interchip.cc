@@ -24,7 +24,6 @@ InterChipNet::send(ChipId src, ChipId dst, Packet pkt, Cycle now)
                "bad inter-chip endpoints ", src, " -> ", dst);
     SAC_ASSERT(src != dst, "inter-chip send to self");
     pkt.nocDst = dst;
-    pkt.crossedInterChip = true;
     egress[static_cast<std::size_t>(src)].push(pkt, now);
 }
 

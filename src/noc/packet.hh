@@ -40,46 +40,59 @@ enum class PacketKind : std::uint8_t {
 
 /**
  * A memory transaction in flight. Packets are small PODs passed by
- * value through the bandwidth-limited queues.
+ * value through the bandwidth-limited queues, MSHR target lists and
+ * inter-chip inboxes, so every byte here is copied several times per
+ * simulated access. Fields are grouped by size to pack into 48 bytes;
+ * GpuConfig::validate() bounds the topology so the narrow ids fit
+ * (chips in 8 bits; clusters, warps and slices in 16).
  */
 struct Packet
 {
-    /** Unique id, for MSHR matching and debugging. */
-    std::uint64_t id = 0;
+    /** Line-aligned physical address. */
+    Addr lineAddr = 0;
+    /** Cycle the originating access was issued (latency stats). */
+    Cycle issued = 0;
+
+    /** Requesting SM cluster. */
+    std::int16_t srcCluster = -1;
+    std::int16_t warp = -1;
+    /** Slice index within serveChip. */
+    std::int16_t slice = -1;
+    /** Kernel stream of the requesting cluster (0 = legacy). */
+    std::int16_t stream = 0;
+    /** NoC bytes this packet occupies on a link. */
+    std::uint16_t bytes = 32;
 
     PacketKind kind = PacketKind::Request;
     AccessType type = AccessType::Read;
-
-    /** Line-aligned physical address. */
-    Addr lineAddr = 0;
+    /** Filled in on the response path. */
+    ResponseOrigin origin = ResponseOrigin::None;
     /** Sector index within the line (sectored-cache design point). */
     std::uint8_t sector = 0;
 
-    /** Requesting SM cluster. */
-    ChipId srcChip = invalidChip;
-    ClusterId srcCluster = -1;
-    int warp = -1;
-    /** Kernel stream of the requesting cluster (0 = legacy). */
-    std::int16_t stream = 0;
-
+    /** Requesting chip. */
+    std::int8_t srcChip = invalidChip;
     /** Chip owning the page (first-touch home). */
-    ChipId homeChip = invalidChip;
+    std::int8_t homeChip = invalidChip;
     /** Chip whose LLC slice serves the request (routing decision). */
-    ChipId serveChip = invalidChip;
-    /** Slice index within serveChip. */
-    int slice = -1;
+    std::int8_t serveChip = invalidChip;
+    /** Next chip this packet is travelling to on the inter-chip net. */
+    std::int8_t nocDst = invalidChip;
+    /** Chip that produced the response data (slice or DRAM). */
+    std::int8_t dataChip = invalidChip;
+
+    /** Way-partition class the serve slice must allocate into. */
+    std::int8_t allocPartition = 0;
+    std::int8_t homeAllocPartition = 0;
+
     /**
      * True when the packet must bypass the LLC of the chip it is
      * heading to (SM-side remote miss arriving at the home chip,
      * Fig. 6 step 4).
      */
     bool bypassLlc = false;
-    /** Way-partition class the serve slice must allocate into. */
-    std::int8_t allocPartition = 0;
     /** Second-level lookup at the home slice on a src-slice miss. */
     bool homeLookup = false;
-    std::int8_t homeAllocPartition = 0;
-
     /**
      * True while the packet is executing the home-side leg of a
      * two-level (Static/Dynamic) lookup.
@@ -89,30 +102,14 @@ struct Packet
     bool homeFilled = false;
     /** The serve-side (requester-side) fill has completed. */
     bool serveFilled = false;
-
-    /** Next chip this packet is travelling to on the inter-chip net. */
-    ChipId nocDst = invalidChip;
-
     /** Response payload source: true when DRAM produced the data. */
     bool dataFromMem = false;
-    /** Chip that produced the response data (slice or DRAM). */
-    ChipId dataChip = invalidChip;
-
-    /** Filled in on the response path. */
-    ResponseOrigin origin = ResponseOrigin::None;
-
-    /** NoC bytes this packet occupies on a link. */
-    unsigned bytes = 32;
-
-    /** Cycle the originating access was issued (latency stats). */
-    Cycle issued = 0;
-
-    /** True when the request crossed an inter-chip link at least once. */
-    bool crossedInterChip = false;
 
     /** True iff this request came from a chip other than @p chip. */
     bool remoteTo(ChipId chip) const { return srcChip != chip; }
 };
+
+static_assert(sizeof(Packet) <= 48, "Packet outgrew its 48-byte budget");
 
 } // namespace sac
 

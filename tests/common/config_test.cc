@@ -2,11 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/config.hh"
 #include "common/log.hh"
 
 namespace sac {
 namespace {
+
+/** Context of the ValidationError @p cfg raises, or "(validated)". */
+std::string
+validationContext(const GpuConfig &cfg)
+{
+    try {
+        cfg.validate();
+    } catch (const ValidationError &e) {
+        return e.context();
+    }
+    return "(validated)";
+}
 
 TEST(Config, DefaultsValidate)
 {
@@ -93,6 +107,27 @@ TEST(Config, ValidationCatchesBadGeometry)
     cfg = GpuConfig{};
     cfg.occupancyInterval = 0; // a zero interval would sample forever
     EXPECT_THROW(cfg.validate(), FatalError);
+
+    // Packets carry cluster, slice and warp ids as int16 and sizes as
+    // uint16; the warp scheduler packs warp ids into 16 key bits.
+    cfg = GpuConfig{};
+    cfg.clustersPerChip = 32768;
+    EXPECT_EQ(validationContext(cfg), "GpuConfig.clustersPerChip");
+    cfg = GpuConfig{};
+    cfg.slicesPerChip = 32768;
+    EXPECT_EQ(validationContext(cfg), "GpuConfig.slicesPerChip");
+    cfg = GpuConfig{};
+    cfg.warpsPerCluster = 32768;
+    EXPECT_EQ(validationContext(cfg), "GpuConfig.warpsPerCluster");
+    cfg = GpuConfig{};
+    cfg.lineBytes = 65536;
+    EXPECT_EQ(validationContext(cfg), "GpuConfig.lineBytes");
+    cfg = GpuConfig{};
+    cfg.requestBytes = 65536;
+    EXPECT_EQ(validationContext(cfg), "GpuConfig.requestBytes");
+    cfg = GpuConfig{};
+    cfg.warpsPerCluster = 32767; // the largest id a packet holds
+    EXPECT_NO_THROW(cfg.validate());
 }
 
 TEST(Config, OccupancyIntervalIsConfigurable)
@@ -115,34 +150,25 @@ TEST(Config, ValidationErrorsNameTheOffendingField)
     // validate() throws recoverable ValidationErrors whose context is
     // the field that failed — a sweep diagnostic says exactly which
     // knob to fix.
-    const auto context_of = [](GpuConfig cfg) {
-        try {
-            cfg.validate();
-        } catch (const ValidationError &e) {
-            return e.context();
-        }
-        return std::string("(validated)");
-    };
-
     GpuConfig cfg;
     cfg.lineBytes = 100;
-    EXPECT_EQ(context_of(cfg), "GpuConfig.lineBytes");
+    EXPECT_EQ(validationContext(cfg), "GpuConfig.lineBytes");
 
     cfg = GpuConfig{};
     cfg.numChips = 0;
-    EXPECT_EQ(context_of(cfg), "GpuConfig.numChips");
+    EXPECT_EQ(validationContext(cfg), "GpuConfig.numChips");
 
     cfg = GpuConfig{};
     cfg.sectorsPerLine = 3;
-    EXPECT_EQ(context_of(cfg), "GpuConfig.sectorsPerLine");
+    EXPECT_EQ(validationContext(cfg), "GpuConfig.sectorsPerLine");
 
     cfg = GpuConfig{};
     cfg.dynamicLlc.minWays = 9;
-    EXPECT_EQ(context_of(cfg), "GpuConfig.dynamicLlc.minWays");
+    EXPECT_EQ(validationContext(cfg), "GpuConfig.dynamicLlc.minWays");
 
     cfg = GpuConfig{};
     cfg.occupancyInterval = 0;
-    EXPECT_EQ(context_of(cfg), "GpuConfig.occupancyInterval");
+    EXPECT_EQ(validationContext(cfg), "GpuConfig.occupancyInterval");
 
     try {
         GpuConfig::scaled(3);

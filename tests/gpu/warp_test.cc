@@ -33,6 +33,32 @@ TEST(WarpScheduler, OldestReadyFirst)
     EXPECT_EQ(s.peek(), 3);
 }
 
+TEST(WarpScheduler, SameCycleWakesSurfaceInWarpIdOrder)
+{
+    WarpScheduler s(4);
+    const Cycle late = Cycle{1} << 40; // exercises the key's cycle bits
+    for (Cycle at : {Cycle{5}, late}) {
+        s.wake(3, at);
+        s.wake(0, at);
+        s.wake(2, at);
+        s.wake(1, at);
+        s.advance(at);
+        for (int w = 0; w < 4; ++w) {
+            ASSERT_TRUE(s.hasReady());
+            EXPECT_EQ(s.peek(), w);
+            s.consume(w);
+        }
+        EXPECT_FALSE(s.hasReady());
+    }
+}
+
+TEST(WarpScheduler, WakeBeyondKeyRangePanics)
+{
+    WarpScheduler s(2);
+    EXPECT_THROW(s.wake(0, Cycle{1} << 48), PanicError);
+    EXPECT_THROW(s.wake(0, cycleNever), PanicError);
+}
+
 TEST(WarpScheduler, DeferKeepsGreedyWarpAtFront)
 {
     WarpScheduler s(2);

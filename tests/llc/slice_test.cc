@@ -218,6 +218,25 @@ TEST(LlcSlice, MshrFullStallsHeadOfLine)
     EXPECT_EQ(slice.inQueued(), 2u);
 }
 
+TEST(LlcSlice, ResidentLineServedWhileMshrsFull)
+{
+    MockEnv env;
+    LlcSlice slice(cfg(), 0, 0); // 4 MSHRs
+    slice.cache().insert(0x7000, 0, 0, false, partitionLocal);
+    for (int i = 0; i < 4; ++i)
+        slice.inQueue().push(localRead(0x1000 + 0x80ull * i, 0), 0);
+    slice.inQueue().push(localRead(0x7000, 0), 0);
+    runTicks(slice, env, 0, 3);
+    EXPECT_EQ(slice.mshrsInUse(), 4u);
+    // The hit behind a full MSHR file is neither stalled nor fetched.
+    EXPECT_EQ(env.toMem.size(), 4u);
+    EXPECT_EQ(slice.stats().stallsMshrFull, 0u);
+    EXPECT_EQ(slice.stats().hits, 1u);
+    EXPECT_EQ(slice.inQueued(), 0u);
+    ASSERT_EQ(env.toCluster.size(), 1u);
+    EXPECT_EQ(env.toCluster[0].lineAddr, 0x7000u);
+}
+
 TEST(LlcSlice, MemBackpressureQueuesMisses)
 {
     MockEnv env;

@@ -8,12 +8,13 @@
 namespace sac {
 namespace {
 
+/** A packet of @p bytes, identified by its line address. */
 Packet
-pkt(unsigned bytes, std::uint64_t id = 0)
+pkt(unsigned bytes, Addr line_addr = 0)
 {
     Packet p;
     p.bytes = bytes;
-    p.id = id;
+    p.lineAddr = line_addr;
     return p;
 }
 
@@ -21,12 +22,12 @@ TEST(InterChip, DeliversAfterHopLatency)
 {
     InterChipNet icn(4, 1000.0, 80);
     icn.beginCycle();
-    icn.send(0, 2, pkt(32, 7), 0);
+    icn.send(0, 2, pkt(32, 0x700), 0);
     icn.tick(0);
     Packet out;
     EXPECT_FALSE(icn.receive(2, out, 79));
     EXPECT_TRUE(icn.receive(2, out, 80));
-    EXPECT_EQ(out.id, 7u);
+    EXPECT_EQ(out.lineAddr, 0x700u);
     EXPECT_FALSE(icn.receive(2, out, 80));
 }
 

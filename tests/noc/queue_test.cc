@@ -99,19 +99,19 @@ TEST(BwQueue, PeekReadyAndPopHeadPreserveOrder)
 {
     BwQueue q(1000.0, 0);
     Packet a = pkt(8);
-    a.id = 1;
+    a.lineAddr = 0x100;
     Packet b = pkt(8);
-    b.id = 2;
+    b.lineAddr = 0x200;
     q.push(a, 0);
     q.push(b, 0);
     q.beginCycle();
     const Packet *head = q.peekReady(0);
     ASSERT_NE(head, nullptr);
-    EXPECT_EQ(head->id, 1u);
+    EXPECT_EQ(head->lineAddr, 0x100u);
     q.popHead();
     head = q.peekReady(0);
     ASSERT_NE(head, nullptr);
-    EXPECT_EQ(head->id, 2u);
+    EXPECT_EQ(head->lineAddr, 0x200u);
 }
 
 TEST(BwQueue, OversizedPacketsSerializeAsDebt)

@@ -8,27 +8,28 @@
 namespace sac {
 namespace {
 
+/** A packet of @p bytes, identified by its line address. */
 Packet
-pkt(unsigned bytes, std::uint64_t id = 0)
+pkt(unsigned bytes, Addr line_addr = 0)
 {
     Packet p;
     p.bytes = bytes;
-    p.id = id;
+    p.lineAddr = line_addr;
     return p;
 }
 
 TEST(Xbar, PortsAreIndependent)
 {
     Xbar x(4, 128.0, 0);
-    x.push(0, pkt(128, 1), 0);
-    x.push(3, pkt(128, 2), 0);
+    x.push(0, pkt(128, 0x100), 0);
+    x.push(3, pkt(128, 0x200), 0);
     x.beginCycle();
     Packet out;
     EXPECT_TRUE(x.tryPop(0, out, 0));
-    EXPECT_EQ(out.id, 1u);
+    EXPECT_EQ(out.lineAddr, 0x100u);
     EXPECT_FALSE(x.tryPop(1, out, 0));
     EXPECT_TRUE(x.tryPop(3, out, 0));
-    EXPECT_EQ(out.id, 2u);
+    EXPECT_EQ(out.lineAddr, 0x200u);
 }
 
 TEST(Xbar, PerPortBandwidth)
