@@ -81,7 +81,7 @@ BM_SystemTick(benchmark::State &state)
     SharingTraceGen gen(scaled, cfg, 1);
     System sys(cfg, OrgKind::MemorySide, gen);
     for (ChipId c = 0; c < cfg.numChips; ++c)
-        sys.chip(c).beginKernel(100000, 0);
+        sys.chip(c).beginKernel(0, cfg.clustersPerChip, 100000, 0);
     for (int i = 0; i < 2000; ++i)
         sys.tick(); // warm up
     for (auto _ : state)

@@ -65,7 +65,7 @@ struct KernelDescriptor
     std::string name = "kernel";
     /** Accesses each warp issues before retiring. */
     std::uint64_t accessesPerWarp = 128;
-    /** Kernel stream this invocation belongs to (0 = legacy). */
+    /** Kernel stream this invocation belongs to (0 in a plain run). */
     int stream = 0;
 };
 

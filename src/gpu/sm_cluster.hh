@@ -128,7 +128,7 @@ class SmCluster : public sim::Component
     const ClusterStats &stats() const { return stats_; }
     void resetStats() { stats_ = ClusterStats{}; }
 
-    /** Kernel stream this cluster currently executes (0 = legacy). */
+    /** Kernel stream this cluster executes (0 in a plain run). */
     void setStream(int stream) { stream_ = stream; }
     int stream() const { return stream_; }
 

@@ -183,18 +183,16 @@ void
 LlcSlice::processRequest(Packet pkt, Cycle now, SliceEnv &env)
 {
     ++stats_.requests;
-    const bool track_streams =
-        !streamReq_.empty() &&
-        static_cast<std::size_t>(pkt.stream) < streamReq_.size();
-    if (track_streams)
-        ++streamReq_[static_cast<std::size_t>(pkt.stream)];
+    const auto stream = static_cast<std::size_t>(pkt.stream);
+    SAC_ASSERT(stream < streamReq_.size(), "request of stream ", pkt.stream,
+               " outside the slice's ", streamReq_.size(), " streams");
+    ++streamReq_[stream];
     const bool apply_write = pkt.type == AccessType::Write && !pkt.atHome;
     const auto res = array.access(pkt.lineAddr, pkt.sector, apply_write);
 
     if (res.hit) {
         ++stats_.hits;
-        if (track_streams)
-            ++streamHits_[static_cast<std::size_t>(pkt.stream)];
+        ++streamHits_[stream];
         if (pkt.remoteTo(chip_))
             ++stats_.hitsFromRemote;
         budget -= static_cast<double>(sectorBytes);

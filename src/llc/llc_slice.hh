@@ -133,9 +133,9 @@ class LlcSlice : public sim::Component
     void resetStats() { stats_ = SliceStats{}; }
 
     /**
-     * Enables per-stream request/hit accounting for @p streams kernel
-     * streams (multi-tenant runs). Off by default — the single-stream
-     * path keeps its exact counter behaviour and cost.
+     * Sizes the per-stream request/hit accounting for @p streams
+     * kernel streams (one by default) and zeroes it. Every request
+     * counts against its packet's stream.
      */
     void setStreamCount(int streams)
     {
@@ -212,9 +212,9 @@ class LlcSlice : public sim::Component
     MshrFile homeMshrs;
     SetAssocCache array;
     SliceStats stats_;
-    /** Per-stream accounting; empty unless setStreamCount() enabled it. */
-    std::vector<std::uint64_t> streamReq_;
-    std::vector<std::uint64_t> streamHits_;
+    /** Per-stream accounting, indexed by Packet::stream. */
+    std::vector<std::uint64_t> streamReq_ = {0};
+    std::vector<std::uint64_t> streamHits_ = {0};
 };
 
 } // namespace sac

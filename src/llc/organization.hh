@@ -10,7 +10,7 @@
  *  - Dynamic LLC: runtime way partitioning between local and remote
  *    data (Milic et al.), driven by DynamicPartitionController.
  *  - SAC: starts memory-side, profiles, and may reconfigure to
- *    SM-side per kernel (driven by sac::Controller).
+ *    SM-side per kernel (driven by sac::TenantSacService).
  */
 
 #ifndef SAC_LLC_ORGANIZATION_HH
@@ -130,7 +130,7 @@ class DynamicLlcOrg : public Organization
 /**
  * SAC's reconfigurable organization: a memory-side substrate whose
  * routing policy and bypass logic flip to SM-side when the EAB model
- * says so. Mode changes are performed by sac::Controller.
+ * says so. Mode changes are performed by sac::TenantSacService.
  */
 class SacOrg : public Organization
 {

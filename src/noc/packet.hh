@@ -58,7 +58,7 @@ struct Packet
     std::int16_t warp = -1;
     /** Slice index within serveChip. */
     std::int16_t slice = -1;
-    /** Kernel stream of the requesting cluster (0 = legacy). */
+    /** Kernel stream of the requesting cluster (0 in a plain run). */
     std::int16_t stream = 0;
     /** NoC bytes this packet occupies on a link. */
     std::uint16_t bytes = 32;

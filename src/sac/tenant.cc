@@ -4,34 +4,62 @@
 
 namespace sac {
 
+SacDecision
+decideWindow(const eab::ArchParams &arch, const SacParams &params,
+             const Profiler &prof, double measured_mem_hit_rate, int kernel)
+{
+    SacDecision d;
+    d.kernel = kernel;
+    d.inputs = prof.workloadParams(measured_mem_hit_rate);
+    d.eab = eab::evaluate(arch, d.inputs);
+    d.chosen = d.eab.preferSmSide(params.theta) ? LlcMode::SmSide
+                                                : LlcMode::MemorySide;
+    return d;
+}
+
 TenantSacService::TenantSacService(const GpuConfig &cfg, SacOrg &org,
-                                   TenantHost &host, int streams)
-    : params_(cfg.sac),
+                                   TenantHost &host)
+    : cfg_(cfg),
+      params_(cfg.sac),
       arch_(eab::ArchParams::fromConfig(cfg)),
       org_(org),
       host_(host)
 {
-    SAC_ASSERT(streams > 1, "tenant service needs co-resident streams");
+}
+
+void
+TenantSacService::reset(int streams)
+{
+    SAC_ASSERT(streams > 0, "SAC control needs at least one stream");
+    tenants_.clear();
     tenants_.reserve(static_cast<std::size_t>(streams));
     for (int s = 0; s < streams; ++s)
-        tenants_.emplace_back(cfg);
+        tenants_.emplace_back(cfg_);
 }
 
 void
 TenantSacService::beginStreamKernel(int stream, int kernel, Cycle now)
 {
-    tenants_[static_cast<std::size_t>(stream)].kernel = kernel;
+    Tenant &t = tenants_[static_cast<std::size_t>(stream)];
+    t.kernel = kernel;
+    t.running = true;
     open(stream, now);
 }
 
 void
-TenantSacService::endStreamKernel(int stream, Cycle now)
+TenantSacService::endStreamKernel(int stream, bool whole_machine)
 {
-    (void)now;
     Tenant &t = tenants_[static_cast<std::size_t>(stream)];
+    t.running = false;
     t.open = false;
     t.hasVerdict = false;
     t.windowRequests = 0;
+    if (whole_machine) {
+        // Nothing else runs, and the next kernel profiles memory-side
+        // anyway: revert without a charge (Section 3.5).
+        org_.setMode(LlcMode::MemorySide);
+        return;
+    }
     // The departing tenant's verdict no longer weighs in; the
     // remaining tenants' winner (or the memory-side default) applies.
     arbitrate();
@@ -51,8 +79,8 @@ TenantSacService::open(int stream, Cycle now)
 {
     Tenant &t = tenants_[static_cast<std::size_t>(stream)];
     if (org_.mode() == LlcMode::SmSide) {
-        // Contended case: profiling assumes the memory-side
-        // configuration, so revert first — even when SM-side was
+        // Profiling assumes the memory-side configuration, so revert
+        // first (drain + flush, Section 3.6) — even when SM-side was
         // another tenant's verdict (arbitration re-applies it after
         // this window closes).
         host_.modeChangeFlush("re-profile");
@@ -71,9 +99,9 @@ TenantSacService::open(int stream, Cycle now)
 void
 TenantSacService::close(int stream, Cycle now)
 {
-    (void)now;
     Tenant &t = tenants_[static_cast<std::size_t>(stream)];
     t.open = false;
+    t.closedAt = now;
     const auto [req, hits] = host_.streamLlcTotals(stream);
     const auto dreq = req - t.reqSnapshot;
     const auto dhits = hits - t.hitSnapshot;
@@ -117,6 +145,8 @@ TenantSacService::arbitrate()
 
     if (want == org_.mode())
         return;
+    // Reconfiguration: drain in-flight requests, write back and
+    // invalidate the LLC, switch the routing policy (Section 3.6).
     org_.setMode(want);
     host_.reconfigured(want);
     host_.modeChangeFlush("reconfigure");
@@ -127,9 +157,11 @@ TenantSacService::nextDue(Cycle) const
 {
     Cycle due = cycleNever;
     for (const auto &t : tenants_) {
-        if (!t.open)
-            continue;
-        const Cycle next = t.midTaken ? t.windowEnd : t.mid;
+        Cycle next = cycleNever;
+        if (t.open)
+            next = t.midTaken ? t.windowEnd : t.mid;
+        else if (t.running && params_.reprofileInterval > 0)
+            next = t.closedAt + params_.reprofileInterval;
         if (next < due)
             due = next;
     }
@@ -141,13 +173,13 @@ TenantSacService::poll(const TickInfo &tick)
 {
     for (std::size_t s = 0; s < tenants_.size(); ++s) {
         Tenant &t = tenants_[s];
+        const int stream = static_cast<int>(s);
         if (t.open && !t.midTaken &&
             (tick.now >= t.mid ||
              t.prof.totalRequests() >= params_.profileMinRequests / 2)) {
             // Restart the hit-rate measurement past the cold-start
-            // transient, exactly like the single-kernel window.
-            const auto [req, hits] = host_.streamLlcTotals(
-                static_cast<int>(s));
+            // transient; the decision uses steady-ish rates.
+            const auto [req, hits] = host_.streamLlcTotals(stream);
             t.reqSnapshot = req;
             t.hitSnapshot = hits;
             t.prof.restartMeasurement();
@@ -156,7 +188,11 @@ TenantSacService::poll(const TickInfo &tick)
         if (t.open && t.midTaken &&
             (tick.now >= t.windowEnd ||
              t.prof.totalRequests() >= params_.profileMinRequests)) {
-            close(static_cast<int>(s), tick.now);
+            close(stream, tick.now);
+        }
+        if (!t.open && t.running && params_.reprofileInterval > 0 &&
+            tick.now - t.closedAt >= params_.reprofileInterval) {
+            open(stream, tick.now);
         }
     }
 }

@@ -1,17 +1,18 @@
 /**
  * @file
- * Per-tenant SAC control for multi-stream (co-resident kernel) runs.
+ * SAC runtime control (Sections 3.2, 3.5 and 3.6), one profiling
+ * window per kernel stream.
  *
- * With one resident kernel, SAC profiles at kernel start and applies
- * its verdict to the whole machine (sac/window.hh). With co-resident
- * kernel streams the verdict is contested: each stream has its own
- * sharing behaviour, but the LLC organization (the routing mode) is a
- * machine-wide property. TenantSacService runs one profiling window
- * per tenant — its own Profiler, fed only that stream's L1 misses,
- * its hit rate measured from that stream's per-slice LLC counters —
- * and arbitrates the per-tenant verdicts into the single mode.
+ * Every kernel launch opens its stream's profiling window under the
+ * memory-side organization: the tenant's own Profiler sees only that
+ * stream's L1 misses, and its hit rate comes from that stream's
+ * per-slice LLC counters. When the window closes, decideWindow feeds
+ * the counters to the EAB model, and the service arbitrates the live
+ * verdicts into the machine's single LLC mode. With one stream — a
+ * plain single-kernel run — this is exactly the paper's controller:
+ * profile, decide, reconfigure if SM-side wins, revert at kernel end.
  *
- * Contended-case policy (documented, deliberately simple):
+ * Policy:
  *
  *  - Profiling must run memory-side (the EAB inputs assume it), so
  *    opening any tenant's window while the machine is SM-side first
@@ -23,9 +24,14 @@
  *    between disagreeing tenants falls back to memory-side (the
  *    paper's default configuration). Any resulting mode change is a
  *    full reconfiguration (drain + flush).
- *  - A stream's verdict is dropped when its kernel ends (the next
- *    kernel re-profiles); there is no periodic re-profiling interval
- *    in multi-tenant runs.
+ *  - Kernel end drops the stream's verdict. When the finishing stream
+ *    owns every cluster (the whole machine), nothing else runs: the
+ *    machine reverts to memory-side without a charge, like the
+ *    paper's per-kernel revert. Otherwise the remaining verdicts are
+ *    re-arbitrated, and a resulting mode change is charged.
+ *  - With sac.reprofileInterval > 0, each tenant re-opens its window
+ *    that many cycles after the last one closed, while its kernel
+ *    runs.
  */
 
 #ifndef SAC_SAC_TENANT_HH
@@ -37,13 +43,32 @@
 
 #include "common/config.hh"
 #include "common/types.hh"
-#include "sac/controller.hh"
+#include "llc/organization.hh"
+#include "sac/eab.hh"
 #include "sac/profiler.hh"
 #include "sim/run_service.hh"
 
 namespace sac {
 
-/** What per-tenant window management needs from the system. */
+/** Outcome of one profiling window. */
+struct SacDecision
+{
+    int kernel = 0;
+    LlcMode chosen = LlcMode::MemorySide;
+    eab::Result eab;
+    eab::WorkloadParams inputs;
+};
+
+/**
+ * The pure decision step of a closed profiling window: feed the
+ * profiler's counters and the measured memory-side hit rate to the
+ * EAB model and pick the winning mode.
+ */
+SacDecision decideWindow(const eab::ArchParams &arch, const SacParams &params,
+                         const Profiler &prof, double measured_mem_hit_rate,
+                         int kernel);
+
+/** What SAC control needs from the surrounding system. */
 class TenantHost
 {
   public:
@@ -51,14 +76,23 @@ class TenantHost
     virtual std::pair<std::uint64_t, std::uint64_t>
     streamLlcTotals(int stream) const = 0;
 
-    /** Records a tenant's closed-window decision (result + trace). */
+    /**
+     * Records a tenant's closed-window decision: result bookkeeping
+     * plus the windowClose trace event. @p hit_rate is the LLC hit
+     * rate measured over the (post-midpoint) window.
+     */
     virtual void tenantWindowClosed(int stream, const SacDecision &d,
                                     double hit_rate) = 0;
 
     /** Counts + traces a reconfiguration to @p to (before its flush). */
     virtual void reconfigured(LlcMode to) = 0;
 
-    /** Full-LLC drain + flush of a mode change (see WindowHost). */
+    /**
+     * Performs the full-LLC drain + flush of a mode change: pauses
+     * the clusters until the flush completes, charges the stall and
+     * emits the flush trace event tagged @p reason ("reconfigure" or
+     * "re-profile").
+     */
     virtual void modeChangeFlush(const char *reason) = 0;
 
   protected:
@@ -69,17 +103,22 @@ class TenantHost
 class TenantSacService final : public RunService
 {
   public:
-    TenantSacService(const GpuConfig &cfg, SacOrg &org, TenantHost &host,
-                     int streams);
+    /** @p cfg must outlive the service (tenants are built from it). */
+    TenantSacService(const GpuConfig &cfg, SacOrg &org, TenantHost &host);
+
+    /** Re-arms the service for a run of @p streams kernel streams. */
+    void reset(int streams);
 
     /** Kernel launch on @p stream: opens that tenant's window. */
     void beginStreamKernel(int stream, int kernel, Cycle now);
 
     /**
-     * Kernel end on @p stream: cancels an open window, drops the
-     * tenant's verdict and re-arbitrates the remaining ones.
+     * Kernel end on @p stream: cancels an open window (no decision is
+     * recorded) and drops the tenant's verdict. @p whole_machine says
+     * the stream owns every cluster: revert to memory-side without a
+     * charge. Otherwise re-arbitrate the remaining verdicts.
      */
-    void endStreamKernel(int stream, Cycle now);
+    void endStreamKernel(int stream, bool whole_machine);
 
     /** True while @p stream's profiling window is collecting. */
     bool windowOpen(int stream) const
@@ -91,10 +130,7 @@ class TenantSacService final : public RunService
     void onL1Miss(int stream, ChipId src, ChipId home, int slice,
                   Addr line_addr, unsigned sector);
 
-    /** Verdict arbitration winner as of the last change. */
-    LlcMode mode() const { return org_.mode(); }
-
-    const char *name() const override { return "tenant-sac"; }
+    const char *name() const override { return "sac-window"; }
     Cycle nextDue(Cycle now) const override;
     void poll(const TickInfo &tick) override;
 
@@ -104,10 +140,16 @@ class TenantSacService final : public RunService
         explicit Tenant(const GpuConfig &cfg) : prof(cfg) {}
 
         Profiler prof;
+        /** A kernel of this stream is resident. */
+        bool running = false;
         bool open = false;
+        /** Hit-rate measurement restarts at the window midpoint so the
+         *  cold-start transient does not bias the EAB comparison. */
         bool midTaken = false;
         Cycle mid = 0;
         Cycle windowEnd = 0;
+        /** Close cycle of the last window (re-profiling base). */
+        Cycle closedAt = 0;
         int kernel = 0;
         std::uint64_t reqSnapshot = 0;
         std::uint64_t hitSnapshot = 0;
@@ -123,6 +165,7 @@ class TenantSacService final : public RunService
     /** Applies the bandwidth-major tenant's verdict to the machine. */
     void arbitrate();
 
+    const GpuConfig &cfg_;
     SacParams params_;
     eab::ArchParams arch_;
     SacOrg &org_;

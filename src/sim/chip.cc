@@ -267,18 +267,8 @@ Chip::pushLocalRequest(const Packet &pkt, Cycle now)
 }
 
 void
-Chip::beginKernel(std::uint64_t accesses_per_warp, Cycle now)
-{
-    for (std::size_t c = 0; c < clusters.size(); ++c) {
-        clusters[c]->beginKernel(accesses_per_warp, now);
-        if (sched_)
-            sched_->wake(clusterIds_[c], now);
-    }
-}
-
-void
-Chip::beginKernelRange(std::uint64_t first, std::uint64_t count,
-                       std::uint64_t accesses_per_warp, Cycle now)
+Chip::beginKernel(std::uint64_t first, std::uint64_t count,
+                  std::uint64_t accesses_per_warp, Cycle now)
 {
     for (std::uint64_t c = first; c < first + count; ++c) {
         clusters[c]->beginKernel(accesses_per_warp, now);
@@ -288,14 +278,7 @@ Chip::beginKernelRange(std::uint64_t first, std::uint64_t count,
 }
 
 void
-Chip::flushL1s()
-{
-    for (auto &cluster : clusters)
-        cluster->flushL1();
-}
-
-void
-Chip::flushL1Range(std::uint64_t first, std::uint64_t count)
+Chip::flushL1s(std::uint64_t first, std::uint64_t count)
 {
     for (std::uint64_t c = first; c < first + count; ++c)
         clusters[c]->flushL1();
@@ -310,15 +293,7 @@ Chip::invalidateLine(Addr line_addr, int slice)
 }
 
 void
-Chip::pauseClusters(Cycle until)
-{
-    for (auto &cluster : clusters)
-        cluster->pauseUntil(until);
-}
-
-void
-Chip::pauseClustersRange(std::uint64_t first, std::uint64_t count,
-                         Cycle until)
+Chip::pauseClusters(std::uint64_t first, std::uint64_t count, Cycle until)
 {
     for (std::uint64_t c = first; c < first + count; ++c)
         clusters[c]->pauseUntil(until);
@@ -357,17 +332,7 @@ Chip::wakeMemory(Cycle now)
 }
 
 bool
-Chip::clustersDone() const
-{
-    for (const auto &cluster : clusters) {
-        if (!cluster->done())
-            return false;
-    }
-    return true;
-}
-
-bool
-Chip::clustersDoneRange(std::uint64_t first, std::uint64_t count) const
+Chip::clustersDone(std::uint64_t first, std::uint64_t count) const
 {
     for (std::uint64_t c = first; c < first + count; ++c) {
         if (!clusters[c]->done())

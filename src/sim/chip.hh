@@ -78,25 +78,18 @@ class Chip : public SliceEnv
     // --- control ---------------------------------------------------------
     /** Pushes a request from a local cluster into a local slice port. */
     void pushLocalRequest(const Packet &pkt, Cycle now);
-    /** Kernel launch for every cluster. */
-    void beginKernel(std::uint64_t accesses_per_warp, Cycle now);
-    /**
-     * Kernel launch for clusters [first, first+count) only — one
-     * stream's cluster share in a multi-tenant scenario.
-     */
-    void beginKernelRange(std::uint64_t first, std::uint64_t count,
-                          std::uint64_t accesses_per_warp, Cycle now);
-    /** Invalidates all L1s (software coherence boundary). */
-    void flushL1s();
-    /** Invalidates the L1s of clusters [first, first+count) only. */
-    void flushL1Range(std::uint64_t first, std::uint64_t count);
+    // Cluster helpers act on clusters [first, first+count): one
+    // stream's share, or every cluster for a whole-machine action.
+    /** Kernel launch. */
+    void beginKernel(std::uint64_t first, std::uint64_t count,
+                     std::uint64_t accesses_per_warp, Cycle now);
+    /** Invalidates the L1s (software coherence boundary). */
+    void flushL1s(std::uint64_t first, std::uint64_t count);
     /** Invalidates one line everywhere on this chip (hw coherence). */
     void invalidateLine(Addr line_addr, int slice);
-    /** Stops cluster issue until @p until (drain/flush stalls). */
-    void pauseClusters(Cycle until);
-    /** Stops issue of clusters [first, first+count) until @p until. */
-    void pauseClustersRange(std::uint64_t first, std::uint64_t count,
-                            Cycle until);
+    /** Stops issue until @p until (drain/flush stalls). */
+    void pauseClusters(std::uint64_t first, std::uint64_t count,
+                       Cycle until);
     /** Tags clusters [first, first+count) with a kernel stream id. */
     void setClusterStream(std::uint64_t first, std::uint64_t count,
                           int stream);
@@ -133,9 +126,8 @@ class Chip : public SliceEnv
     void wakeMemory(Cycle now);
 
     // --- queries ----------------------------------------------------------
-    bool clustersDone() const;
-    /** done() over clusters [first, first+count) only. */
-    bool clustersDoneRange(std::uint64_t first, std::uint64_t count) const;
+    /** done() over clusters [first, first+count). */
+    bool clustersDone(std::uint64_t first, std::uint64_t count) const;
     std::size_t outstanding() const;
 
     SmCluster &cluster(ClusterId c) { return *clusters[

@@ -74,9 +74,8 @@ ExperimentEngine::runJob(const ExperimentJob &job, std::size_t index,
     cfg.seed = job.seed;
     cfg.validate();
 
-    // Scenario jobs drive a per-stream trace mux; legacy jobs keep the
-    // bare generator (the one-stream mux degenerates to it, but the
-    // legacy path stays untouched for byte-identity's sake).
+    // Scenario jobs drive a per-stream trace mux; profile jobs use the
+    // bare generator (the one-stream mux degenerates to it).
     const WorkloadProfile scaled = job.profile.scaledData(dataScale(cfg));
     const Scenario scaledScenario =
         job.scenario.scaledData(dataScale(cfg));

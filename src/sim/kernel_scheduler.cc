@@ -6,13 +6,12 @@
 namespace sac {
 
 void
-KernelScheduler::reset(std::vector<KernelStreamState> streams, bool legacy)
+KernelScheduler::reset(std::vector<KernelStreamState> streams)
 {
     SAC_ASSERT(!streams.empty(), "run without any kernel stream");
     for (const auto &s : streams)
         SAC_ASSERT(!s.kernels.empty(), "stream without any kernel");
     streams_ = std::move(streams);
-    legacy_ = legacy;
     tickKernel_ = 0;
 }
 
@@ -56,10 +55,8 @@ KernelScheduler::poll(const TickInfo &)
 bool
 KernelScheduler::streamDone(const KernelStreamState &s) const
 {
-    if (legacy_)
-        return sys_.allDone();
     for (const auto &chip : sys_.chips) {
-        if (!chip->clustersDoneRange(s.clusters.first, s.clusters.count))
+        if (!chip->clustersDone(s.clusters.first, s.clusters.count))
             return false;
     }
     return true;
@@ -69,10 +66,7 @@ void
 KernelScheduler::launch(KernelStreamState &s)
 {
     const KernelDescriptor &kernel = s.kernels[s.next];
-    if (legacy_)
-        sys_.launchKernel(kernel);
-    else
-        sys_.launchStreamKernel(s.stream, kernel, s.clusters);
+    sys_.launchStreamKernel(s.stream, kernel, s.clusters);
     s.kernelStart = sys_.clock;
     if (!s.started) {
         s.started = true;
@@ -88,18 +82,7 @@ KernelScheduler::finish(KernelStreamState &s)
 {
     const int kernel_index = s.kernels[s.next - 1].index;
     s.running = false;
-    if (legacy_) {
-        if (sys_.window_) {
-            // The kernel ended with the window still open: no
-            // decision is recorded.
-            sys_.window_->cancel();
-        }
-        sys_.result.kernelCycles.push_back(sys_.clock - s.kernelStart);
-        sys_.finishKernel();
-    } else {
-        sys_.finishStreamKernel(s.stream, kernel_index, s.clusters,
-                                s.kernelStart);
-    }
+    sys_.finishStreamKernel(s.stream, kernel_index, s.clusters, s.kernelStart);
     if (s.exhausted()) {
         s.complete = true;
         s.finishedAt = sys_.clock;

@@ -4,21 +4,24 @@
  *
  * The KernelScheduler owns what System::run used to inline: launching
  * each stream's next kernel, detecting per-stream completion, and
- * dispatching the follow-on kernel at the completion cycle. In the
- * legacy single-stream run it reproduces the historical loop
- * byte-for-byte (one resident kernel, launch/finish across the whole
- * machine); in a multi-tenant scenario each stream owns a cluster
- * range and progresses through its kernel sequence independently.
+ * dispatching the follow-on kernel at the completion cycle. Every run
+ * is a set of streams: each owns a cluster range and progresses
+ * through its kernel sequence independently. A single-kernel run is
+ * the one-stream case, whose range is every cluster of every chip.
  *
  * It registers under RunPhase::KernelFlow — the last phase — so at a
  * completion cycle every other service polls before the finish/launch
- * runs, exactly where the old loop's allDone() check sat.
+ * runs. System::finishStreamKernel decides what a boundary costs:
+ * when the finishing stream owns every cluster, the software-coherence
+ * flush jumps the clock and SAC reverts without a charge; otherwise
+ * only that stream's clusters stall.
  */
 
 #ifndef SAC_SIM_KERNEL_SCHEDULER_HH
 #define SAC_SIM_KERNEL_SCHEDULER_HH
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -51,6 +54,8 @@ struct KernelStreamState
     Cycle kernelStart = 0;
     /** Cycle the last kernel completed. */
     Cycle finishedAt = 0;
+    /** Stream profile name (per-stream results). */
+    std::string name;
     /** Every kernel of the stream has completed. */
     bool complete = false;
 
@@ -63,12 +68,8 @@ class KernelScheduler final : public RunService
   public:
     explicit KernelScheduler(System &sys) : sys_(sys) {}
 
-    /**
-     * Re-arms the scheduler for a run. @p legacy selects the
-     * byte-identical single-stream protocol (whole-machine launch,
-     * window cancel + global finishKernel at each boundary).
-     */
-    void reset(std::vector<KernelStreamState> streams, bool legacy);
+    /** Re-arms the scheduler for a run of @p streams. */
+    void reset(std::vector<KernelStreamState> streams);
 
     /**
      * Launches everything due at @p now and settles instantly-done
@@ -105,7 +106,6 @@ class KernelScheduler final : public RunService
 
     System &sys_;
     std::vector<KernelStreamState> streams_;
-    bool legacy_ = true;
     int tickKernel_ = 0;
 };
 

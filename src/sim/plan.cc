@@ -15,15 +15,18 @@ dataScale(const GpuConfig &cfg)
 }
 
 std::vector<KernelDescriptor>
-kernelsFor(const WorkloadProfile &profile)
+kernelsFor(const WorkloadProfile &profile, int count, int stream)
 {
+    if (count <= 0)
+        count = profile.numKernels;
     std::vector<KernelDescriptor> kernels;
-    kernels.reserve(static_cast<std::size_t>(profile.numKernels));
-    for (int k = 0; k < profile.numKernels; ++k) {
+    kernels.reserve(static_cast<std::size_t>(count));
+    for (int k = 0; k < count; ++k) {
         KernelDescriptor d;
         d.index = k;
         d.name = profile.name + "-k" + std::to_string(k);
         d.accessesPerWarp = profile.phase(k).accessesPerWarp;
+        d.stream = stream;
         kernels.push_back(d);
     }
     return kernels;

@@ -53,8 +53,12 @@ extern const char *const planSchemaVersion;
  */
 double dataScale(const GpuConfig &cfg);
 
-/** Kernel sequence implied by a profile's phases. */
-std::vector<KernelDescriptor> kernelsFor(const WorkloadProfile &profile);
+/**
+ * Kernel sequence implied by a profile's phases: @p count kernels
+ * (0 means the profile's own numKernels), tagged with @p stream.
+ */
+std::vector<KernelDescriptor> kernelsFor(const WorkloadProfile &profile,
+                                         int count = 0, int stream = 0);
 
 /** One independent simulation: everything a worker needs to run it. */
 struct ExperimentJob
@@ -91,7 +95,7 @@ struct ExperimentJob
     /**
      * Multi-tenant scenario (last member, so existing aggregate
      * initializers stay valid). Empty streams (the default) means the
-     * legacy single-kernel run over @ref profile; non-empty streams
+     * plain run over @ref profile; non-empty streams
      * replace the profile entirely — the engine builds a
      * StreamTraceMux over them and runs System::run(Scenario).
      */

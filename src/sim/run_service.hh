@@ -93,8 +93,7 @@ enum class RunPhase : int
     /**
      * Kernel launch/completion dispatch — deliberately last, so at a
      * completion cycle every other service has already polled before
-     * the finish/launch mutates the machine (where the old inline
-     * loop's allDone() check sat).
+     * the finish/launch mutates the machine.
      */
     KernelFlow
 };

@@ -50,12 +50,6 @@ Runner::dataScale(const GpuConfig &cfg)
     return sac::dataScale(cfg);
 }
 
-std::vector<KernelDescriptor>
-Runner::kernelsFor(const WorkloadProfile &profile)
-{
-    return sac::kernelsFor(profile);
-}
-
 double
 speedup(const RunResult &baseline, const RunResult &result)
 {

@@ -105,10 +105,6 @@ class Runner
     /** Data-scale divisor matching @p cfg (paper LLC / cfg LLC). */
     static double dataScale(const GpuConfig &cfg);
 
-    /** Kernel sequence implied by a profile's phases. */
-    static std::vector<KernelDescriptor> kernelsFor(
-        const WorkloadProfile &profile);
-
   private:
     Options options_;
     std::vector<ResultSink *> sinks_;

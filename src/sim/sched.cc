@@ -203,11 +203,17 @@ Scheduler::updateRegime(std::uint32_t ticked)
 }
 
 void
-Scheduler::onClockJump(Cycle delta)
+Scheduler::onClockJump(Cycle from, Cycle to)
 {
+    const Cycle delta = to - from;
     for (auto &last : lastTickPlus1_)
         last += delta;
     fullTickFloor_ += delta;
+    for (ComponentId id = 0;
+         id < static_cast<ComponentId>(queue_.size()); ++id) {
+        if (queue_.keyOf(id) < to)
+            queue_.rekey(id, to);
+    }
 }
 
 void

@@ -250,11 +250,15 @@ class Scheduler
     void runCycle(Cycle now);
 
     /**
-     * The clock jumped @p delta cycles without ticking (kernel-
-     * boundary flush stall). The reference loop performs no refills
-     * across such a jump, so the replay bookkeeping must skip it too.
+     * The clock jumped from @p from to @p to without ticking (a
+     * whole-machine kernel-boundary flush stall). The reference loop
+     * performs no refills across such a jump, so the replay
+     * bookkeeping skips it too. Every key below @p to is raised to
+     * it: the reference loop ticks everything at the landing cycle
+     * in ordinal order, and stale keys would otherwise pop in key
+     * order ahead of components the landing cycle woke.
      */
-    void onClockJump(Cycle delta);
+    void onClockJump(Cycle from, Cycle to);
 
     /**
      * The reference loop ticked every component at @p now

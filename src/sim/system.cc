@@ -8,6 +8,7 @@
 #include "common/stats.hh"
 #include "llc/flush_model.hh"
 #include "noc/routing.hh"
+#include "sim/plan.hh"
 #include "workload/scenario.hh"
 
 namespace sac {
@@ -195,10 +196,8 @@ System::System(const GpuConfig &cfg, OrgKind kind, TraceSource &trace)
 {
     cfg_.validate();
 
-    if (kind == OrgKind::Sac) {
+    if (kind == OrgKind::Sac)
         sacOrg = static_cast<SacOrg *>(org.get());
-        controller = std::make_unique<Controller>(cfg_, *sacOrg);
-    }
     if (org->dynamicPartitioning()) {
         dynCtrl = std::make_unique<DynamicPartitionController>(
             cfg_.dynamicLlc, cfg_.numChips, cfg_.llcWays);
@@ -236,9 +235,9 @@ System::System(const GpuConfig &cfg, OrgKind kind, TraceSource &trace)
     // even though it registers last.
     faultSvc_ = std::make_unique<FaultHookService>(*this);
     services_.add(RunPhase::FaultHook, *faultSvc_);
-    if (controller) {
-        window_ = std::make_unique<SacWindowService>(*controller, *this);
-        services_.add(RunPhase::SacWindow, *window_);
+    if (sacOrg) {
+        sacSvc_ = std::make_unique<TenantSacService>(cfg_, *sacOrg, *this);
+        services_.add(RunPhase::SacWindow, *sacSvc_);
     }
     if (dynCtrl) {
         epochSvc_ = std::make_unique<DynamicEpochService>(*this);
@@ -366,14 +365,11 @@ System::injectMiss(Packet &&pkt, Cycle now)
         org->routing().route(pkt.lineAddr, pkt.srcChip, home, map);
     applyRoute(pkt, plan);
 
-    if (window_ && window_->isOpen()) {
-        controller->profiler().onL1Miss(pkt.srcChip, home, plan.slice,
-                                        pkt.lineAddr, pkt.sector);
-    } else if (tenantSvc_) {
-        // Multi-tenant runs: the miss profiles into its own stream's
-        // window (a no-op while that window is closed).
-        tenantSvc_->onL1Miss(pkt.stream, pkt.srcChip, home, plan.slice,
-                             pkt.lineAddr, pkt.sector);
+    if (sacSvc_) {
+        // The miss profiles into its own stream's window (a no-op
+        // while that window is closed).
+        sacSvc_->onL1Miss(pkt.stream, pkt.srcChip, home, plan.slice,
+                          pkt.lineAddr, pkt.sector);
     }
 
     if (pkt.serveChip == pkt.srcChip) {
@@ -522,16 +518,6 @@ System::fastForwardStats() const
     return merged;
 }
 
-bool
-System::allDone() const
-{
-    for (const auto &chip : chips) {
-        if (!chip->clustersDone())
-            return false;
-    }
-    return true;
-}
-
 std::pair<std::uint64_t, std::uint64_t>
 System::llcTotals() const
 {
@@ -558,58 +544,6 @@ System::streamLlcTotals(int stream) const
         }
     }
     return {req, hits};
-}
-
-void
-System::launchKernel(const KernelDescriptor &kernel)
-{
-    trace_.beginKernel(kernel.index);
-    for (auto &chip : chips)
-        chip->beginKernel(kernel.accessesPerWarp, clock);
-    kernelStart = clock;
-    livelockDog_->beginKernel(clock);
-    // Kernel launch re-arms windows and watchdog deadlines.
-    svcWakeValid_ = false;
-
-    currentKernel = kernel.index;
-    if (eventTrace_)
-        eventTrace_->kernelBegin(kernel.index, kernel.name, clock);
-    if (window_)
-        window_->beginKernel(kernel.index, clock);
-    if (dynCtrl) {
-        dynCtrl->reset();
-        for (auto &chip : chips)
-            chip->setWaySplit(dynCtrl->localWays(chip->id()));
-        lastEpoch = clock;
-        for (auto &chip : chips) {
-            chipDramSnapshot[static_cast<std::size_t>(chip->id())] =
-                chip->memCtrl().bytesServed();
-            chipIcnSnapshot[static_cast<std::size_t>(chip->id())] =
-                chipIcnInBytes[static_cast<std::size_t>(chip->id())];
-        }
-    }
-}
-
-void
-System::windowClosed(const SacDecision &d, double hit_rate)
-{
-    result.sacDecisions.push_back(d);
-    if (eventTrace_) {
-        eventTrace_->windowClose(
-            currentKernel, clock, toString(d.chosen),
-            {{"eabMem", d.eab.memSide.total()},
-             {"eabSm", d.eab.smSide.total()},
-             {"eabMemLocal", d.eab.memSide.local},
-             {"eabMemRemote", d.eab.memSide.remote},
-             {"eabSmLocal", d.eab.smSide.local},
-             {"eabSmRemote", d.eab.smSide.remote},
-             {"rLocal", d.inputs.rLocal},
-             {"lsuMem", d.inputs.lsuMem},
-             {"lsuSm", d.inputs.lsuSm},
-             {"hitMem", d.inputs.hitMem},
-             {"hitSm", d.inputs.hitSm},
-             {"windowHitRate", hit_rate}});
-    }
 }
 
 void
@@ -650,7 +584,7 @@ System::modeChangeFlush(const char *reason)
 {
     const Cycle done = flushLlc(/*replicas_only=*/false);
     for (auto &chip : chips)
-        chip->pauseClusters(done);
+        chip->pauseClusters(0, cfg_.clustersPerChip, done);
     result.flushStallCycles += done - clock;
     if (eventTrace_)
         eventTrace_->flush(currentKernel, clock, done - clock, reason);
@@ -706,48 +640,13 @@ System::flushLlc(bool replicas_only)
 }
 
 void
-System::finishKernel()
-{
-    if (eventTrace_)
-        eventTrace_->kernelEnd(currentKernel, clock, clock - kernelStart);
-
-    // Software coherence: L1s flush at every kernel boundary; the LLC
-    // is flushed when the active organization replicated remote data.
-    for (auto &chip : chips)
-        chip->flushL1s();
-
-    const bool llc_needs_flush = org->cachesRemoteData() &&
-                                 coherence.kind() == CoherenceKind::Software;
-    if (llc_needs_flush) {
-        const bool replicas_only = org->kind() == OrgKind::StaticLlc ||
-                                   org->kind() == OrgKind::DynamicLlc;
-        const Cycle done = flushLlc(replicas_only);
-        result.flushStallCycles += done - clock;
-        if (eventTrace_)
-            eventTrace_->flush(currentKernel, clock, done - clock,
-                               "kernel-boundary");
-        if (done > clock) {
-            // The reference loop jumps the clock here without ticking
-            // anything: exclude the jump from idle-refill replay.
-            sched_.onClockJump(done - clock);
-            clock = done;
-        }
-    }
-    if (coherence.kind() == CoherenceKind::Hardware) {
-        // The directory survives kernels; replicas stay coherent.
-    }
-    if (controller)
-        controller->endKernel();
-}
-
-void
 System::launchStreamKernel(int stream, const KernelDescriptor &kernel,
                            const CtaScheduler::Range &clusters)
 {
     trace_.beginStreamKernel(stream, kernel.index);
     for (auto &chip : chips) {
-        chip->beginKernelRange(clusters.first, clusters.count,
-                               kernel.accessesPerWarp, clock);
+        chip->beginKernel(clusters.first, clusters.count,
+                          kernel.accessesPerWarp, clock);
     }
     // The livelock deadline re-arms on any stream's launch.
     livelockDog_->beginKernel(clock);
@@ -756,12 +655,11 @@ System::launchStreamKernel(int stream, const KernelDescriptor &kernel,
     currentKernel = kernel.index;
     if (eventTrace_)
         eventTrace_->kernelBegin(kernel.index, kernel.name, clock);
-    if (tenantSvc_)
-        tenantSvc_->beginStreamKernel(stream, kernel.index, clock);
+    if (sacSvc_)
+        sacSvc_->beginStreamKernel(stream, kernel.index, clock);
     if (dynCtrl) {
         // Documented simplification: the dynamic-partition epoch is a
-        // machine-wide concern, so any stream's launch resets it (the
-        // same global reset the single-stream path performs).
+        // machine-wide concern, so any stream's launch resets it.
         dynCtrl->reset();
         for (auto &chip : chips)
             chip->setWaySplit(dynCtrl->localWays(chip->id()));
@@ -789,9 +687,16 @@ System::finishStreamKernel(int stream, int kernel_index,
     // per-stream split lives in RunResult::streams).
     result.kernelCycles.push_back(duration);
 
-    // Software coherence: only the finishing stream's L1s flush.
+    // The one whole-machine predicate: a stream owning every cluster
+    // is the only thing running.
+    const bool whole_machine =
+        clusters.first == 0 &&
+        clusters.count == static_cast<std::uint64_t>(cfg_.clustersPerChip);
+
+    // Software coherence: the finishing stream's L1s flush, and the
+    // LLC is flushed when the organization replicated remote data.
     for (auto &chip : chips)
-        chip->flushL1Range(clusters.first, clusters.count);
+        chip->flushL1s(clusters.first, clusters.count);
 
     const bool llc_needs_flush = org->cachesRemoteData() &&
                                  coherence.kind() == CoherenceKind::Software;
@@ -806,17 +711,24 @@ System::finishStreamKernel(int stream, int kernel_index,
             eventTrace_->flush(kernel_index, clock, done - clock,
                                "kernel-boundary");
         }
-        // Co-resident streams keep running, so there is no global
-        // clock jump: only the finishing stream's clusters stall for
-        // the flush envelope. SmCluster::beginKernel preserves
-        // pausedUntil, so the stall survives the follow-on kernel's
-        // immediate launch.
-        for (auto &chip : chips) {
-            chip->pauseClustersRange(clusters.first, clusters.count, done);
+        if (whole_machine) {
+            // The reference loop jumps the clock here without ticking
+            // anything: exclude the jump from idle-refill replay.
+            if (done > clock) {
+                sched_.onClockJump(clock, done);
+                clock = done;
+            }
+        } else {
+            // Co-resident streams keep running: only the finishing
+            // stream's clusters stall for the flush envelope.
+            // SmCluster::beginKernel preserves pausedUntil, so the
+            // stall survives the follow-on kernel's immediate launch.
+            for (auto &chip : chips)
+                chip->pauseClusters(clusters.first, clusters.count, done);
         }
     }
-    if (tenantSvc_)
-        tenantSvc_->endStreamKernel(stream, clock);
+    if (sacSvc_)
+        sacSvc_->endStreamKernel(stream, whole_machine);
 }
 
 void
@@ -922,44 +834,17 @@ System::dumpStats(std::ostream &os) const
     root.dump(os);
 }
 
-namespace {
-
-/** Kernel sequence of one scenario stream (plan.cc's kernelsFor
- *  shape, plus the stream tag and the spec's kernel-count override). */
-std::vector<KernelDescriptor>
-kernelsForStream(const StreamSpec &spec, int stream)
-{
-    std::vector<KernelDescriptor> kernels;
-    const int count = spec.kernelCount();
-    kernels.reserve(static_cast<std::size_t>(count));
-    for (int k = 0; k < count; ++k) {
-        KernelDescriptor d;
-        d.index = k;
-        d.name = spec.profile.name + "-k" + std::to_string(k);
-        d.accessesPerWarp = spec.profile.phase(k).accessesPerWarp;
-        d.stream = stream;
-        kernels.push_back(d);
-    }
-    return kernels;
-}
-
-} // namespace
-
 RunResult
 System::run(const std::vector<KernelDescriptor> &kernels)
 {
     SAC_ASSERT(!kernels.empty(), "run() needs at least one kernel");
 
-    // The legacy single-stream protocol: one stream, launch cycle 0,
-    // every cluster. KernelScheduler reproduces the historical loop
-    // byte-for-byte in this mode.
+    // The one-stream scenario: launch cycle 0, every cluster.
     std::vector<KernelStreamState> streams(1);
-    streams[0].stream = 0;
-    streams[0].clusters.first = 0;
     streams[0].clusters.count =
         static_cast<std::uint64_t>(cfg_.clustersPerChip);
     streams[0].kernels = kernels;
-    return runStreams(std::move(streams), /*legacy=*/true);
+    return runStreams(std::move(streams));
 }
 
 RunResult
@@ -967,12 +852,7 @@ System::run(const Scenario &scenario)
 {
     SAC_ASSERT(!scenario.streams.empty(),
                "run() needs at least one scenario stream");
-    if (!scenario.multiTenant()) {
-        // The trivial one-stream scenario IS the legacy path.
-        return run(kernelsForStream(scenario.streams[0], 0));
-    }
 
-    const int n = static_cast<int>(scenario.streams.size());
     std::vector<double> shares;
     shares.reserve(scenario.streams.size());
     for (const auto &s : scenario.streams)
@@ -980,51 +860,40 @@ System::run(const Scenario &scenario)
     const auto ranges =
         CtaScheduler::partitionClusters(cfg_.clustersPerChip, shares);
 
-    for (auto &chip : chips) {
-        for (int s = 0; s < n; ++s) {
-            chip->setClusterStream(ranges[static_cast<std::size_t>(s)].first,
-                                   ranges[static_cast<std::size_t>(s)].count,
-                                   s);
-        }
-        for (int sl = 0; sl < chip->numSlices(); ++sl)
-            chip->slice(sl).setStreamCount(n);
+    std::vector<KernelStreamState> states(scenario.streams.size());
+    for (std::size_t s = 0; s < states.size(); ++s) {
+        const StreamSpec &spec = scenario.streams[s];
+        auto &state = states[s];
+        state.stream = static_cast<int>(s);
+        state.launchAt = spec.launchCycle;
+        state.clusters = ranges[s];
+        state.kernels =
+            kernelsFor(spec.profile, spec.numKernels, state.stream);
+        state.name = spec.profile.name;
+        for (auto &chip : chips)
+            chip->setClusterStream(ranges[s].first, ranges[s].count,
+                                   state.stream);
     }
-
-    // Window management moves to the per-tenant service; the global
-    // window must be hard-disabled or it would re-open itself.
-    if (window_)
-        window_->setEnabled(false);
-    if (controller && !tenantSvc_) {
-        tenantSvc_ = std::make_unique<TenantSacService>(cfg_, *sacOrg,
-                                                        *this, n);
-        services_.add(RunPhase::SacWindow, *tenantSvc_);
-    }
-
-    streamResults_.assign(static_cast<std::size_t>(n), StreamResult{});
-    std::vector<KernelStreamState> states(static_cast<std::size_t>(n));
-    for (int s = 0; s < n; ++s) {
-        auto &state = states[static_cast<std::size_t>(s)];
-        state.stream = s;
-        state.launchAt = scenario.streams[static_cast<std::size_t>(s)]
-                             .launchCycle;
-        state.clusters = ranges[static_cast<std::size_t>(s)];
-        state.kernels = kernelsForStream(
-            scenario.streams[static_cast<std::size_t>(s)], s);
-        streamResults_[static_cast<std::size_t>(s)].stream = s;
-        streamResults_[static_cast<std::size_t>(s)].name =
-            scenario.streams[static_cast<std::size_t>(s)].profile.name;
-    }
-    return runStreams(std::move(states), /*legacy=*/false);
+    return runStreams(std::move(states));
 }
 
 RunResult
-System::runStreams(std::vector<KernelStreamState> streams, bool legacy)
+System::runStreams(std::vector<KernelStreamState> streams)
 {
+    const int n = static_cast<int>(streams.size());
+    for (auto &chip : chips) {
+        for (int sl = 0; sl < chip->numSlices(); ++sl)
+            chip->slice(sl).setStreamCount(n);
+    }
+    if (sacSvc_)
+        sacSvc_->reset(n);
+    streamResults_.assign(streams.size(), StreamResult{});
+
     if (!ks_) {
         ks_ = std::make_unique<KernelScheduler>(*this);
         services_.add(RunPhase::KernelFlow, *ks_);
     }
-    ks_->reset(std::move(streams), legacy);
+    ks_->reset(std::move(streams));
 
     wallDog_->start();
 
@@ -1109,14 +978,17 @@ System::runStreams(std::vector<KernelStreamState> streams, bool legacy)
         result.timeline = std::move(t);
     }
 
-    if (!legacy) {
+    if (n > 1) {
         // Per-stream splits: cluster-side counters from each stream's
         // cluster range, LLC counters from the per-slice stream
-        // accounting, launch/finish cycles from the kernel flow.
+        // accounting, names and launch/finish cycles from the kernel
+        // flow.
         const auto &states = ks_->streams();
         for (std::size_t s = 0; s < streamResults_.size(); ++s) {
             StreamResult &sr = streamResults_[s];
             const auto &range = states[s].clusters;
+            sr.stream = states[s].stream;
+            sr.name = states[s].name;
             sr.launchCycle = states[s].startedAt;
             sr.finishCycle = states[s].finishedAt;
             std::uint64_t lat_sum = 0;

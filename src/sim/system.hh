@@ -1,7 +1,7 @@
 /**
  * @file
  * The multi-chip GPU system: chips + inter-chip network + page table
- * + active LLC organization + (for SAC) the runtime controller.
+ * + active LLC organization + (for SAC) the runtime control service.
  *
  * This is the library's main entry point: construct a System with a
  * configuration, an organization kind and a trace source, then call
@@ -36,9 +36,7 @@
 #include "mem/address_map.hh"
 #include "mem/page_table.hh"
 #include "noc/interchip.hh"
-#include "sac/controller.hh"
 #include "sac/tenant.hh"
-#include "sac/window.hh"
 #include "sim/chip.hh"
 #include "sim/kernel_scheduler.hh"
 #include "sim/run_service.hh"
@@ -72,8 +70,8 @@ struct Scenario;
 /**
  * Per-stream measurements of a multi-tenant run. Cluster-side
  * counters (accesses, L1, load latency) are exact per-stream splits;
- * LLC counters come from the per-slice stream accounting enabled for
- * scenario runs ("sac.results.v4" adds these under "streams").
+ * LLC counters come from the per-slice stream accounting
+ * ("sac.results.v4" adds these under "streams").
  */
 struct StreamResult
 {
@@ -136,7 +134,7 @@ struct RunResult
     /** SAC only: per-kernel mode decisions. */
     std::vector<SacDecision> sacDecisions;
 
-    /** Per-stream measurements; engaged only for multi-tenant runs. */
+    /** Per-stream measurements; empty unless two or more streams ran. */
     std::vector<StreamResult> streams;
 
     /**
@@ -162,10 +160,7 @@ struct RunResult
 };
 
 /** The simulated multi-chip GPU. */
-class System : public ClusterEnv,
-               public ChipHooks,
-               public WindowHost,
-               public TenantHost
+class System : public ClusterEnv, public ChipHooks, public TenantHost
 {
   public:
     /**
@@ -179,18 +174,21 @@ class System : public ClusterEnv,
     System(const System &) = delete;
     System &operator=(const System &) = delete;
 
-    /** Executes the kernel sequence to completion. */
+    /**
+     * Executes the kernel sequence to completion: the one-stream
+     * scenario, whose stream owns every cluster from cycle 0.
+     */
     RunResult run(const std::vector<KernelDescriptor> &kernels);
 
     /**
-     * Executes a scenario. A one-stream scenario takes the exact
-     * legacy path (byte-identical to run(kernels)); with two or more
-     * streams the clusters are partitioned between the streams, each
-     * progresses through its kernel sequence independently, and the
-     * result gains per-stream measurements. The trace source this
-     * System was built with must demultiplex streams the same way —
-     * use workload/scenario.hh's StreamTraceMux, which applies the
-     * identical CtaScheduler::partitionClusters split.
+     * Executes a scenario. The clusters are partitioned between the
+     * streams, each progresses through its kernel sequence
+     * independently, and with two or more streams the result gains
+     * per-stream measurements. A one-stream scenario is a plain
+     * run(kernels). The trace source this System was built with must
+     * demultiplex streams the same way — use workload/scenario.hh's
+     * StreamTraceMux, which applies the identical
+     * CtaScheduler::partitionClusters split.
      */
     RunResult run(const Scenario &scenario);
 
@@ -310,7 +308,6 @@ class System : public ClusterEnv,
     const GpuConfig &config() const { return cfg_; }
     Organization &organization() { return *org; }
     PageTable &pageTable() { return pages; }
-    Controller *sacController() { return controller.get(); }
     InterChipNet &interChip() { return icn; }
     const AddressMap &addressMap() const { return map; }
 
@@ -320,11 +317,8 @@ class System : public ClusterEnv,
     /** The component scheduler (tests, diagnostics). */
     const sim::Scheduler &scheduler() const { return sched_; }
 
-    /**
-     * Aggregate LLC requests/hits over all slices (current totals).
-     * Also the WindowHost counter feed.
-     */
-    std::pair<std::uint64_t, std::uint64_t> llcTotals() const override;
+    /** Aggregate LLC requests/hits over all slices (current totals). */
+    std::pair<std::uint64_t, std::uint64_t> llcTotals() const;
 
     /**
      * Dumps the full statistics tree (per-chip, per-slice, per-cluster
@@ -344,33 +338,31 @@ class System : public ClusterEnv,
     /** The kernel-flow service drives launch/finish on the System. */
     friend class KernelScheduler;
 
-    bool allDone() const;
     /**
      * One inter-chip network phase: credit refill, link movement,
      * then arrival dispatch into the chips. The NetUnit component's
      * tick; also phases 1+2 of the reference System::tick().
      */
     void tickNetwork(Cycle now);
-    void launchKernel(const KernelDescriptor &kernel);
-    void finishKernel();
     /**
-     * Multi-stream kernel launch: begins the kernel on the stream's
-     * cluster range only and opens that tenant's profiling window.
+     * Kernel launch: begins the kernel on the stream's cluster range
+     * and opens that tenant's profiling window.
      */
     void launchStreamKernel(int stream, const KernelDescriptor &kernel,
                             const CtaScheduler::Range &clusters);
     /**
-     * Multi-stream kernel boundary: flushes the stream's L1s, runs
-     * the software-coherence LLC flush, and stalls only the stream's
-     * clusters for the flush envelope — co-resident streams keep
-     * running (no global clock jump).
+     * Kernel boundary: flushes the stream's L1s and runs the
+     * software-coherence LLC flush. When the stream owns every
+     * cluster nothing else runs, so the clock jumps over the flush
+     * envelope, as in the reference loop, and SAC reverts without a
+     * charge. Otherwise only the stream's clusters stall while
+     * co-resident streams keep running.
      */
     void finishStreamKernel(int stream, int kernel_index,
                             const CtaScheduler::Range &clusters,
                             Cycle kernel_start);
     /** Shared run loop + aggregation behind both run() overloads. */
-    RunResult runStreams(std::vector<KernelStreamState> streams,
-                         bool legacy);
+    RunResult runStreams(std::vector<KernelStreamState> streams);
     /**
      * Writes back dirty lines and invalidates LLC content; returns
      * the cycle the flush completes (llc/flush_model.hh computes the
@@ -385,17 +377,13 @@ class System : public ClusterEnv,
     /** Mode tag for a sample: SAC's live mode, else the org name. */
     std::string currentModeName() const;
 
-    // --- WindowHost -------------------------------------------------------
-    void windowClosed(const SacDecision &d, double hit_rate) override;
-    /** Also TenantHost (one final overrider serves both bases). */
-    void reconfigured(LlcMode to) override;
-    void modeChangeFlush(const char *reason) override;
-
     // --- TenantHost -------------------------------------------------------
     std::pair<std::uint64_t, std::uint64_t>
     streamLlcTotals(int stream) const override;
     void tenantWindowClosed(int stream, const SacDecision &d,
                             double hit_rate) override;
+    void reconfigured(LlcMode to) override;
+    void modeChangeFlush(const char *reason) override;
 
     GpuConfig cfg_;
     AddressMap map;
@@ -404,7 +392,6 @@ class System : public ClusterEnv,
 
     std::unique_ptr<Organization> org;
     SacOrg *sacOrg = nullptr; // non-owning view when kind == Sac
-    std::unique_ptr<Controller> controller;
     CoherenceManager coherence;
     std::unique_ptr<DynamicPartitionController> dynCtrl;
 
@@ -412,7 +399,6 @@ class System : public ClusterEnv,
     InterChipNet icn;
 
     Cycle clock = 0;
-    Cycle kernelStart = 0;
     int currentKernel = 0;
 
     // Dynamic-LLC epoch bookkeeping.
@@ -468,12 +454,11 @@ class System : public ClusterEnv,
     RunServiceRegistry services_;
     std::unique_ptr<FaultHookService> faultSvc_;
     std::unique_ptr<SamplerService> samplerSvc_;
-    std::unique_ptr<SacWindowService> window_;
+    /** SAC control (per-tenant windows); created when kind == Sac. */
+    std::unique_ptr<TenantSacService> sacSvc_;
     /** Kernel-flow service; created on the first run, reset per run. */
     std::unique_ptr<KernelScheduler> ks_;
-    /** Per-tenant SAC windows; created for multi-stream SAC runs. */
-    std::unique_ptr<TenantSacService> tenantSvc_;
-    /** Per-stream result accumulators of a multi-stream run. */
+    /** Per-stream result accumulators of the current run. */
     std::vector<StreamResult> streamResults_;
     std::unique_ptr<DynamicEpochService> epochSvc_;
     std::unique_ptr<OccupancyService> occupancySvc_;

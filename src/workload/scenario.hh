@@ -10,9 +10,11 @@
  * SAC's per-kernel sharing verdict is actually contested (FLEET-style
  * megakernels, ATA-Cache co-runners; see PAPERS.md).
  *
- * The single-stream scenario is exactly the legacy path: one stream,
- * launch cycle 0, all clusters — System::run(kernels) is its trivial
- * encoding and stays byte-identical.
+ * Every run is a scenario: a single-kernel run *is* the one-stream
+ * scenario — one stream, launch cycle 0, all clusters — and
+ * System::run(kernels) is its trivial encoding. Both go through the
+ * same kernel launch, kernel finish and SAC service, so the two
+ * encodings produce the same bytes.
  *
  * Scenario files are JSON ("sac.scenario.v1"):
  *

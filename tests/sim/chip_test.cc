@@ -199,8 +199,8 @@ TEST_F(ChipTest, ClustersStartDone)
 {
     // No kernel launched: clusters are trivially done and outstanding
     // work is zero.
-    chip.beginKernel(0, 0);
-    EXPECT_TRUE(chip.clustersDone());
+    chip.beginKernel(0, chip.numClusters(), 0, 0);
+    EXPECT_TRUE(chip.clustersDone(0, chip.numClusters()));
     EXPECT_EQ(chip.outstanding(), 0u);
 }
 

@@ -98,6 +98,29 @@ TEST(FastForward, SacEndToEndWithBothSharingShapes)
     }
 }
 
+TEST(FastForward, BfsSacBoundaryFlushJumpMatchesReference)
+{
+    // Regression: six BFS kernels under SAC alternate SM-side and
+    // memory-side verdicts, and every software-coherence boundary
+    // flush jumps the clock. Wake keys left below the landing cycle
+    // used to pop in key order, ahead of the clusters the next launch
+    // woke, and the network ticked twice in one cycle.
+    ExperimentJob job;
+    job.profile = findBenchmark("BFS");
+    for (auto &phase : job.profile.phases)
+        phase.accessesPerWarp = 128;
+    job.config = GpuConfig::scaled(8);
+    job.org = OrgKind::Sac;
+    job.seed = 1;
+    const RunRecord ff = ExperimentEngine::runJob(job);
+    job.fastForward = false;
+    const RunRecord ref = ExperimentEngine::runJob(job);
+    ASSERT_EQ(ff.result.status, RunStatus::Ok) << ff.result.diagnostic;
+    EXPECT_EQ(result_io::toJson(ff.result), result_io::toJson(ref.result));
+    EXPECT_GT(ff.result.flushStallCycles, 0u);
+    EXPECT_GT(ff.result.reconfigurations, 0);
+}
+
 TEST(FastForward, SkipsActuallyHappen)
 {
     // Guard against the layer silently degrading into the reference

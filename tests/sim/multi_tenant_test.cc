@@ -2,12 +2,12 @@
  * @file
  * Multi-tenant scenario runs through the KernelScheduler.
  *
- * Three contracts: (1) the one-stream scenario is the legacy run,
- * byte-identical through lossless serialization; (2) multi-stream
- * runs are deterministic — same bytes with fast-forward on or off and
- * across repeated runs; (3) the per-stream breakdown partitions the
- * machine totals and round-trips through the sac.results.v4 schema
- * with v3 documents still readable.
+ * Three contracts: (1) the one-stream scenario is the plain
+ * run(kernels), byte-identical through lossless serialization;
+ * (2) multi-stream runs are deterministic — same bytes with
+ * fast-forward on or off and across repeated runs; (3) the per-stream
+ * breakdown partitions the machine totals and round-trips through the
+ * sac.results.v4 schema with v3 documents still readable.
  */
 
 #include <gtest/gtest.h>
@@ -129,6 +129,29 @@ TEST(MultiTenant, StaggeredLaunchWaitsForItsCycle)
     ASSERT_EQ(r.streams.size(), 2u);
     EXPECT_EQ(r.streams[0].launchCycle, 0u);
     EXPECT_GE(r.streams[1].launchCycle, late);
+}
+
+TEST(MultiTenant, OneStreamHonoursItsLaunchCycle)
+{
+    // A one-stream scenario runs through the same kernel flow as any
+    // other, so its stream launches at its launchCycle too.
+    const Cycle late = 2048;
+    Scenario scn = Scenario::fromProfile(tinyProfile("CFD"));
+    scn.streams[0].launchCycle = late;
+    const GpuConfig cfg = tinyConfig();
+    StreamTraceMux mux(scn, cfg, 1);
+    System system(cfg, OrgKind::MemorySide, mux);
+    telemetry::Options opts;
+    opts.events = true;
+    system.enableTelemetry(opts);
+    const RunResult r = system.run(scn);
+
+    ASSERT_TRUE(r.timeline.has_value());
+    const auto &events = r.timeline->events;
+    ASSERT_FALSE(events.empty());
+    EXPECT_EQ(events.front().kind, telemetry::EventKind::KernelBegin);
+    EXPECT_EQ(events.front().cycle, late);
+    EXPECT_TRUE(r.streams.empty());
 }
 
 TEST(MultiTenant, PerTenantSacVerdictsLandPerStream)

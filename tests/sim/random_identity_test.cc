@@ -14,6 +14,12 @@
  * dense/sparse regime boundary in both directions.
  *
  * Seeds are fixed: a failure is reproducible by its case index alone.
+ *
+ * The MergedPath family aims the same comparison at the hard cases of
+ * the one kernel path: multi-kernel SAC under software and hardware
+ * coherence (re-profiling on in some cases), Static/Dynamic
+ * replica-only boundary flushes, and two-stream scenarios under SAC
+ * and Dynamic. One ctest case per seed, so they spread across cores.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +32,7 @@
 #include "sim/plan.hh"
 #include "sim/result_io.hh"
 #include "sim/system.hh"
+#include "workload/scenario.hh"
 #include "workload/suite.hh"
 #include "workload/tracegen.hh"
 
@@ -146,6 +153,92 @@ TEST(RandomIdentity, RegimeBoundaryIsCrossedAndInvisible)
 
     EXPECT_EQ(result_io::toJson(edRes), result_io::toJson(refRes));
 }
+
+/** What a MergedPath case exercises; the case index picks one. */
+enum class MergedCase
+{
+    SacSoftware,  //!< multi-kernel SAC, boundary flushes jump the clock
+    SacHardware,  //!< multi-kernel SAC, directory coherence
+    ReplicaFlush, //!< multi-kernel Static/Dynamic, replica-only flushes
+    TwoStreams,   //!< co-resident streams under SAC or Dynamic
+};
+
+constexpr int mergedCaseKinds = 4;
+constexpr int mergedCases = 36;
+
+class MergedPath : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(MergedPath, EventDrivenMatchesReference)
+{
+    const int index = GetParam();
+    const auto kind = static_cast<MergedCase>(index % mergedCaseKinds);
+    Rng rng(0x1d3a + static_cast<std::uint64_t>(index));
+
+    ExperimentJob job;
+    job.profile = randomProfile(rng);
+    job.profile.numKernels = 2 + static_cast<int>(rng.nextBounded(3));
+    job.config = GpuConfig::scaled(8);
+    job.config.warpsPerCluster = 2 + static_cast<int>(rng.nextBounded(7));
+    job.config.sac.profileWindow = 256 + rng.nextBounded(512);
+    job.config.sac.profileMinRequests = 200;
+    // No EAB margin: more SM-side verdicts, so more reconfigurations
+    // and boundary flushes per case.
+    job.config.sac.theta = 0.0;
+    // Re-profiling on in half the SAC and two-stream cases, at an
+    // interval short enough to re-open windows inside a kernel.
+    if (index % 8 < 2 || index % 8 == 7)
+        job.config.sac.reprofileInterval = 1000 + rng.nextBounded(3000);
+    job.telemetry.epoch = 256;
+    job.telemetry.events = true;
+
+    switch (kind) {
+      case MergedCase::SacSoftware: job.org = OrgKind::Sac; break;
+      case MergedCase::SacHardware:
+        job.org = OrgKind::Sac;
+        job.config.coherence = CoherenceKind::Hardware;
+        break;
+      case MergedCase::ReplicaFlush:
+        job.org = rng.nextBool(0.5) ? OrgKind::StaticLlc
+                                    : OrgKind::DynamicLlc;
+        break;
+      case MergedCase::TwoStreams: {
+        job.org = rng.nextBool(0.5) ? OrgKind::Sac : OrgKind::DynamicLlc;
+        WorkloadProfile second = randomProfile(rng);
+        second.numKernels = 1 + static_cast<int>(rng.nextBounded(2));
+        const Cycle launch = rng.nextBool(0.5) ? 0 : rng.nextBounded(4096);
+        const double share = uniform(rng, 0.3, 2.0);
+        job.scenario.streams.push_back(StreamSpec{job.profile, 0, 1.0, 0});
+        job.scenario.streams.push_back(StreamSpec{second, launch, share, 0});
+        break;
+      }
+    }
+
+    job.fastForward = true;
+    const RunRecord ed = ExperimentEngine::runJob(job);
+    job.fastForward = false;
+    const RunRecord ref = ExperimentEngine::runJob(job);
+
+    ASSERT_EQ(ed.result.status, RunStatus::Ok) << ed.result.diagnostic;
+    EXPECT_EQ(result_io::toJson(ed.result), result_io::toJson(ref.result))
+        << "case " << index << ": " << job.benchmarkName() << "/"
+        << toString(job.org);
+
+    // The case exercised what it claims.
+    EXPECT_GE(ed.result.kernelCycles.size(), 2u);
+    if (kind == MergedCase::TwoStreams) {
+        EXPECT_EQ(ed.result.streams.size(), 2u);
+    } else {
+        EXPECT_TRUE(ed.result.streams.empty());
+    }
+    if (job.org == OrgKind::Sac)
+        EXPECT_FALSE(ed.result.sacDecisions.empty());
+    if (kind == MergedCase::ReplicaFlush)
+        EXPECT_GT(ed.result.flushStallCycles, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MergedPath, ::testing::Range(0, mergedCases));
 
 } // namespace
 } // namespace sac

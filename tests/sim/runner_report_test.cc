@@ -29,12 +29,21 @@ TEST(Runner, KernelsFollowProfilePhases)
     KernelPhase b;
     b.accessesPerWarp = 200;
     p.phases = {a, b};
-    const auto ks = Runner::kernelsFor(p);
+    const auto ks = kernelsFor(p);
     ASSERT_EQ(ks.size(), 3u);
     EXPECT_EQ(ks[0].accessesPerWarp, 100u);
     EXPECT_EQ(ks[1].accessesPerWarp, 200u);
     EXPECT_EQ(ks[2].accessesPerWarp, 100u);
     EXPECT_EQ(ks[2].index, 2);
+    EXPECT_EQ(ks[2].stream, 0);
+
+    // A scenario stream's kernel-count override and stream tag.
+    const auto stream = kernelsFor(p, 5, 2);
+    ASSERT_EQ(stream.size(), 5u);
+    EXPECT_EQ(stream[4].index, 4);
+    EXPECT_EQ(stream[4].name, "x-k4");
+    EXPECT_EQ(stream[3].accessesPerWarp, 200u);
+    EXPECT_EQ(stream[4].stream, 2);
 }
 
 TEST(Runner, SpeedupAndHarmonicMean)

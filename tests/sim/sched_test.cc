@@ -213,9 +213,34 @@ TEST(SchedulerTest, ClockJumpIsExcludedFromReplay)
     s.runCycle(0);
     // The reference loop also jumps these cycles without refills
     // (kernel-boundary stall): they must not count as idle gap.
-    s.onClockJump(15);
+    s.onClockJump(1, 16);
     s.runCycle(20);
     EXPECT_EQ(a.skipped, 4u); // cycles 16..19 only
+}
+
+TEST(SchedulerTest, ClockJumpLandsStaleKeysInOrdinalOrder)
+{
+    // Keys left below the landing cycle must not pop in key order:
+    // the reference loop ticks every component at the landing cycle
+    // in ordinal order, whatever each was keyed for before the jump.
+    Scheduler s;
+    std::vector<std::string> log;
+    FakeComponent a("a"), b("b");
+    a.log = b.log = &log;
+    s.add(a);
+    s.add(b);
+
+    a.nextEvent = 8; // the earlier ordinal is keyed later
+    b.nextEvent = 5;
+    s.runCycle(0);
+    log.clear();
+
+    s.onClockJump(1, 20);
+    EXPECT_EQ(s.nextDue(), 20u);
+    s.runCycle(20);
+    EXPECT_EQ(log, (std::vector<std::string>{"a@20", "b@20"}));
+    EXPECT_EQ(a.skipped, 0u);
+    EXPECT_EQ(b.skipped, 0u);
 }
 
 TEST(SchedulerTest, WakeAllMakesEveryComponentDue)

@@ -6,7 +6,7 @@
  * range-checked with the field name in the ValidationError — and the
  * mux guarantees one identity: a one-stream scenario produces the
  * exact access sequence of a bare SharingTraceGen, which is what
- * keeps single-stream scenario runs byte-identical to legacy runs.
+ * keeps single-stream scenario runs byte-identical to plain runs.
  */
 
 #include <gtest/gtest.h>

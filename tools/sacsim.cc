@@ -591,8 +591,8 @@ run(const Options &o)
                 json_out = &json_file;
             }
             result_io::WriteOptions wopts;
-            // Single-stream scenarios are the legacy run exactly, so
-            // they keep the v3 tag (and its byte-identity) too.
+            // A single-stream scenario is a plain run, so it keeps
+            // the v3 tag (and its byte-identity) too.
             wopts.streamsSchema = scenario && scenario->multiTenant();
             json_sink.emplace(*json_out, wopts);
             runner.addSink(*json_sink);
