@@ -10,10 +10,7 @@
  *     heuristic needs to be.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench/common.hh"
-#include "llc/dynamic_partition.hh"
 
 namespace {
 
@@ -44,7 +41,7 @@ crdGeometryAblation()
                      std::string(name) + "/crd-" + std::to_string(sets));
         }
     }
-    const auto records = bench::benchRunner().run(plan);
+    const auto records = bench::runPlan(plan);
 
     const std::size_t stride = 1 + geometries.size();
     for (std::size_t n = 0; n < names.size(); ++n) {
@@ -85,7 +82,7 @@ dynamicEpochAblation()
         for (const char *name : {"RN", "GEMM"})
             plan.addOrgSweep(findBenchmark(name), cfg, orgs, 1);
     }
-    const auto records = bench::benchRunner().run(plan);
+    const auto records = bench::runPlan(plan);
 
     // Per epoch: [RN/mem, RN/dyn, GEMM/mem, GEMM/dyn].
     for (std::size_t e = 0; e < epochs.size(); ++e) {
@@ -97,27 +94,12 @@ dynamicEpochAblation()
     t.print(std::cout);
 }
 
-/** Micro: dynamic-partition update cost. */
-void
-BM_DynamicUpdate(benchmark::State &state)
-{
-    DynamicPartitionController ctrl(DynamicLlcParams{}, 4, 16);
-    EpochTraffic traffic;
-    traffic.localMemBytes = 1000;
-    traffic.interChipBytes = 2000;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(ctrl.update(0, traffic));
-}
-BENCHMARK(BM_DynamicUpdate);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     crdGeometryAblation();
     dynamicEpochAblation();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -6,6 +6,9 @@
 
 namespace sac::bench {
 
+namespace {
+
+/** $SAC_JOBS if set, otherwise 0 (every hardware thread). */
 unsigned
 benchJobs()
 {
@@ -17,17 +20,29 @@ benchJobs()
     return 0; // engine picks hardware_concurrency()
 }
 
-Runner
-benchRunner()
+} // namespace
+
+std::vector<RunRecord>
+runPlan(const ExperimentPlan &plan)
 {
-    Runner::Options opts;
-    opts.jobs = benchJobs();
-    opts.progress = [](const EngineProgress &p) {
+    ExperimentEngine engine(benchJobs());
+    engine.onProgress([](const EngineProgress &p) {
         std::cerr << "  [" << p.completed << "/" << p.total << "] "
                   << p.job.label << "  ("
                   << report::num(p.record.wallMs, 0) << " ms)\n";
-    };
-    return Runner(opts);
+    });
+    auto records = engine.run(plan);
+    bool failed = false;
+    for (const auto &rec : records) {
+        if (rec.result.status != RunStatus::Ok) {
+            std::cerr << rec.label << ": " << toString(rec.result.status)
+                      << ": " << rec.result.diagnostic << "\n";
+            failed = true;
+        }
+    }
+    if (failed)
+        std::exit(1);
+    return records;
 }
 
 std::vector<BenchResults>
@@ -49,7 +64,7 @@ runMatrix(const std::vector<WorkloadProfile> &profiles, const GpuConfig &cfg,
         plan.addOrgSweep(p, cfg, orgs, seed);
     }
 
-    const auto records = benchRunner().run(plan);
+    const auto records = runPlan(plan);
 
     // Plan order is profiles × orgs, so record i belongs to profile
     // i / orgs.size() — regroup into the per-benchmark shape.

@@ -3,14 +3,15 @@
  * Shared machinery for the per-figure bench binaries.
  *
  * Every bench prints the paper-style rows for its table/figure with
- * the paper-reported aggregate next to the measured one, then runs a
- * couple of google-benchmark micro-measurements of the components the
- * figure exercises. Progress goes to stderr so stdout stays a clean
- * table.
+ * the paper-reported aggregate next to the measured one. Progress goes
+ * to stderr so stdout stays a clean table.
  *
- * Sweeps execute through the parallel ExperimentEngine; set SAC_JOBS
- * to pin the worker count (SAC_JOBS=1 forces serial execution — the
- * results are bit-identical either way, only the wall time changes).
+ * Sweeps execute through the parallel ExperimentEngine (runPlan); set
+ * SAC_JOBS to pin the worker count (SAC_JOBS=1 forces serial
+ * execution — the results are bit-identical either way, only the wall
+ * time changes). A job that does not finish ok fails the bench: its
+ * label, status and diagnostic go to stderr and the process exits 1,
+ * so no figure is ever built from an empty result.
  */
 
 #ifndef SAC_BENCH_COMMON_HH
@@ -23,9 +24,9 @@
 
 #include "common/config.hh"
 #include "llc/organization.hh"
+#include "sim/engine.hh"
 #include "sim/plan.hh"
 #include "sim/report.hh"
-#include "sim/runner.hh"
 #include "workload/suite.hh"
 
 namespace sac::bench {
@@ -45,13 +46,12 @@ allOrgs()
 }
 
 /**
- * Worker count for bench sweeps: $SAC_JOBS if set, otherwise every
- * hardware thread.
+ * Runs @p plan on $SAC_JOBS workers (default: every hardware thread)
+ * with a stderr progress line per job and returns the records in plan
+ * order. Exits 1 after printing "label: status: diagnostic" for every
+ * record that is not ok.
  */
-unsigned benchJobs();
-
-/** A Runner configured for benches: SAC_JOBS workers, stderr progress. */
-Runner benchRunner();
+std::vector<RunRecord> runPlan(const ExperimentPlan &plan);
 
 /** One benchmark's results across organizations. */
 struct BenchResults

@@ -13,10 +13,7 @@
  * group; fig08_speedup covers all sixteen.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench/common.hh"
-#include "sac/eab.hh"
 
 namespace {
 
@@ -78,27 +75,11 @@ study()
          : "no"));
 }
 
-/** The decision machinery this figure motivates: one EAB evaluation. */
-void
-BM_EabEvaluate(benchmark::State &state)
-{
-    const auto arch = eab::ArchParams::fromConfig(bench::defaultConfig());
-    eab::WorkloadParams wl;
-    wl.rLocal = 0.45;
-    wl.hitMem = 0.8;
-    wl.hitSm = 0.7;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(eab::evaluate(arch, wl));
-}
-BENCHMARK(BM_EabEvaluate);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     study();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -9,8 +9,6 @@
  * LLC by 18% on average.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench/common.hh"
 
 namespace {
@@ -86,27 +84,11 @@ study()
                         report::percent(best_vs_sm - 1.0));
 }
 
-/** Micro: cost of a routed injection (routing + page table). */
-void
-BM_RoutePlan(benchmark::State &state)
-{
-    const AddressMap map(4, 2, 128);
-    SmSideRouting policy;
-    Addr a = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(policy.route(a, 0, 2, map));
-        a += 128;
-    }
-}
-BENCHMARK(BM_RoutePlan);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     study();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

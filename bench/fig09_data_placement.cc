@@ -9,10 +9,7 @@
  * benchmarks and *only local data* for MP benchmarks.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench/common.hh"
-#include "cache/cache.hh"
 
 namespace {
 
@@ -74,28 +71,11 @@ study()
                         report::percent(sac_mp / nmp));
 }
 
-/** Micro: cost of the occupancy scan Fig. 9 samples. */
-void
-BM_OccupancyScan(benchmark::State &state)
-{
-    SetAssocCache cache(1 << 18, 16, 128);
-    for (Addr a = 0; a < (1u << 18); a += 128)
-        cache.insert(a, 0, static_cast<ChipId>((a >> 7) % 4), false,
-                     partitionLocal);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(cache.remoteLines(0));
-        benchmark::DoNotOptimize(cache.validLines());
-    }
-}
-BENCHMARK(BM_OccupancyScan);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     study();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -9,8 +9,6 @@
  * explains the Figure 8 speedups.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench/common.hh"
 
 namespace {
@@ -79,26 +77,11 @@ study()
             " cases agree");
 }
 
-/** Micro: response-origin classification bookkeeping cost. */
-void
-BM_OriginName(benchmark::State &state)
-{
-    int i = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            toString(static_cast<ResponseOrigin>(i % 5)));
-        ++i;
-    }
-}
-BENCHMARK(BM_OriginName);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     study();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

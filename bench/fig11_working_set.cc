@@ -10,8 +10,6 @@
  * over large windows.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench/common.hh"
 #include "sim/wss.hh"
 #include "workload/tracegen.hh"
@@ -75,25 +73,11 @@ study()
                  "line).\n";
 }
 
-void
-BM_WorkingSetWindow(benchmark::State &state)
-{
-    const auto cfg = bench::defaultConfig();
-    const auto p = findBenchmark("CFD").scaledData(dataScale(cfg));
-    SharingTraceGen gen(p, cfg, 1);
-    WorkingSetAnalyzer wss(cfg, gen);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(wss.measure(4000, 16000));
-}
-BENCHMARK(BM_WorkingSetWindow);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     study();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -6,10 +6,7 @@
  * beats even the pure SM-side LLC on the whole application.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench/common.hh"
-#include "sac/crd.hh"
 
 namespace {
 
@@ -25,7 +22,7 @@ study()
     ExperimentPlan plan;
     plan.addOrgSweep(bfs, cfg,
                      {OrgKind::MemorySide, OrgKind::SmSide, OrgKind::Sac});
-    const auto records = bench::benchRunner().run(plan);
+    const auto records = bench::runPlan(plan);
     const auto &mem = records[0].result;
     const auto &sm = records[1].result;
     const auto &sac = records[2].result;
@@ -84,7 +81,7 @@ windowAblation()
         cfg.sac.profileMinRequests = reqs;
         plan.addOrgSweep(bfs, cfg, {OrgKind::MemorySide, OrgKind::Sac});
     }
-    const auto records = bench::benchRunner().run(plan);
+    const auto records = bench::runPlan(plan);
     for (std::size_t w = 0; w < windows.size(); ++w) {
         const auto &mem = records[w * 2].result;
         const auto &sac = records[w * 2 + 1].result;
@@ -100,27 +97,12 @@ windowAblation()
     t.print(std::cout);
 }
 
-/** Micro: CRD access cost (the profiling hot path). */
-void
-BM_CrdAccess(benchmark::State &state)
-{
-    Crd crd(32, 16, 4, 1, 16);
-    Addr a = 0;
-    for (auto _ : state) {
-        crd.access(a, 0, static_cast<ChipId>((a >> 7) & 3));
-        a += 128;
-    }
-}
-BENCHMARK(BM_CrdAccess);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     study();
     windowAblation();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -11,8 +11,6 @@
  * MP inputs (replication starts fitting).
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench/common.hh"
 
 namespace {
@@ -43,7 +41,7 @@ sweep(const char *name, const std::vector<double> &scales)
                          toString(org));
         }
     }
-    const auto records = bench::benchRunner().run(plan);
+    const auto records = bench::runPlan(plan);
 
     report::Table t({"input scale", "SM-side speedup", "SAC speedup",
                      "SAC decision (k0)"});
@@ -85,26 +83,11 @@ study()
                  "and memory-side when it does not.\n";
 }
 
-/** Micro: cost of rescaling a profile (the sweep's inner op). */
-void
-BM_InputScale(benchmark::State &state)
-{
-    const auto base = findBenchmark("GEMM");
-    double f = 1.0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(base.withInputScale(f));
-        f = f >= 8.0 ? 0.125 : f * 2.0;
-    }
-}
-BENCHMARK(BM_InputScale);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     study();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

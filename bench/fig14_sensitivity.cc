@@ -12,8 +12,6 @@
  * survives sectoring, and is insensitive to page size.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <functional>
 
 #include "bench/common.hh"
@@ -180,24 +178,11 @@ study()
                  "sectoring and page-size changes.\n";
 }
 
-/** Micro: building a scaled configuration (the sweep's inner op). */
-void
-BM_ScaledConfig(benchmark::State &state)
-{
-    for (auto _ : state) {
-        auto c = GpuConfig::scaled(4);
-        benchmark::DoNotOptimize(c);
-    }
-}
-BENCHMARK(BM_ScaledConfig);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     study();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

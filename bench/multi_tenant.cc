@@ -14,13 +14,10 @@
  * tenant (partitioned clusters, shared LLC), flagging flips.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.hh"
 #include "workload/scenario.hh"
-#include "workload/tracegen.hh"
 
 namespace {
 
@@ -83,7 +80,7 @@ isolationVsCoResidency()
         job.seed = 1;
         plan.add(std::move(job));
     }
-    const auto records = bench::benchRunner().run(plan);
+    const auto records = bench::runPlan(plan);
 
     report::Table t({"pair", "stream", "share", "solo verdict",
                      "co-resident verdict", "flip"});
@@ -116,34 +113,11 @@ isolationVsCoResidency()
         "per-tenant windows re-decide under cluster partitioning");
 }
 
-/** Micro: full 2-stream scenario run, the KernelScheduler hot path. */
-void
-BM_TwoStreamScenarioRun(benchmark::State &state)
-{
-    GpuConfig cfg = GpuConfig::scaled(8);
-    cfg.warpsPerCluster = 4;
-    Scenario scn;
-    for (const char *name : {"RN", "SRAD"}) {
-        WorkloadProfile p = findBenchmark(name);
-        for (auto &phase : p.phases)
-            phase.accessesPerWarp = 48;
-        scn.streams.push_back(StreamSpec{p, 0, 1.0, 0});
-    }
-    for (auto _ : state) {
-        StreamTraceMux mux(scn, cfg, 1);
-        System system(cfg, OrgKind::Sac, mux);
-        benchmark::DoNotOptimize(system.run(scn).cycles);
-    }
-}
-BENCHMARK(BM_TwoStreamScenarioRun)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     isolationVsCoResidency();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

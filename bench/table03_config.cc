@@ -2,14 +2,9 @@
  * @file
  * Table 3: the simulated baseline configuration — paper values next
  * to this reproduction's full-scale and default (scale-4) instances.
- * Micro-benchmarks time the per-cycle cost of the simulator tick.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench/common.hh"
-#include "sim/system.hh"
-#include "workload/tracegen.hh"
 
 namespace {
 
@@ -71,42 +66,11 @@ printTable()
                  "model compares (see DESIGN.md).\n";
 }
 
-/** Times one simulator cycle on a warm system. */
-void
-BM_SystemTick(benchmark::State &state)
-{
-    GpuConfig cfg = bench::defaultConfig();
-    WorkloadProfile p = findBenchmark("CFD");
-    const auto scaled = p.scaledData(dataScale(cfg));
-    SharingTraceGen gen(scaled, cfg, 1);
-    System sys(cfg, OrgKind::MemorySide, gen);
-    for (ChipId c = 0; c < cfg.numChips; ++c)
-        sys.chip(c).beginKernel(0, cfg.clustersPerChip, 100000, 0);
-    for (int i = 0; i < 2000; ++i)
-        sys.tick(); // warm up
-    for (auto _ : state)
-        sys.tick();
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SystemTick);
-
-/** Times the config validation path. */
-void
-BM_ConfigValidate(benchmark::State &state)
-{
-    const auto cfg = bench::defaultConfig();
-    for (auto _ : state)
-        cfg.validate();
-}
-BENCHMARK(BM_ConfigValidate);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printTable();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

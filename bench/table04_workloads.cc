@@ -9,8 +9,6 @@
  * back to full-scale MB.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <unordered_map>
 
 #include "bench/common.hh"
@@ -103,29 +101,11 @@ printTable()
                  "as on\nthe real machine within a comparable window.\n";
 }
 
-void
-BM_TraceGeneration(benchmark::State &state)
-{
-    const auto cfg = bench::defaultConfig();
-    const auto p =
-        findBenchmark("CFD").scaledData(dataScale(cfg));
-    SharingTraceGen gen(p, cfg, 1);
-    int w = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(gen.next(0, 0, w));
-        w = (w + 1) % cfg.warpsPerCluster;
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_TraceGeneration);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printTable();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -13,8 +13,9 @@
 #include <iostream>
 
 #include "common/log.hh"
+#include "sim/engine.hh"
+#include "sim/plan.hh"
 #include "sim/report.hh"
-#include "sim/runner.hh"
 #include "workload/suite.hh"
 
 int
@@ -42,7 +43,7 @@ main(int argc, char **argv)
                              {OrgKind::MemorySide, OrgKind::SmSide,
                               OrgKind::Sac});
         }
-        const auto records = Runner(0u).run(plan);
+        const auto records = ExperimentEngine(0).run(plan);
 
         report::Table t({"input", "shared set (MB)", "winner",
                          "SM-side speedup", "SAC speedup",

@@ -15,8 +15,9 @@
 #include <iostream>
 
 #include "common/log.hh"
+#include "sim/engine.hh"
+#include "sim/plan.hh"
 #include "sim/report.hh"
-#include "sim/runner.hh"
 #include "workload/profile.hh"
 
 int
@@ -54,15 +55,17 @@ main(int argc, char **argv)
         std::cout << "Custom workload '" << wl.name << "' on "
                   << cfg.summary() << "\n\n";
 
-        // Ordered sweep through the session API: index 0 is the
+        // Ordered sweep through the engine: index 0 is the
         // memory-side baseline, the last entry is SAC.
-        const auto results =
-            Runner(0u).runOrganizations(wl, cfg);
-        const auto &base = results.front();
+        ExperimentPlan plan;
+        plan.addOrgSweep(wl, cfg);
+        const auto records = ExperimentEngine(0).run(plan);
+        const auto &base = records.front().result;
 
         report::Table t({"organization", "speedup", "LLC miss",
                          "eff LLC BW", "ICN bytes", "avg load lat"});
-        for (const auto &r : results) {
+        for (const auto &rec : records) {
+            const RunResult &r = rec.result;
             t.addRow({r.organization, report::times(speedup(base, r)),
                       report::percent(r.llcMissRate()),
                       report::num(r.effLlcBw),
@@ -72,13 +75,13 @@ main(int argc, char **argv)
         t.print(std::cout);
 
         // What did SAC's model think, and was it right?
-        const auto &sac_run = results.back();
+        const auto &sac_run = records.back().result;
         std::cout << "\nSAC's reasoning:\n";
         for (const auto &d : sac_run.sacDecisions) {
             std::cout << "  kernel " << d.kernel << ": " << d.eab.summary()
                       << "\n    -> chose " << toString(d.chosen) << "\n";
         }
-        const bool sm_better = results[1].cycles < base.cycles;
+        const bool sm_better = records[1].result.cycles < base.cycles;
         const bool sac_chose_sm =
             !sac_run.sacDecisions.empty() &&
             sac_run.sacDecisions[0].chosen == LlcMode::SmSide;

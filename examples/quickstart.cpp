@@ -13,8 +13,9 @@
 #include <iostream>
 
 #include "common/log.hh"
+#include "sim/engine.hh"
+#include "sim/plan.hh"
 #include "sim/report.hh"
-#include "sim/runner.hh"
 #include "workload/suite.hh"
 
 int
@@ -31,16 +32,18 @@ main(int argc, char **argv)
         std::cout << "SAC quickstart: " << name << " on "
                   << cfg.summary() << "\n";
 
-        // All five organizations, parallel workers, results in the
+        // All five organizations, parallel workers, records in the
         // canonical presentation order.
-        const auto results =
-            Runner(0u).runOrganizations(wl, cfg);
-        const RunResult &base = results.front(); // memory-side
+        ExperimentPlan plan;
+        plan.addOrgSweep(wl, cfg);
+        const auto records = ExperimentEngine(0).run(plan);
+        const RunResult &base = records.front().result; // memory-side
 
         report::Table table({"organization", "cycles", "speedup",
                              "LLC miss", "eff LLC BW (resp/cy)",
                              "remote LLC frac"});
-        for (const auto &r : results) {
+        for (const auto &rec : records) {
+            const RunResult &r = rec.result;
             table.addRow({r.organization, std::to_string(r.cycles),
                           report::times(speedup(base, r)),
                           report::percent(r.llcMissRate()),
@@ -49,7 +52,7 @@ main(int argc, char **argv)
         }
         table.print(std::cout);
 
-        const auto &sac_result = results.back(); // SAC
+        const auto &sac_result = records.back().result; // SAC
         for (const auto &d : sac_result.sacDecisions) {
             std::cout << "SAC kernel " << d.kernel << ": chose "
                       << toString(d.chosen) << "  [" << d.eab.summary()

@@ -38,7 +38,6 @@ class WireSink : public ResultSink
         switch (event.record.source) {
           case RecordSource::Simulated: ++counts_.simulated; break;
           case RecordSource::Cache: ++counts_.cacheHits; break;
-          case RecordSource::Checkpoint: ++counts_.restored; break;
         }
         emit_(recordEvent(request_, event));
     }

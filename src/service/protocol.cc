@@ -223,9 +223,7 @@ doneEvent(const SweepRequest &request, const SweepCounts &counts)
         .field("cacheHits",
                json::number(static_cast<std::uint64_t>(counts.cacheHits)))
         .field("cacheMisses", json::number(static_cast<std::uint64_t>(
-                                  counts.cacheMisses)))
-        .field("restored",
-               json::number(static_cast<std::uint64_t>(counts.restored)));
+                                  counts.cacheMisses)));
     return b.close('}');
 }
 

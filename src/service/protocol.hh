@@ -40,8 +40,7 @@
  *   {"schema":"sac.sweep-result.v1","id":...,"event":"record",
  *    "record":{...sac.results.v3 record, canonical...}}
  *   {"schema":"sac.sweep-result.v1","id":...,"event":"done",
- *    "jobs":N,"simulated":s,"cacheHits":h,"cacheMisses":m,
- *    "restored":r}
+ *    "jobs":N,"simulated":s,"cacheHits":h,"cacheMisses":m}
  *   {"schema":"sac.sweep-result.v1","id":...,"event":"error",
  *    "message":"...","retryable":false}
  *
@@ -113,7 +112,6 @@ struct SweepCounts
     std::size_t simulated = 0;
     std::size_t cacheHits = 0;
     std::size_t cacheMisses = 0;
-    std::size_t restored = 0;
 };
 
 /** The terminal "done" event line (no trailing newline). */

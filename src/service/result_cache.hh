@@ -21,10 +21,12 @@
  * the same directory and rename()s it over the final name, so a
  * reader never sees a torn entry and concurrent writers of the same
  * key resolve to one winner (last rename wins — both wrote the same
- * bytes by construction). The reader is tolerant in the
- * sac.checkpoint.v1 idiom: an unreadable, unparseable, wrong-schema
- * or key-mismatched entry is counted and treated as a miss; the next
- * store overwrites it.
+ * bytes by construction). The reader is tolerant: an unreadable,
+ * unparseable, wrong-schema or key-mismatched entry is counted and
+ * treated as a miss; the next store overwrites it. Because the engine
+ * stores each ok record as it is delivered, rerunning an interrupted
+ * sweep on the same directory is how it resumes: stored jobs hit and
+ * only the rest simulate.
  *
  * Eviction: a byte/entry Budget with LRU-by-mtime pruning (lookup
  * hits touch the entry's mtime). prune() runs under an advisory

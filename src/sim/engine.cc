@@ -13,7 +13,6 @@
 #include "common/log.hh"
 #include "sim/cancel.hh"
 #include "sim/plan.hh"
-#include "sim/result_io.hh"
 #include "workload/tracegen.hh"
 
 namespace sac {
@@ -30,7 +29,6 @@ toString(RecordSource source)
     switch (source) {
       case RecordSource::Simulated: return "simulated";
       case RecordSource::Cache: return "cache";
-      case RecordSource::Checkpoint: return "checkpoint";
     }
     return "simulated";
 }
@@ -42,9 +40,27 @@ recordSourceFromName(const std::string &name)
         return RecordSource::Simulated;
     if (name == "cache")
         return RecordSource::Cache;
-    if (name == "checkpoint")
-        return RecordSource::Checkpoint;
     invalid(name, "unknown record source");
+}
+
+double
+speedup(const RunResult &baseline, const RunResult &result)
+{
+    SAC_ASSERT(result.cycles > 0, "speedup of an empty run");
+    return static_cast<double>(baseline.cycles) /
+           static_cast<double>(result.cycles);
+}
+
+double
+harmonicMean(const std::vector<double> &values)
+{
+    SAC_ASSERT(!values.empty(), "harmonic mean of nothing");
+    double denom = 0.0;
+    for (const auto v : values) {
+        SAC_ASSERT(v > 0.0, "harmonic mean needs positive values");
+        denom += 1.0 / v;
+    }
+    return static_cast<double>(values.size()) / denom;
 }
 
 bool
@@ -63,7 +79,7 @@ ExperimentEngine::simulatedSystemRuns()
 
 RunRecord
 ExperimentEngine::runJob(const ExperimentJob &job, std::size_t index,
-                         int attempt, const CancelToken *cancel)
+                         const CancelToken *cancel)
 {
     const auto t0 = std::chrono::steady_clock::now();
 
@@ -107,14 +123,6 @@ ExperimentEngine::runJob(const ExperimentJob &job, std::size_t index,
                                 throw PanicError(msg);
                             });
         break;
-      case FaultSpec::Kind::Transient:
-        if (attempt <= job.fault.failAttempts) {
-            system.setFaultHook(job.fault.atCycle,
-                                [msg = job.fault.message](System &) {
-                                    throw TransientError(msg);
-                                });
-        }
-        break;
       default:
         break;
     }
@@ -124,7 +132,6 @@ ExperimentEngine::runJob(const ExperimentJob &job, std::size_t index,
     rec.label = job.label;
     rec.benchmark = job.benchmarkName();
     rec.seed = job.seed;
-    rec.attempts = attempt;
     systemRuns.fetch_add(1, std::memory_order_relaxed);
     rec.result = job.hasScenario() ? system.run(scaledScenario)
                                    : system.run(kernelsFor(scaled));
@@ -145,15 +152,14 @@ struct WorkerQueue
 
 /** Record for a job that never produced measurements. */
 RunRecord
-failedRecord(const ExperimentJob &job, std::size_t index, int attempts,
-             RunStatus status, std::string diagnostic)
+failedRecord(const ExperimentJob &job, std::size_t index, RunStatus status,
+             std::string diagnostic)
 {
     RunRecord rec;
     rec.jobIndex = index;
     rec.label = job.label;
     rec.benchmark = job.benchmarkName();
     rec.seed = job.seed;
-    rec.attempts = attempts;
     rec.result.organization = toString(job.org);
     rec.result.status = status;
     rec.result.diagnostic = std::move(diagnostic);
@@ -167,66 +173,37 @@ RunRecord
 cancelledRecord(const ExperimentJob &job, std::size_t index,
                 const CancelToken &cancel)
 {
-    return failedRecord(job, index, 1, RunStatus::TimedOut,
+    return failedRecord(job, index, RunStatus::TimedOut,
                         "cancelled before start: " + cancel.reason());
 }
 
 /**
- * The isolation layer: runs one job, classifies anything it throws
- * into a RunStatus, and retries transient failures inline. Never
- * throws — every outcome is a RunRecord.
+ * The isolation layer: runs one job once and classifies anything it
+ * throws into a RunStatus. Never throws — every outcome is a
+ * RunRecord.
  */
 RunRecord
 runGuarded(const ExperimentJob &job, std::size_t index,
-           const RetryPolicy &retry, const CancelToken *cancel)
+           const CancelToken *cancel)
 {
     const auto t0 = std::chrono::steady_clock::now();
-    const auto elapsed_ms = [t0] {
-        return std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - t0)
-            .count();
-    };
-    const int max_attempts = std::max(1, retry.maxAttempts);
-    int attempt = 1;
-    for (;;) {
-        RunRecord rec;
-        try {
-            return ExperimentEngine::runJob(job, index, attempt, cancel);
-        } catch (const TransientError &e) {
-            // A cancelled plan stops retrying: the remaining attempts
-            // would only burn the drain budget.
-            if (attempt < max_attempts &&
-                !(cancel && cancel->cancelled())) {
-                if (retry.backoffMs > 0.0) {
-                    // Exponential, wall-clock only: simulated results
-                    // never depend on how long we waited.
-                    const double ms =
-                        retry.backoffMs *
-                        static_cast<double>(1ull << (attempt - 1));
-                    std::this_thread::sleep_for(
-                        std::chrono::duration<double, std::milli>(ms));
-                }
-                ++attempt;
-                continue;
-            }
-            rec = failedRecord(job, index, attempt, RunStatus::Failed,
-                               e.what());
-        } catch (const LivelockError &e) {
-            rec = failedRecord(job, index, attempt, RunStatus::Livelocked,
-                               e.what());
-        } catch (const SimTimeoutError &e) {
-            rec = failedRecord(job, index, attempt, RunStatus::TimedOut,
-                               e.what());
-        } catch (const std::exception &e) {
-            rec = failedRecord(job, index, attempt, RunStatus::Failed,
-                               e.what());
-        } catch (...) {
-            rec = failedRecord(job, index, attempt, RunStatus::Failed,
-                               "unknown exception");
-        }
-        rec.wallMs = elapsed_ms();
-        return rec;
+    RunRecord rec;
+    try {
+        return ExperimentEngine::runJob(job, index, cancel);
+    } catch (const LivelockError &e) {
+        rec = failedRecord(job, index, RunStatus::Livelocked, e.what());
+    } catch (const SimTimeoutError &e) {
+        rec = failedRecord(job, index, RunStatus::TimedOut, e.what());
+    } catch (const std::exception &e) {
+        rec = failedRecord(job, index, RunStatus::Failed, e.what());
+    } catch (...) {
+        rec = failedRecord(job, index, RunStatus::Failed,
+                           "unknown exception");
     }
+    rec.wallMs = std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
+    return rec;
 }
 
 /** ProgressFn adapter so callbacks ride the one delivery path. */
@@ -324,43 +301,20 @@ ExperimentEngine::run(const ExperimentPlan &plan,
     EngineTelemetry &tm = telemetry ? *telemetry : local;
     tm = EngineTelemetry{};
 
-    // Delivery order: checkpoint writer and cache populator first
-    // (durability before observation), then explicit sinks, then the
-    // progress callback.
+    // Delivery order: the cache populator first (durability before
+    // observation), then explicit sinks, then the progress callback.
     std::vector<ResultSink *> sinks;
-    std::optional<result_io::CheckpointSink> checkpoint_sink;
     std::optional<CachePopulateSink> cache_sink;
     std::optional<CallbackSink> progress_sink;
 
-    // Checkpoint restore: ok records from a previous (possibly
-    // killed) run of the same plan are taken as-is; everything else
-    // re-runs. The reader tolerates truncated/corrupt lines, so a
-    // mid-write SIGKILL costs at most the job that was in flight.
-    std::vector<char> settled(n, 0);
-    if (!plan.checkpointPath().empty()) {
-        const auto prior =
-            result_io::readCheckpointFile(plan.checkpointPath());
-        for (std::size_t i = 0; i < n; ++i) {
-            const auto it = prior.find(result_io::checkpointKey(
-                i, plan[i].label, plan[i].seed));
-            if (it == prior.end() ||
-                it->second.result.status != RunStatus::Ok) {
-                continue;
-            }
-            out[i] = it->second;
-            out[i].jobIndex = i;
-            out[i].source = RecordSource::Checkpoint;
-            settled[i] = 1;
-        }
-        checkpoint_sink.emplace(plan.checkpointPath());
-        sinks.push_back(&*checkpoint_sink);
-    }
-
     // Cache probe: a hit is served as-cached (byte-identical to the
-    // run that populated it) under this plan's index and label.
+    // run that populated it) under this plan's index and label. This
+    // is also how an interrupted sweep resumes: its stored ok records
+    // hit, everything else simulates.
+    std::vector<char> settled(n, 0);
     if (cache_) {
         for (std::size_t i = 0; i < n; ++i) {
-            if (settled[i] || !cacheEligible(plan[i]))
+            if (!cacheEligible(plan[i]))
                 continue;
             if (auto hit = cache_->lookup(plan[i])) {
                 out[i] = std::move(*hit);
@@ -414,7 +368,7 @@ ExperimentEngine::run(const ExperimentPlan &plan,
         emitter.finish(EngineDone{n, tm});
     };
 
-    // Settled (restored / cache-hit) records deliver immediately.
+    // Settled (cache-hit) records deliver immediately.
     for (std::size_t i = 0; i < n; ++i) {
         if (settled[i])
             emitter.complete(i);
@@ -432,7 +386,7 @@ ExperimentEngine::run(const ExperimentPlan &plan,
             const double queued = ms_since(clock_type::now());
             out[i] = cancel_ && cancel_->cancelled()
                          ? cancelledRecord(plan[i], i, *cancel_)
-                         : runGuarded(plan[i], i, plan.retry(), cancel_);
+                         : runGuarded(plan[i], i, cancel_);
             out[i].queueMs = queued;
             out[i].worker = 0;
             tm.busyMs += out[i].wallMs;
@@ -503,8 +457,7 @@ ExperimentEngine::run(const ExperimentPlan &plan,
             const double queued = ms_since(clock_type::now());
             out[job] = cancel_ && cancel_->cancelled()
                            ? cancelledRecord(plan[job], job, *cancel_)
-                           : runGuarded(plan[job], job, plan.retry(),
-                                        cancel_);
+                           : runGuarded(plan[job], job, cancel_);
             out[job].queueMs = queued;
             out[job].worker = w;
             emitter.complete(job);
@@ -520,7 +473,7 @@ ExperimentEngine::run(const ExperimentPlan &plan,
 
     for (std::size_t i = 0; i < n; ++i) {
         if (settled[i])
-            continue; // prior run's / cache's wall time, not ours
+            continue; // the storing run's wall time, not ours
         tm.busyMs += out[i].wallMs;
         tm.workerBusyMs[out[i].worker] += out[i].wallMs;
     }

@@ -6,10 +6,15 @@
  * independent simulation jobs. The ExperimentEngine executes a plan
  * on a work-stealing thread pool and *streams* one RunRecord per job,
  * in plan order, to any number of attached ResultSinks — the CLI JSON
- * writer, the checkpoint writer, the result-cache populator and the
- * sacsimd wire protocol are all sinks on this one delivery path. The
- * classic batch API (run() returning a vector) is a thin wrapper
- * around an internal collecting sink.
+ * writer, the result-cache populator and the sacsimd wire protocol
+ * are all sinks on this one delivery path. run() also returns the
+ * records in plan order. It is the library's one entry point: sacsim,
+ * sacsimd, the benches and the examples all drive it directly.
+ *
+ *   ExperimentPlan plan;
+ *   plan.addOrgSweep(findBenchmark("CFD"), cfg);
+ *   for (const RunRecord &rec : ExperimentEngine(0).run(plan))
+ *       std::cout << rec.label << ": " << rec.result.cycles << "\n";
  *
  * Determinism: a job's measurements depend only on its own
  * (profile, config, org, seed) tuple — every job constructs a private
@@ -24,20 +29,18 @@
  * livelock cap, simulator panic — becomes a RunRecord whose
  * RunResult carries a non-ok status and the error text as its
  * diagnostic; every other job's results are unaffected and run()
- * always delivers a record per job. TransientError failures retry on
- * the same worker with bounded attempts (RetryPolicy). With a
- * checkpoint attached (ExperimentPlan::setCheckpoint), completed
- * jobs are appended to a JSONL file as they are delivered and a
- * rerun of the same plan re-executes only the missing or failed
- * ones.
+ * always delivers a record per job. A job runs once: a failure is
+ * reported, never retried.
  *
- * Memoization: attach a JobCache (setCache) and the engine consults
- * it before scheduling work — a job whose content hash
+ * Memoization and resume: attach a JobCache (setCache) and the engine
+ * consults it before scheduling work — a job whose content hash
  * (sim/plan.hh, canonicalJobKey) is already cached is served from
  * the cache byte-identically instead of re-simulated, and freshly
- * simulated ok records are offered back for persistence. Jobs with
- * telemetry or an injected fault bypass the cache (see
- * cacheEligible).
+ * simulated ok records are offered back for persistence as they are
+ * delivered. Rerunning an interrupted plan against the same cache is
+ * how a sweep resumes: only the jobs without a stored ok record
+ * simulate. Jobs with telemetry or an injected fault bypass the cache
+ * (see cacheEligible), so they re-simulate on every run.
  */
 
 #ifndef SAC_SIM_ENGINE_HH
@@ -60,9 +63,8 @@ struct ExperimentJob;
 /** Where a delivered record came from in this run. */
 enum class RecordSource : std::uint8_t
 {
-    Simulated,  //!< executed by this run's worker pool
-    Cache,      //!< served from an attached JobCache
-    Checkpoint, //!< restored from the plan's checkpoint file
+    Simulated, //!< executed by this run's worker pool
+    Cache,     //!< served from an attached JobCache
 };
 
 const char *toString(RecordSource source);
@@ -85,8 +87,6 @@ struct RunRecord
     double queueMs = 0.0;
     /** Worker that executed the job (0 on the serial path). */
     unsigned worker = 0;
-    /** Attempts the job took (>1 only after transient retries). */
-    int attempts = 1;
     /**
      * Provenance of this record in the run that delivered it.
      * Volatile like the wall-clock fields: omitted from canonical
@@ -95,6 +95,12 @@ struct RunRecord
      */
     RecordSource source = RecordSource::Simulated;
 };
+
+/** Speedup of @p result over @p baseline (cycles ratio). */
+double speedup(const RunResult &baseline, const RunResult &result);
+
+/** Harmonic mean of speedups (the paper's average). */
+double harmonicMean(const std::vector<double> &values);
 
 /**
  * Job-level engine telemetry for one run(): how long the plan took,
@@ -157,7 +163,7 @@ class ResultSink
     virtual ~ResultSink() = default;
 
     /** One delivered record. EngineProgress::record.source says
-     *  whether it was simulated, served from cache or restored. */
+     *  whether it was simulated or served from cache. */
     virtual void onRecord(const EngineProgress &event) = 0;
 
     /** The plan is complete; telemetry totals are final. */
@@ -222,8 +228,8 @@ class ExperimentEngine
 
     /**
      * Attaches a delivery sink (non-owning; must outlive run()).
-     * Sinks fire in attachment order, after any internal sinks
-     * (checkpoint writer, cache populator).
+     * Sinks fire in attachment order, after the internal cache
+     * populator.
      */
     void addSink(ResultSink &sink) { sinks_.push_back(&sink); }
 
@@ -240,8 +246,8 @@ class ExperimentEngine
      * started when the token cancels are delivered as timed_out
      * records without simulating, and in-flight jobs observe the
      * token at the run loop's watchdog poll points and finish as
-     * timed_out too. Cache and checkpoint restores still serve (they
-     * cost no simulation), records already delivered are untouched,
+     * timed_out too. Cache hits still serve (they cost no
+     * simulation), records already delivered are untouched,
      * and onDone still fires — a cancelled sweep completes, it just
      * stops computing.
      */
@@ -264,12 +270,9 @@ class ExperimentEngine
      * are isolated: a throwing job yields a record with a non-ok
      * RunResult::status and the error text in diagnostic; the sweep
      * always completes and the other jobs' results are untouched.
-     * TransientError failures retry per the plan's RetryPolicy. When
-     * the plan has a checkpoint, previously completed ok jobs are
-     * restored instead of re-run and new completions are appended.
      * When @p telemetry is non-null it is filled with the run's
-     * job-level engine telemetry (executed jobs only; restored and
-     * cached records don't count as this run's work).
+     * job-level engine telemetry (executed jobs only; cached records
+     * don't count as this run's work).
      */
     std::vector<RunRecord> run(const ExperimentPlan &plan,
                                EngineTelemetry *telemetry = nullptr) const;
@@ -277,18 +280,15 @@ class ExperimentEngine
     /**
      * Runs a single job on the calling thread. Unlike run(), this
      * propagates exceptions — it is the raw building block the
-     * engine's isolation layer wraps. @p attempt numbers retries
-     * from 1 (a Transient fault fires only while
-     * attempt <= fault.failAttempts). @p cancel, when non-null, is
+     * engine's isolation layer wraps. @p cancel, when non-null, is
      * observed at the run's watchdog poll points (SimTimeoutError).
      */
     static RunRecord runJob(const ExperimentJob &job, std::size_t index = 0,
-                            int attempt = 1,
                             const CancelToken *cancel = nullptr);
 
     /**
      * Process-wide count of System::run invocations made through the
-     * engine (runJob attempts included). The memoization tests
+     * engine (direct runJob calls included). The memoization tests
      * assert a fully cached sweep leaves this counter untouched.
      */
     static std::uint64_t simulatedSystemRuns();

@@ -29,17 +29,6 @@ FaultSpec::panicAt(Cycle cycle, std::string msg)
 }
 
 FaultSpec
-FaultSpec::transientAt(Cycle cycle, int fail_attempts, std::string msg)
-{
-    FaultSpec spec;
-    spec.kind = Kind::Transient;
-    spec.atCycle = cycle;
-    spec.failAttempts = fail_attempts;
-    spec.message = std::move(msg);
-    return spec;
-}
-
-FaultSpec
 FaultSpec::validation(std::string msg)
 {
     FaultSpec spec;

@@ -5,17 +5,16 @@
  * Robustness code that is only exercised by real outages is dead code
  * with extra steps. A FaultPlan describes, per job label, exactly
  * what should go wrong and when — an exception thrown at simulated
- * cycle N, a transient error on the first K attempts, a validation
- * failure before the System is even built — and the engine arms the
- * corresponding hook when it runs that job. Because faults fire at
- * simulated cycles (via System::setFaultHook, which participates in
- * the fast-forward wake protocol), an injected failure is exactly as
- * reproducible as a successful run: same cycle, same message, same
- * resulting document, for any worker count.
+ * cycle N, or a validation failure before the System is even built —
+ * and the engine arms the corresponding hook when it runs that job.
+ * Because faults fire at simulated cycles (via System::setFaultHook,
+ * which participates in the fast-forward wake protocol), an injected
+ * failure is exactly as reproducible as a successful run: same cycle,
+ * same message, same resulting document, for any worker count.
  *
  * The file helpers at the bottom produce the other half of the test
- * matrix — truncated and corrupted trace/checkpoint files — without
- * tests hand-rolling file surgery.
+ * matrix — truncated and corrupted trace and cache-entry files —
+ * without tests hand-rolling file surgery.
  */
 
 #ifndef SAC_SIM_FAULT_INJECTION_HH
@@ -23,46 +22,26 @@
 
 #include <cstddef>
 #include <map>
-#include <stdexcept>
 #include <string>
 
 #include "common/types.hh"
 
 namespace sac {
 
-/**
- * An error classified as transient: the condition is expected to
- * clear on retry (the simulation analogue of a flaky NFS read or an
- * OOM-killed worker). The engine's retry policy applies only to this
- * type; everything else is permanent and fails the job immediately.
- */
-class TransientError : public std::runtime_error
-{
-  public:
-    explicit TransientError(const std::string &msg)
-        : std::runtime_error(msg)
-    {
-    }
-};
-
 /** What to inject into one job, and when. */
 struct FaultSpec
 {
     enum class Kind : std::uint8_t
     {
-        None,       //!< no fault; the job runs normally
-        Fatal,      //!< throw FatalError at atCycle (permanent)
-        Panic,      //!< throw PanicError at atCycle (simulator bug)
-        Transient,  //!< throw TransientError at atCycle on the first
-                    //!< failAttempts attempts; later attempts succeed
-        Validation  //!< throw ValidationError before System is built
+        None,      //!< no fault; the job runs normally
+        Fatal,     //!< throw FatalError at atCycle
+        Panic,     //!< throw PanicError at atCycle (simulator bug)
+        Validation //!< throw ValidationError before System is built
     };
 
     Kind kind = Kind::None;
     /** Simulated cycle at which an in-run fault fires. */
     Cycle atCycle = 0;
-    /** Transient only: attempts 1..failAttempts throw. */
-    int failAttempts = 1;
     std::string message = "injected fault";
 
     bool enabled() const { return kind != Kind::None; }
@@ -72,9 +51,6 @@ struct FaultSpec
                                                             "fatal fault");
     static FaultSpec panicAt(Cycle cycle, std::string msg = "injected "
                                                             "panic");
-    static FaultSpec transientAt(Cycle cycle, int fail_attempts,
-                                 std::string msg = "injected transient "
-                                                   "fault");
     static FaultSpec validation(std::string msg = "injected validation "
                                                   "failure");
 };
@@ -85,7 +61,7 @@ struct FaultSpec
  *
  *   FaultPlan faults;
  *   faults.fail("CFD/SAC", FaultSpec::fatalAt(10'000));
- *   faults.fail("RN/Memory-side", FaultSpec::transientAt(500, 2));
+ *   faults.fail("RN/Memory-side", FaultSpec::validation());
  *   plan.setFaultPlan(faults);
  */
 class FaultPlan
@@ -108,7 +84,7 @@ namespace fault_injection {
 /**
  * Truncates the file at @p path to its first @p keep_bytes bytes —
  * the canonical "process was SIGKILLed mid-write" artifact for
- * checkpoint and trace robustness tests.
+ * cache-entry and trace robustness tests.
  */
 void truncateFile(const std::string &path, std::size_t keep_bytes);
 

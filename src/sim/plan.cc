@@ -300,20 +300,6 @@ ExperimentPlan::setFaultPlan(FaultPlan faults)
     return *this;
 }
 
-ExperimentPlan &
-ExperimentPlan::setRetry(const RetryPolicy &retry)
-{
-    retry_ = retry;
-    return *this;
-}
-
-ExperimentPlan &
-ExperimentPlan::setCheckpoint(std::string path)
-{
-    checkpoint_ = std::move(path);
-    return *this;
-}
-
 std::uint64_t
 ExperimentPlan::contentHash() const
 {

@@ -6,19 +6,19 @@
  *
  * An ExperimentPlan is a declarative list of independent simulation
  * jobs — (workload, config, organization, seed) tuples with a display
- * label — plus plan-wide policy (telemetry defaults, limits, retry,
- * fault plan, checkpoint path). Nothing in here runs anything; a plan
- * is data, and two equal plans are interchangeable.
+ * label — plus plan-wide defaults (telemetry, fast-forward, limits,
+ * fault plan). Nothing in here runs anything; a plan is data, and two
+ * equal plans are interchangeable.
  *
  * That property is load-bearing: every job has a *stable canonical
  * content hash* over exactly the fields that determine its simulated
  * results (config, workload, seed, organization, schema version —
- * see canonicalJobKey()). The future sacsimd result cache keys on
- * this hash, so it deliberately excludes anything that cannot change
- * measurements: labels, telemetry options, fast-forward, watchdog
- * limits, fault specs, retry policy, checkpoint paths. The hash is
- * versioned by planSchemaVersion; bump it whenever the canonical key
- * gains, loses or reorders a field.
+ * see canonicalJobKey()). The result cache (service/result_cache.hh)
+ * keys on this hash, so it deliberately excludes anything that cannot
+ * change measurements: labels, telemetry options, fast-forward,
+ * watchdog limits, fault specs. The hash is versioned by
+ * planSchemaVersion; bump it whenever the canonical key gains, loses
+ * or reorders a field.
  */
 
 #ifndef SAC_SIM_PLAN_HH
@@ -138,20 +138,6 @@ std::uint64_t contentHash(const ExperimentJob &job);
 std::uint64_t contentHashOfKey(const std::string &key);
 
 /**
- * Bounded retry for TransientError failures. Retries happen inline
- * on the worker that ran the failing attempt, so scheduling stays
- * deterministic; backoff doubles per retry and burns wall-clock
- * only, never simulated time.
- */
-struct RetryPolicy
-{
-    /** Total attempts per job (first try included). */
-    int maxAttempts = 3;
-    /** Sleep before retry k is backoffMs * 2^(k-1) milliseconds. */
-    double backoffMs = 0.0;
-};
-
-/**
  * An ordered list of jobs. Builder methods return *this so plans can
  * be assembled fluently:
  *
@@ -207,31 +193,14 @@ class ExperimentPlan
      */
     ExperimentPlan &setFaultPlan(FaultPlan faults);
 
-    /** Retry policy for TransientError failures (default: 3 tries,
-     *  no backoff). */
-    ExperimentPlan &setRetry(const RetryPolicy &retry);
-
-    /**
-     * Attaches a JSONL checkpoint file: completed jobs append to it
-     * as they finish, and a rerun restores ok records (matched by
-     * index|label|seed) instead of re-executing them. The file is
-     * created on first use; a partially written or corrupted file is
-     * tolerated (bad lines are skipped and those jobs re-run).
-     */
-    ExperimentPlan &setCheckpoint(std::string path);
-
     /**
      * Order-sensitive content hash of the whole plan: the chained
      * per-job hashes under the current schema version. Two plans with
      * the same hash produce byte-identical result sets; execution
-     * policy (retry, checkpoint path, fault plan) is excluded for the
+     * policy (fast-forward, limits, fault plan) is excluded for the
      * same reason it is excluded from the per-job key.
      */
     std::uint64_t contentHash() const;
-
-    const RetryPolicy &retry() const { return retry_; }
-    const FaultPlan &faultPlan() const { return faults_; }
-    const std::string &checkpointPath() const { return checkpoint_; }
 
     const std::vector<ExperimentJob> &jobs() const { return jobs_; }
     std::size_t size() const { return jobs_.size(); }
@@ -244,8 +213,6 @@ class ExperimentPlan
     bool fastForwardDefault_ = true;
     RunLimits limitsDefault_;
     FaultPlan faults_;
-    RetryPolicy retry_;
-    std::string checkpoint_;
 };
 
 } // namespace sac

@@ -1,6 +1,5 @@
 #include "sim/result_io.hh"
 
-#include <fstream>
 #include <ostream>
 #include <sstream>
 
@@ -127,11 +126,8 @@ runResultFromValue(const Value &v)
 {
     RunResult r;
     r.organization = v.at("organization").asString();
-    // v3 fault-tolerance fields; pre-v3 documents only hold ok runs.
-    if (v.has("status"))
-        r.status = runStatusFromName(v.at("status").asString());
-    if (v.has("diagnostic"))
-        r.diagnostic = v.at("diagnostic").asString();
+    r.status = runStatusFromName(v.at("status").asString());
+    r.diagnostic = v.at("diagnostic").asString();
     r.cycles = v.at("cycles").asU64();
     for (const auto &c : v.at("kernelCycles").array)
         r.kernelCycles.push_back(c.asU64());
@@ -154,11 +150,11 @@ runResultFromValue(const Value &v)
     r.flushStallCycles = v.at("flushStallCycles").asU64();
     for (const auto &d : v.at("sacDecisions").array)
         r.sacDecisions.push_back(decisionFromValue(d));
-    // v4 addition; absent from single-stream runs and older documents.
+    // v4 addition; absent from single-stream runs.
     if (v.has("streams"))
         for (const auto &s : v.at("streams").array)
             r.streams.push_back(streamResultFromValue(s));
-    // v2 addition; absent from v1 documents and telemetry-less runs.
+    // Absent from telemetry-less runs.
     if (v.has("timeline"))
         r.timeline = telemetry::timelineFromValue(v.at("timeline"));
     return r;
@@ -186,19 +182,13 @@ recordFromValue(const Value &v)
     rec.label = v.at("label").asString();
     rec.benchmark = v.at("benchmark").asString();
     rec.seed = v.at("seed").asU64();
-    // Wall-clock fields: mandatory through v2, optional (and absent
-    // by default) from v3 on.
+    // Volatile fields: written only with WriteOptions::timing.
     if (v.has("wallMs"))
         rec.wallMs = v.at("wallMs").asDouble();
     if (v.has("queueMs"))
         rec.queueMs = v.at("queueMs").asDouble();
     if (v.has("worker"))
         rec.worker = static_cast<unsigned>(v.at("worker").asU64());
-    // v3 addition; earlier documents ran exactly once.
-    if (v.has("attempts"))
-        rec.attempts = static_cast<int>(v.at("attempts").asU64());
-    // Provenance: volatile like the wall-clock fields, written only
-    // with timing and absent from pre-provenance documents.
     if (v.has("source"))
         rec.source = recordSourceFromName(v.at("source").asString());
     rec.result = runResultFromValue(v.at("result"));
@@ -214,8 +204,8 @@ recordToJson(const RunRecord &rec, const WriteOptions &opts)
         .field("label", json::escape(rec.label))
         .field("benchmark", json::escape(rec.benchmark))
         .field("seed", json::number(rec.seed))
-        .field("attempts", json::number(static_cast<std::uint64_t>(
-            rec.attempts < 0 ? 0 : rec.attempts)));
+        // Frozen: a job runs once; kept so v3 bytes stay unchanged.
+        .field("attempts", "1");
     if (opts.timing) {
         b.field("wallMs", json::number(rec.wallMs))
             .field("queueMs", json::number(rec.queueMs))
@@ -313,8 +303,7 @@ fromJson(const std::string &text)
     if (!doc.has("schema"))
         fatal("results JSON: not a sac.results document");
     const std::string &schema = doc.at("schema").asString();
-    if (schema != "sac.results.v1" && schema != "sac.results.v2" &&
-        schema != "sac.results.v3" && schema != "sac.results.v4") {
+    if (schema != "sac.results.v3" && schema != "sac.results.v4") {
         fatal("results JSON: unsupported schema '", schema, "'");
     }
     std::vector<RunRecord> out;
@@ -367,83 +356,6 @@ JsonDocumentSink::onDone(const EngineDone &)
     os_ << "]}" << "\n";
     os_.flush();
     open_ = false;
-}
-
-CheckpointSink::CheckpointSink(std::string path) : path_(std::move(path))
-{
-    os_.open(path_, std::ios::app);
-    if (!os_)
-        invalid(path_, "cannot open checkpoint file for append");
-}
-
-void
-CheckpointSink::onRecord(const EngineProgress &event)
-{
-    const RunRecord &rec = event.record;
-    if (rec.source == RecordSource::Checkpoint)
-        return; // it came from this file; re-appending adds nothing
-    appendCheckpoint(os_,
-                     checkpointKey(rec.jobIndex, rec.label, rec.seed),
-                     rec);
-    os_.flush();
-    if (!os_ && !bad_) {
-        bad_ = true;
-        warn("checkpoint append to '", path_,
-             "' failed; resume coverage stops here");
-    }
-}
-
-std::string
-checkpointKey(std::size_t index, const std::string &label,
-              std::uint64_t seed)
-{
-    return std::to_string(index) + "|" + label + "|" +
-           std::to_string(seed);
-}
-
-void
-appendCheckpoint(std::ostream &os, const std::string &key,
-                 const RunRecord &record)
-{
-    // Timing kept here: checkpoints are per-machine operational state,
-    // not published results, and wall times aid post-mortems.
-    WriteOptions opts;
-    opts.timing = true;
-    Builder b('{');
-    b.field("schema", json::escape("sac.checkpoint.v1"))
-        .field("key", json::escape(key))
-        .field("record", recordToJson(record, opts));
-    os << b.close('}') << "\n";
-}
-
-std::map<std::string, RunRecord>
-readCheckpointFile(const std::string &path)
-{
-    std::map<std::string, RunRecord> out;
-    std::ifstream is(path);
-    if (!is)
-        return out; // no checkpoint yet: nothing to restore
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.empty())
-            continue;
-        // Skip anything that doesn't parse — a truncated tail from a
-        // killed writer, or a corrupted line. Those jobs just re-run.
-        try {
-            const Value v = json::parse(line);
-            if (!v.has("schema") ||
-                v.at("schema").asString() != "sac.checkpoint.v1") {
-                continue;
-            }
-            if (!v.has("key") || !v.has("record"))
-                continue;
-            out[v.at("key").asString()] =
-                recordFromValue(v.at("record"));
-        } catch (const std::exception &) {
-            continue;
-        }
-    }
-    return out;
 }
 
 } // namespace sac::result_io

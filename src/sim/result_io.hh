@@ -9,49 +9,40 @@
  *   {
  *     "schema": "sac.results.v3",
  *     "results": [ { "label": ..., "benchmark": ..., "seed": ...,
- *                    "attempts": ...,
+ *                    "attempts": 1,
  *                    "result": { ...RunResult..., "status": ...,
  *                                "diagnostic": ...,
  *                                "timeline": {...}? } } ]
  *   }
  *
- * v2 added the engine bookkeeping fields (queueMs, worker) and embeds
- * the telemetry timeline inside "result" when the run sampled one.
- * v3 adds the fault-tolerance fields (status, diagnostic, attempts)
- * and — the behavioral change — omits the volatile wall-clock fields
- * (wallMs, queueMs, worker) by default: a v3 document depends only on
- * simulated state, so the same plan produces byte-identical output
- * for any worker count, across interrupted-and-resumed runs, and
- * with injected faults. Pass WriteOptions{.timing = true} to keep the
- * wall-clock fields (checkpoint lines always carry them).
+ * Every record carries its status and diagnostic, and "result" embeds
+ * the telemetry timeline when the run sampled one. The volatile
+ * wall-clock fields (wallMs, queueMs, worker, source) are omitted by
+ * default: a v3 document depends only on simulated state, so the same
+ * plan produces byte-identical output for any worker count, across
+ * interrupted-and-resumed runs, and with injected faults. Pass
+ * WriteOptions{.timing = true} to keep them. "attempts" is frozen at
+ * 1: a job runs once, and the field stays only so v3 bytes do not
+ * change; the reader ignores it.
  * v4 adds the per-stream breakdown of multi-tenant scenario runs: a
  * "streams" array inside "result" (one entry per co-resident kernel
  * stream, with its own cycle/cache counters and SAC verdicts). The
  * tag is backward-conservative: a document is stamped v4 only when at
  * least one record actually carries streams (or the streamsSchema
  * option forces it), so single-kernel plans keep emitting v3
- * byte-identically. The reader accepts v1 through v4: absent fields
- * simply default.
+ * byte-identically. The reader accepts v3 and v4 only.
  *
  * Serialization is lossless: integers are written verbatim and
  * doubles with max_digits10 precision, so a write/read round trip
  * reproduces every counter bit-for-bit (the determinism tests rely
  * on this). No external JSON dependency — reading and writing go
  * through common/json.hh.
- *
- * Checkpoints are a separate, line-oriented format (append-safe under
- * crashes): each line is {"schema":"sac.checkpoint.v1","key":...,
- * "record":{...}}. The reader skips lines that don't parse — the
- * expected state after a SIGKILL mid-write — and keeps the last valid
- * record per key.
  */
 
 #ifndef SAC_SIM_RESULT_IO_HH
 #define SAC_SIM_RESULT_IO_HH
 
-#include <fstream>
 #include <iosfwd>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -67,8 +58,7 @@ struct WriteOptions
     /**
      * Include the volatile fields (wallMs, queueMs, worker, source).
      * Off by default so documents are byte-identical across runs,
-     * worker counts and cache hits; turn on for profiling output and
-     * checkpoint lines.
+     * worker counts and cache hits; turn on for profiling output.
      */
     bool timing = false;
 
@@ -107,11 +97,11 @@ void write(std::ostream &os, const std::vector<RunRecord> &records,
 /** Parses a RunResult from the output of toJson(RunResult). */
 RunResult runResultFromJson(const std::string &text);
 
-/** Parses a sac.results document (v1 through v4). Throws FatalError
- *  on malformed input or an unsupported schema. */
+/** Parses a sac.results document (v3 or v4). Throws FatalError on
+ *  malformed input or any other schema. */
 std::vector<RunRecord> fromJson(const std::string &text);
 
-/** Reads a sac.results document (v1 through v4) from @p is. */
+/** Reads a sac.results document (v3 or v4) from @p is. */
 std::vector<RunRecord> read(std::istream &is);
 
 // --- streaming sinks ----------------------------------------------------
@@ -138,47 +128,6 @@ class JsonDocumentSink : public ResultSink
     WriteOptions opts_;
     bool open_ = false;
 };
-
-/**
- * Appends every delivered record to a sac.checkpoint.v1 JSONL file,
- * flushing per line so a killed run loses at most the record in
- * flight. Records restored *from* the checkpoint are not re-appended;
- * cache-served records are (a later resume then restores them without
- * needing the cache). Construction throws ValidationError when the
- * file cannot be opened for append; a later write failure warns once
- * and stops checkpoint coverage there.
- */
-class CheckpointSink : public ResultSink
-{
-  public:
-    explicit CheckpointSink(std::string path);
-
-    void onRecord(const EngineProgress &event) override;
-
-  private:
-    std::string path_;
-    std::ofstream os_;
-    bool bad_ = false;
-};
-
-// --- checkpoints --------------------------------------------------------
-
-/** Identity of a job inside a checkpoint: "index|label|seed". */
-std::string checkpointKey(std::size_t index, const std::string &label,
-                          std::uint64_t seed);
-
-/** Appends one sac.checkpoint.v1 line (record written with timing). */
-void appendCheckpoint(std::ostream &os, const std::string &key,
-                      const RunRecord &record);
-
-/**
- * Reads a JSONL checkpoint, returning the last valid record per key.
- * Tolerant by design: unparseable or truncated lines — what a killed
- * writer leaves behind — are skipped, as are lines with the wrong
- * schema tag. A missing file yields an empty map.
- */
-std::map<std::string, RunRecord>
-readCheckpointFile(const std::string &path);
 
 } // namespace sac::result_io
 

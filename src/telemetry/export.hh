@@ -6,7 +6,7 @@
  *
  *  - toJson/timelineFromJson: the lossless machine format (integers
  *    verbatim, doubles at max_digits10); also what sim/result_io
- *    embeds into sac.results.v2 documents. Round trips bit-for-bit —
+ *    embeds into sac.results documents. Round trips bit-for-bit —
  *    the cross-worker determinism tests compare these strings.
  *  - writeJsonl: one JSON object per line, one line per event; the
  *    grep/jq-friendly stream for ad-hoc analysis.

@@ -11,7 +11,7 @@
  * Everything in here is deterministic simulated-time data (cycles and
  * counters, never wall clock), so timelines are bit-identical across
  * worker counts and serialize losslessly (see telemetry/export.hh and
- * the sac.results.v2 embedding in sim/result_io.hh).
+ * the sac.results embedding in sim/result_io.hh).
  */
 
 #ifndef SAC_TELEMETRY_TIMELINE_HH

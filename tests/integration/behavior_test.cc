@@ -9,7 +9,8 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/runner.hh"
+#include "sim/engine.hh"
+#include "sim/plan.hh"
 #include "workload/suite.hh"
 #include "workload/tracegen.hh"
 
@@ -34,12 +35,12 @@ cfg()
     return c;
 }
 
-/** One serial run through the instance API. */
+/** One serial run on the calling thread. */
 RunResult
 runOne(const WorkloadProfile &p, const GpuConfig &c, OrgKind kind,
        std::uint64_t seed)
 {
-    return Runner().runOne(p, c, kind, seed);
+    return ExperimentEngine::runJob({p, c, kind, seed}).result;
 }
 
 class Preference : public ::testing::TestWithParam<const char *>

@@ -189,13 +189,15 @@ TEST(SweepProtocol, EventLinesCarrySchemaIdAndCounts)
     SweepRequest req;
     req.id = "abc";
     const json::Value done = json::parse(service::doneEvent(
-        req, SweepCounts{5, 2, 3, 2, 0}));
+        req, SweepCounts{5, 2, 3, 2}));
     EXPECT_EQ(done.at("schema").asString(), "sac.sweep-result.v1");
     EXPECT_EQ(done.at("id").asString(), "abc");
     EXPECT_EQ(done.at("event").asString(), "done");
     EXPECT_EQ(done.at("jobs").asU64(), 5u);
     EXPECT_EQ(done.at("simulated").asU64(), 2u);
     EXPECT_EQ(done.at("cacheHits").asU64(), 3u);
+    EXPECT_EQ(done.at("cacheMisses").asU64(), 2u);
+    EXPECT_FALSE(done.has("restored"));
 
     const json::Value err = json::parse(
         service::errorEvent("abc", "boom"));

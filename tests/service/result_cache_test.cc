@@ -328,6 +328,44 @@ TEST(ResultCache, FailedRecordsAreNotCached)
     EXPECT_EQ(ExperimentEngine::simulatedSystemRuns(), runs + 1);
 }
 
+TEST(ResultCache, InterruptedSweepResumesFromTheCache)
+{
+    const auto threeOrgs = [] {
+        ExperimentPlan plan;
+        plan.addOrgSweep(tinyProfile("RN"), tinyConfig(),
+                         {OrgKind::MemorySide, OrgKind::SmSide,
+                          OrgKind::Sac});
+        return plan;
+    };
+    const std::string reference =
+        docOf(ExperimentEngine(1).run(threeOrgs()));
+
+    // The interrupted sweep: one job dies mid-run, so only the other
+    // two ok records reach the cache.
+    TempDir dir("sac_cache_resume");
+    {
+        ExperimentPlan plan = threeOrgs();
+        plan.setFaultPlan(FaultPlan().fail(
+            "RN/SM-side", FaultSpec::fatalAt(100)));
+        ResultCache cache(dir.path);
+        const auto records = runWithCache(plan, cache);
+        EXPECT_EQ(records[1].result.status, RunStatus::Failed);
+        EXPECT_EQ(cache.stats().stores, 2u);
+    }
+
+    // Resuming is rerunning on the same directory: the stored jobs
+    // hit, exactly the missing one simulates, and the document is
+    // the uninterrupted one.
+    ResultCache cache(dir.path);
+    const std::uint64_t runs = ExperimentEngine::simulatedSystemRuns();
+    EngineTelemetry tm;
+    const auto records = runWithCache(threeOrgs(), cache, 2, &tm);
+    EXPECT_EQ(ExperimentEngine::simulatedSystemRuns(), runs + 1);
+    EXPECT_EQ(tm.cacheHits, 2u);
+    EXPECT_EQ(records[1].source, RecordSource::Simulated);
+    EXPECT_EQ(docOf(records), reference);
+}
+
 TEST(ResultCache, CachedRecordsRestampVolatileFields)
 {
     TempDir dir("sac_cache_restamp");

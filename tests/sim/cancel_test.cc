@@ -232,21 +232,5 @@ TEST(EngineCancellation, EmittedPrefixIsByteIdenticalForAnyWorkerCount)
     }
 }
 
-TEST(EngineCancellation, CancelledJobsAreNeverRetried)
-{
-    // A plan with retries enabled, cancelled before it starts: every
-    // job reports exactly one attempt — cancellation short-circuits
-    // the transient-retry loop instead of burning backoff cycles.
-    ExperimentPlan plan = quickPlan();
-    plan.setRetry(RetryPolicy{3, 0.0});
-    CancelToken token;
-    token.cancel("stop");
-
-    ExperimentEngine engine(1);
-    engine.setCancelToken(&token);
-    for (const auto &rec : engine.run(plan))
-        EXPECT_EQ(rec.attempts, 1);
-}
-
 } // namespace
 } // namespace sac

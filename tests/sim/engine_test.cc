@@ -9,7 +9,6 @@
 #include "sim/engine.hh"
 #include "sim/plan.hh"
 #include "sim/result_io.hh"
-#include "sim/runner.hh"
 #include "workload/suite.hh"
 
 namespace sac {
@@ -169,14 +168,14 @@ TEST(ExperimentEngine, BadJobConfigurationIsIsolated)
 
 TEST(Runner, RunOrganizationsIsOrdered)
 {
-    const auto results =
-        Runner(2u)
-            .runOrganizations(tinyProfile("RN"), tinyConfig(), 1);
+    ExperimentPlan plan;
+    plan.addOrgSweep(tinyProfile("RN"), tinyConfig());
+    const auto records = ExperimentEngine(2).run(plan);
     const auto &orgs = ExperimentPlan::allOrganizations();
-    ASSERT_EQ(results.size(), orgs.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        EXPECT_EQ(results[i].organization, toString(orgs[i]));
-        EXPECT_GT(results[i].cycles, 0u);
+    ASSERT_EQ(records.size(), orgs.size());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        EXPECT_EQ(records[i].result.organization, toString(orgs[i]));
+        EXPECT_GT(records[i].result.cycles, 0u);
     }
 }
 

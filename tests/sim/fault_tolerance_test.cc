@@ -1,15 +1,13 @@
 /**
  * @file
  * Fault-tolerance tests for the experiment engine: per-job isolation,
- * deterministic fault injection, transient retry, watchdog deadlines,
- * and checkpoint/resume byte-identity.
+ * deterministic fault injection and watchdog deadlines. Resuming an
+ * interrupted sweep through the result cache is covered in
+ * tests/service/result_cache_test.cc.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "common/log.hh"
@@ -52,18 +50,6 @@ threeOrgPlan()
                       OrgKind::Sac});
     return plan;
 }
-
-/** Self-deleting temp file path, one per test. */
-struct TempFile
-{
-    explicit TempFile(const std::string &name)
-        : path(std::string(::testing::TempDir()) + name)
-    {
-        std::remove(path.c_str());
-    }
-    ~TempFile() { std::remove(path.c_str()); }
-    const std::string path;
-};
 
 std::string
 docOf(const std::vector<RunRecord> &records)
@@ -118,40 +104,6 @@ TEST(FaultTolerance, ValidationFaultFailsBeforeSimulating)
     EXPECT_NE(records[2].result.diagnostic.find("bad trace header"),
               std::string::npos);
     EXPECT_EQ(records[2].result.cycles, 0u);
-    EXPECT_EQ(records[2].attempts, 1);
-}
-
-TEST(FaultTolerance, TransientFaultsRetryAndConverge)
-{
-    const auto clean =
-        ExperimentEngine::runJob({tinyProfile("RN"), tinyConfig(),
-                                  OrgKind::MemorySide, 1, "RN/mem"});
-
-    // Fails on attempts 1 and 2, succeeds on 3: the default policy
-    // (3 attempts) lands on a result identical to the clean run.
-    ExperimentPlan plan;
-    plan.add(tinyProfile("RN"), tinyConfig(), OrgKind::MemorySide, 1,
-             "RN/mem");
-    plan.setFaultPlan(FaultPlan().fail(
-        "RN/mem", FaultSpec::transientAt(100, 2, "flaky nfs")));
-    const auto records = ExperimentEngine(1).run(plan);
-    ASSERT_EQ(records.size(), 1u);
-    EXPECT_EQ(records[0].result.status, RunStatus::Ok);
-    EXPECT_EQ(records[0].attempts, 3);
-    EXPECT_EQ(result_io::toJson(records[0].result),
-              result_io::toJson(clean.result));
-
-    // A fault outlasting the budget fails with the transient's text.
-    ExperimentPlan exhausted;
-    exhausted.add(tinyProfile("RN"), tinyConfig(), OrgKind::MemorySide,
-                  1, "RN/mem");
-    exhausted.setFaultPlan(FaultPlan().fail(
-        "RN/mem", FaultSpec::transientAt(100, 99, "flaky nfs")));
-    exhausted.setRetry({.maxAttempts = 2, .backoffMs = 0.0});
-    const auto failed = ExperimentEngine(1).run(exhausted);
-    EXPECT_EQ(failed[0].result.status, RunStatus::Failed);
-    EXPECT_EQ(failed[0].attempts, 2);
-    EXPECT_EQ(failed[0].result.diagnostic, "flaky nfs");
 }
 
 TEST(FaultTolerance, LivelockWatchdogReportsOccupancyDigest)
@@ -208,8 +160,7 @@ TEST(FaultTolerance, FaultedSweepsAreByteIdenticalAcrossWorkerCounts)
         plan.setFaultPlan(
             FaultPlan()
                 .fail("RN/SM-side", FaultSpec::fatalAt(200))
-                .fail("GEMM/Memory-side",
-                      FaultSpec::transientAt(100, 1))
+                .fail("GEMM/Memory-side", FaultSpec::panicAt(100))
                 .fail("GEMM/SAC", FaultSpec::validation()));
         return plan;
     };
@@ -219,127 +170,6 @@ TEST(FaultTolerance, FaultedSweepsAreByteIdenticalAcrossWorkerCounts)
     EXPECT_EQ(doc1, doc2);
     EXPECT_EQ(doc1, doc8);
     EXPECT_NE(doc1.find("\"status\":\"failed\""), std::string::npos);
-    EXPECT_NE(doc1.find("\"attempts\":2"), std::string::npos);
-}
-
-TEST(FaultTolerance, CheckpointResumeIsByteIdentical)
-{
-    const std::string reference = docOf(ExperimentEngine(2).run(
-        threeOrgPlan()));
-
-    // Complete run, then truncate the checkpoint mid-line — the state
-    // a SIGKILL leaves behind. The resumed run must re-execute only
-    // the damaged tail and land on the identical document.
-    TempFile ckpt("sac_resume_identity.jsonl");
-    {
-        ExperimentPlan plan = threeOrgPlan();
-        plan.setCheckpoint(ckpt.path);
-        EXPECT_EQ(docOf(ExperimentEngine(2).run(plan)), reference);
-    }
-    std::ifstream is(ckpt.path);
-    std::stringstream buf;
-    buf << is.rdbuf();
-    const std::string full = buf.str();
-    ASSERT_GT(full.size(), 10u);
-    fault_injection::truncateFile(ckpt.path, full.size() * 3 / 5);
-
-    ExperimentPlan resumed = threeOrgPlan();
-    resumed.setCheckpoint(ckpt.path);
-    std::size_t progress_count = 0;
-    ExperimentEngine engine(8);
-    engine.onProgress(
-        [&](const EngineProgress &) { ++progress_count; });
-    EXPECT_EQ(docOf(engine.run(resumed)), reference);
-    EXPECT_EQ(progress_count, 3u); // restored + re-run both reported
-}
-
-TEST(FaultTolerance, CorruptCheckpointLinesAreSkippedNotFatal)
-{
-    const std::string reference =
-        docOf(ExperimentEngine(1).run(threeOrgPlan()));
-
-    TempFile ckpt("sac_resume_corrupt.jsonl");
-    {
-        ExperimentPlan plan = threeOrgPlan();
-        plan.setCheckpoint(ckpt.path);
-        ExperimentEngine(1).run(plan);
-    }
-    // Flip a byte in the middle of the file: whichever line it lands
-    // in stops parsing (or decodes to a record that no longer matches)
-    // and that job re-runs.
-    std::ifstream is(ckpt.path);
-    std::stringstream buf;
-    buf << is.rdbuf();
-    fault_injection::corruptFile(ckpt.path, buf.str().size() / 2);
-
-    ExperimentPlan resumed = threeOrgPlan();
-    resumed.setCheckpoint(ckpt.path);
-    EXPECT_EQ(docOf(ExperimentEngine(2).run(resumed)), reference);
-}
-
-TEST(FaultTolerance, RestoredJobsAreNotReExecuted)
-{
-    TempFile ckpt("sac_resume_norerun.jsonl");
-    const std::string reference = [&] {
-        ExperimentPlan plan = threeOrgPlan();
-        plan.setCheckpoint(ckpt.path);
-        return docOf(ExperimentEngine(1).run(plan));
-    }();
-
-    // Re-run the same plan with every job rigged to fail. If any job
-    // actually executed, its status would flip — all-ok proves the
-    // engine restored from the checkpoint instead of re-running.
-    ExperimentPlan rigged = threeOrgPlan();
-    rigged.setFaultPlan(
-        FaultPlan()
-            .fail("RN/Memory-side", FaultSpec::fatalAt(1))
-            .fail("RN/SM-side", FaultSpec::fatalAt(1))
-            .fail("RN/SAC", FaultSpec::fatalAt(1)));
-    rigged.setCheckpoint(ckpt.path);
-    EngineTelemetry tm;
-    EXPECT_EQ(docOf(ExperimentEngine(2).run(rigged, &tm)), reference);
-    EXPECT_EQ(tm.busyMs, 0.0); // nothing executed this run
-}
-
-TEST(FaultTolerance, FailedJobsAreRetriedOnResume)
-{
-    // First pass: one job fails (fatal fault) and is checkpointed as
-    // failed. Second pass without the fault must re-run it — failed
-    // checkpoint records are not restored — and fill in the missing
-    // measurements.
-    TempFile ckpt("sac_resume_refail.jsonl");
-    {
-        ExperimentPlan plan = threeOrgPlan();
-        plan.setFaultPlan(FaultPlan().fail(
-            "RN/SM-side", FaultSpec::fatalAt(100)));
-        plan.setCheckpoint(ckpt.path);
-        const auto records = ExperimentEngine(1).run(plan);
-        EXPECT_EQ(records[1].result.status, RunStatus::Failed);
-    }
-    ExperimentPlan clean = threeOrgPlan();
-    clean.setCheckpoint(ckpt.path);
-    const auto records = ExperimentEngine(1).run(clean);
-    EXPECT_EQ(records[1].result.status, RunStatus::Ok);
-    EXPECT_EQ(docOf(records),
-              docOf(ExperimentEngine(1).run(threeOrgPlan())));
-}
-
-TEST(FaultTolerance, CheckpointReaderToleratesGarbageFiles)
-{
-    TempFile ckpt("sac_ckpt_garbage.jsonl");
-    {
-        std::ofstream os(ckpt.path);
-        os << "not json at all\n"
-           << "{\"schema\":\"sac.checkpoint.v2\",\"key\":\"x\"}\n"
-           << "{\"schema\":\"sac.checkpoint.v1\"}\n"
-           << "{\"schema\":\"sac.checkpoint.v1\",\"key\":\"k\","
-              "\"record\":{\"jobIndex\":0}}\n"
-           << "\n";
-    }
-    // Every line is rejected for a different reason; none aborts.
-    EXPECT_TRUE(result_io::readCheckpointFile(ckpt.path).empty());
-    EXPECT_TRUE(
-        result_io::readCheckpointFile("/nonexistent/ckpt.jsonl").empty());
 }
 
 } // namespace

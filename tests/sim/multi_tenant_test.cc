@@ -175,7 +175,6 @@ TEST(MultiTenant, V4DocumentRoundTripsAndTagsConservatively)
     rec.label = "CFD+SRAD/SAC";
     rec.benchmark = "CFD+SRAD";
     rec.seed = 1;
-    rec.attempts = 1;
     rec.result = runScenario(twoStreams(), OrgKind::Sac, true);
     ASSERT_FALSE(rec.result.streams.empty());
 

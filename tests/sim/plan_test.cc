@@ -122,9 +122,9 @@ TEST(PlanHashTest, PlanHashIgnoresPolicyKnobs)
     plan.addOrgSweep(findBenchmark("CFD"), cfg);
     const std::uint64_t h0 = plan.contentHash();
 
-    plan.setRetry(RetryPolicy{5, 10.0});
-    plan.setCheckpoint("/tmp/somewhere.jsonl");
     plan.setFastForward(false);
+    plan.setLimits(RunLimits{.maxCycles = 1000});
+    plan.setFaultPlan(FaultPlan().fail("CFD/SAC", FaultSpec::fatalAt(1)));
     EXPECT_EQ(plan.contentHash(), h0);
 }
 

@@ -136,7 +136,7 @@ TEST(ResultIo, RejectsMalformedInput)
     EXPECT_THROW(result_io::runResultFromJson("{\"cycles\":1}"),
                  FatalError);
     EXPECT_THROW(result_io::fromJson(
-                     "{\"schema\":\"sac.results.v1\",\"results\":["
+                     "{\"schema\":\"sac.results.v3\",\"results\":["
                      "{\"jobIndex\":0}]}"),
                  FatalError);
 }
@@ -144,48 +144,44 @@ TEST(ResultIo, RejectsMalformedInput)
 TEST(ResultIo, ParsesInsignificantWhitespace)
 {
     const std::string json =
-        "{ \"schema\" : \"sac.results.v1\" ,\n \"results\" : [ ] }";
+        "{ \"schema\" : \"sac.results.v3\" ,\n \"results\" : [ ] }";
     EXPECT_TRUE(result_io::fromJson(json).empty());
 }
 
-TEST(ResultIo, WriterEmitsV3AndReaderAcceptsOlderSchemas)
+TEST(ResultIo, WriterEmitsV3AndReaderRejectsOlderSchemas)
 {
     RunRecord rec;
     rec.label = "RN/SAC";
     rec.benchmark = "RN";
     rec.result = fullResult();
     const std::string json = result_io::toJson({rec});
-    EXPECT_NE(json.find("\"schema\":\"sac.results.v3\""),
-              std::string::npos);
+    const std::string v3_tag = "\"schema\":\"sac.results.v3\"";
+    EXPECT_NE(json.find(v3_tag), std::string::npos);
     EXPECT_NE(json.find("\"status\":\"ok\""), std::string::npos);
+    // A job runs once; the frozen field keeps the v3 bytes unchanged.
+    EXPECT_NE(json.find("\"seed\":1,\"attempts\":1,\"result\":"),
+              std::string::npos);
+    ASSERT_EQ(result_io::fromJson(json).size(), 1u);
 
-    // Older documents — records without attempts/status/diagnostic —
-    // still parse, with the added fields defaulting. Exercised by
-    // re-tagging and stripping the v3-only fields.
+    // Pre-v3 tags are refused, even over v3-shaped records.
     for (const std::string old_tag :
          {"\"schema\":\"sac.results.v1\"", "\"schema\":\"sac.results.v2\""}) {
         std::string old_doc = json;
-        const std::string v3_tag = "\"schema\":\"sac.results.v3\"";
         old_doc.replace(old_doc.find(v3_tag), v3_tag.size(), old_tag);
-        for (const std::string cut :
-             {std::string("\"attempts\":1,"),
-              std::string("\"status\":\"ok\","),
-              std::string("\"diagnostic\":\"\",")}) {
-            const auto pos = old_doc.find(cut);
-            ASSERT_NE(pos, std::string::npos);
-            old_doc.erase(pos, cut.size());
-        }
-        const auto back = result_io::fromJson(old_doc);
-        ASSERT_EQ(back.size(), 1u);
-        EXPECT_EQ(back[0].label, "RN/SAC");
-        EXPECT_EQ(back[0].queueMs, 0.0);
-        EXPECT_EQ(back[0].worker, 0);
-        EXPECT_EQ(back[0].attempts, 1);
-        EXPECT_EQ(back[0].result.status, RunStatus::Ok);
-        EXPECT_TRUE(back[0].result.diagnostic.empty());
-        EXPECT_FALSE(back[0].result.timeline.has_value());
-        EXPECT_EQ(back[0].result.cycles, rec.result.cycles);
+        EXPECT_THROW(result_io::fromJson(old_doc), FatalError) << old_tag;
     }
+
+    // status and diagnostic are required on read; attempts is ignored.
+    for (const std::string cut :
+         {"\"status\":\"ok\",", "\"diagnostic\":\"\","}) {
+        std::string doc = json;
+        doc.erase(doc.find(cut), cut.size());
+        EXPECT_THROW(result_io::fromJson(doc), FatalError) << cut;
+    }
+    const std::string attempts = "\"attempts\":1,";
+    std::string no_attempts = json;
+    no_attempts.erase(no_attempts.find(attempts), attempts.size());
+    EXPECT_EQ(result_io::toJson(result_io::fromJson(no_attempts)), json);
 }
 
 TEST(ResultIo, FailedRecordRoundTripsStatusAndDiagnostic)
@@ -193,7 +189,6 @@ TEST(ResultIo, FailedRecordRoundTripsStatusAndDiagnostic)
     RunRecord rec;
     rec.label = "RN/SAC";
     rec.benchmark = "RN";
-    rec.attempts = 3;
     rec.result.organization = "SAC";
     rec.result.status = RunStatus::Livelocked;
     rec.result.diagnostic = "kernel 0 exceeded 1000 cycles";
@@ -201,7 +196,6 @@ TEST(ResultIo, FailedRecordRoundTripsStatusAndDiagnostic)
     const std::string json = result_io::toJson({rec});
     const auto back = result_io::fromJson(json);
     ASSERT_EQ(back.size(), 1u);
-    EXPECT_EQ(back[0].attempts, 3);
     EXPECT_EQ(back[0].result.status, RunStatus::Livelocked);
     EXPECT_EQ(back[0].result.diagnostic, rec.result.diagnostic);
     EXPECT_EQ(result_io::toJson(back), json);

@@ -2,14 +2,12 @@
  * @file
  * Tests for the ResultSink delivery path: plan-ordered deterministic
  * delivery for any worker count, the streaming JSON document sink's
- * byte-identity with the batch serializer, the checkpoint sink, and
- * RecordSource serialization.
+ * byte-identity with the batch serializer, and RecordSource
+ * serialization.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -55,18 +53,6 @@ sixJobPlan()
     }
     return plan;
 }
-
-/** Self-deleting temp file path, one per test. */
-struct TempFile
-{
-    explicit TempFile(const std::string &name)
-        : path(std::string(::testing::TempDir()) + name)
-    {
-        std::remove(path.c_str());
-    }
-    ~TempFile() { std::remove(path.c_str()); }
-    const std::string path;
-};
 
 /** Records the exact delivery sequence it observes. */
 class RecordingSink : public ResultSink
@@ -181,38 +167,9 @@ TEST(JsonDocumentSink, EmptyPlanStillProducesACompleteDocument)
     EXPECT_NE(streamed.str().find("\"results\":[]"), std::string::npos);
 }
 
-TEST(CheckpointSink, AppendsEveryDeliveredRecord)
-{
-    const ExperimentPlan plan = sixJobPlan();
-    TempFile ckpt("sac_sink_ckpt.jsonl");
-    {
-        result_io::CheckpointSink sink(ckpt.path);
-        ExperimentEngine engine(2);
-        engine.addSink(sink);
-        engine.run(plan);
-    }
-    const auto restored = result_io::readCheckpointFile(ckpt.path);
-    EXPECT_EQ(restored.size(), plan.size());
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-        const auto key =
-            result_io::checkpointKey(i, plan[i].label, plan[i].seed);
-        ASSERT_TRUE(restored.count(key)) << key;
-        EXPECT_EQ(restored.at(key).label, plan[i].label);
-    }
-}
-
-TEST(CheckpointSink, UnopenablePathThrows)
-{
-    EXPECT_THROW(
-        result_io::CheckpointSink("/proc/not/a/real/dir/ckpt.jsonl"),
-        ValidationError);
-}
-
 TEST(RecordSource, NamesRoundTripAndVolatileSerialization)
 {
-    for (const auto source :
-         {RecordSource::Simulated, RecordSource::Cache,
-          RecordSource::Checkpoint}) {
+    for (const auto source : {RecordSource::Simulated, RecordSource::Cache}) {
         EXPECT_EQ(recordSourceFromName(toString(source)), source);
     }
     EXPECT_THROW(recordSourceFromName("teleported"), ValidationError);

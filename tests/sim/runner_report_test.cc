@@ -1,12 +1,13 @@
-/** @file Tests for the runner helpers and table formatting. */
+/** @file Tests for the experiment helpers and table formatting. */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "common/log.hh"
+#include "sim/engine.hh"
+#include "sim/plan.hh"
 #include "sim/report.hh"
-#include "sim/runner.hh"
 #include "workload/suite.hh"
 
 namespace sac {
@@ -14,9 +15,9 @@ namespace {
 
 TEST(Runner, DataScaleMatchesLlcRatio)
 {
-    EXPECT_DOUBLE_EQ(Runner::dataScale(GpuConfig::paperBaseline()), 1.0);
-    EXPECT_DOUBLE_EQ(Runner::dataScale(GpuConfig::scaled(4)), 4.0);
-    EXPECT_DOUBLE_EQ(Runner::dataScale(GpuConfig::scaled(8)), 8.0);
+    EXPECT_DOUBLE_EQ(dataScale(GpuConfig::paperBaseline()), 1.0);
+    EXPECT_DOUBLE_EQ(dataScale(GpuConfig::scaled(4)), 4.0);
+    EXPECT_DOUBLE_EQ(dataScale(GpuConfig::scaled(8)), 8.0);
 }
 
 TEST(Runner, KernelsFollowProfilePhases)
@@ -95,11 +96,13 @@ TEST(Runner, RunOrganizationsProducesAllFiveOrganizations)
     WorkloadProfile p = findBenchmark("RN");
     p.numKernels = 1;
     p.phases[0].accessesPerWarp = 32;
-    const auto all = Runner().runOrganizations(p, cfg, 1);
+    ExperimentPlan plan;
+    plan.addOrgSweep(p, cfg);
+    const auto all = ExperimentEngine(1).run(plan);
     EXPECT_EQ(all.size(), 5u);
-    for (const auto &r : all) {
-        EXPECT_GT(r.cycles, 0u) << r.organization;
-        EXPECT_GT(r.accesses, 0u);
+    for (const auto &rec : all) {
+        EXPECT_GT(rec.result.cycles, 0u) << rec.result.organization;
+        EXPECT_GT(rec.result.accesses, 0u);
     }
 }
 

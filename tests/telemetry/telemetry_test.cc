@@ -9,8 +9,9 @@
 #include "common/json.hh"
 #include "common/log.hh"
 #include "common/stats.hh"
+#include "sim/engine.hh"
+#include "sim/plan.hh"
 #include "sim/result_io.hh"
-#include "sim/runner.hh"
 #include "telemetry/event_trace.hh"
 #include "telemetry/export.hh"
 #include "telemetry/sampler.hh"
@@ -323,9 +324,12 @@ tinyProfile(const std::string &name)
 
 TEST(Telemetry, SacRunProducesAnnotatedTimeline)
 {
-    const auto result = Runner().runOne(
-        tinyProfile("RN"), tinyConfig(), OrgKind::Sac, 1,
-        {.epoch = 256, .events = true});
+    ExperimentJob job;
+    job.profile = tinyProfile("RN");
+    job.config = tinyConfig();
+    job.org = OrgKind::Sac;
+    job.telemetry = {.epoch = 256, .events = true};
+    const auto result = ExperimentEngine::runJob(job).result;
 
     ASSERT_TRUE(result.timeline.has_value());
     const Timeline &tl = *result.timeline;
@@ -369,12 +373,12 @@ TEST(Telemetry, SacRunProducesAnnotatedTimeline)
     EXPECT_GE(closes, 2u);
 }
 
-TEST(Telemetry, ResultsV3RoundTripsTimelineAndStillReadsV1)
+TEST(Telemetry, ResultsV3RoundTripsTimeline)
 {
     ExperimentPlan plan;
     plan.add(tinyProfile("RN"), tinyConfig(), OrgKind::Sac);
     plan.enableTelemetry({.epoch = 256, .events = true});
-    const auto records = Runner().run(plan);
+    const auto records = ExperimentEngine(1).run(plan);
     ASSERT_EQ(records.size(), 1u);
     ASSERT_TRUE(records[0].result.timeline.has_value());
 
@@ -386,18 +390,6 @@ TEST(Telemetry, ResultsV3RoundTripsTimelineAndStillReadsV1)
     ASSERT_EQ(back.size(), 1u);
     ASSERT_TRUE(back[0].result.timeline.has_value());
     EXPECT_EQ(result_io::toJson(back), text);
-
-    // A v1 document (no timeline, no queueMs/worker) still parses.
-    auto v1_records = records;
-    v1_records[0].result.timeline.reset();
-    std::string v1 = result_io::toJson(v1_records);
-    const std::string v2_tag = "\"schema\":\"sac.results.v3\"";
-    v1.replace(v1.find(v2_tag), v2_tag.size(),
-               "\"schema\":\"sac.results.v1\"");
-    const auto old = result_io::fromJson(v1);
-    ASSERT_EQ(old.size(), 1u);
-    EXPECT_FALSE(old[0].result.timeline.has_value());
-    EXPECT_EQ(old[0].result.cycles, records[0].result.cycles);
 
     EXPECT_THROW(result_io::fromJson(
                      "{\"schema\":\"sac.results.v9\",\"results\":[]}"),

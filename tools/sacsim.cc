@@ -13,13 +13,15 @@
  *
  * Sweeps are fault tolerant: a failing job is reported with a status
  * and diagnostic instead of killing the sweep (exit code 2 flags it),
- * per-job watchdogs bound runaway simulations (--max-cycles,
- * --max-wall-ms), and --resume FILE checkpoints completed jobs to a
- * JSONL file so an interrupted sweep re-runs only what's missing.
+ * and per-job watchdogs bound runaway simulations (--max-cycles,
+ * --max-wall-ms). --cache DIR stores every ok result as it completes,
+ * so rerunning an interrupted sweep with the same --cache simulates
+ * only what's missing.
  *
  *   sacsim --list
  *   sacsim --benchmark CFD --org sac
  *   sacsim --benchmark CFD --org all --jobs 4 --json cfd.json
+ *   sacsim --benchmark CFD --org all --jobs 4 --cache cache.d
  *   sacsim --benchmark CFD --org sac --timeline t.json --trace-events e.json
  *   sacsim --benchmark GEMM --org mem,sac --scale 4 --input-scale 0.125
  *   sacsim --benchmark RN --org sm --coherence hw --sectors 4 --stats
@@ -40,7 +42,6 @@
 #include "sim/plan.hh"
 #include "sim/report.hh"
 #include "sim/result_io.hh"
-#include "sim/runner.hh"
 #include "sim/system.hh"
 #include "telemetry/export.hh"
 #include "workload/suite.hh"
@@ -74,11 +75,9 @@ struct Options
     std::string traceEventsPath;
     Cycle epoch = 0; // 0 = default (2048) when --timeline is given
     bool fastForward = true;
-    std::string resumePath;
     std::string cachePath;
     Cycle maxCycles = 0;    // 0 = no cycle deadline
     double maxWallMs = 0.0; // 0 = no wall-clock deadline
-    int retries = 3;        // total attempts for transient failures
 };
 
 /** Telemetry the requested outputs imply. */
@@ -139,18 +138,13 @@ usage(int code)
         "way;\n"
         "                         this is the differential-testing "
         "hatch)\n"
-        "  --resume FILE          checkpoint completed jobs to FILE "
-        "(JSONL)\n"
-        "                         and skip jobs already completed "
-        "there\n"
         "  --cache DIR            serve identical jobs from the\n"
         "                         persistent result cache in DIR and\n"
-        "                         add fresh results to it\n"
+        "                         add fresh results to it; rerun an\n"
+        "                         interrupted sweep with the same DIR\n"
+        "                         to resume it\n"
         "  --max-cycles N         fail a job past N simulated cycles\n"
-        "  --max-wall-ms X        fail a job past X wall-clock ms\n"
-        "  --retries N            attempts per job for transient "
-        "failures\n"
-        "                         (default 3)\n";
+        "  --max-wall-ms X        fail a job past X wall-clock ms\n";
     std::exit(code);
 }
 
@@ -233,16 +227,12 @@ parse(int argc, char **argv)
             o.epoch = std::stoull(value());
         else if (arg == "--no-fast-forward")
             o.fastForward = false;
-        else if (arg == "--resume")
-            o.resumePath = value();
         else if (arg == "--cache")
             o.cachePath = value();
         else if (arg == "--max-cycles")
             o.maxCycles = std::stoull(value());
         else if (arg == "--max-wall-ms")
             o.maxWallMs = std::stod(value());
-        else if (arg == "--retries")
-            o.retries = std::stoi(value());
         else
             fatal("unknown option '", arg, "' (try --help)");
     }
@@ -341,10 +331,8 @@ printRecords(const std::vector<RunRecord> &records)
     }
     for (const auto &rec : records) {
         if (rec.result.status != RunStatus::Ok) {
-            std::cerr << rec.label << " "
-                      << toString(rec.result.status) << " after "
-                      << rec.attempts << " attempt(s): "
-                      << rec.result.diagnostic << "\n";
+            std::cerr << rec.label << ": " << toString(rec.result.status)
+                      << ": " << rec.result.diagnostic << "\n";
         }
     }
     for (const auto &rec : records) {
@@ -514,11 +502,6 @@ run(const Options &o)
     bool wrote_json = false;
 
     if (needsSerialPath(o, kinds.size())) {
-        if (!o.resumePath.empty()) {
-            fatal("--resume requires the engine path; it cannot be "
-                  "combined with --trace, --record or single-org "
-                  "--stats");
-        }
         if (!o.cachePath.empty()) {
             fatal("--cache requires the engine path; it cannot be "
                   "combined with --trace, --record or single-org "
@@ -560,23 +543,16 @@ run(const Options &o)
         limits.maxWallMs = o.maxWallMs;
         if (limits.any())
             plan.setLimits(limits);
-        RetryPolicy retry;
-        retry.maxAttempts = o.retries;
-        plan.setRetry(retry);
-        if (!o.resumePath.empty())
-            plan.setCheckpoint(o.resumePath);
-        Runner::Options ropts;
-        ropts.jobs = o.jobs;
-        ropts.progress = [](const EngineProgress &p) {
+        ExperimentEngine engine(o.jobs);
+        engine.onProgress([](const EngineProgress &p) {
             std::cerr << "  [" << p.completed << "/" << p.total << "] "
                       << p.job.label << "\n";
-        };
-        Runner runner(ropts);
+        });
 
         std::optional<service::ResultCache> cache;
         if (!o.cachePath.empty()) {
             cache.emplace(o.cachePath);
-            runner.setCache(&*cache);
+            engine.setCache(&*cache);
         }
 
         // The CLI JSON writer rides the engine's delivery path: the
@@ -595,11 +571,11 @@ run(const Options &o)
             // the v3 tag (and its byte-identity) too.
             wopts.streamsSchema = scenario && scenario->multiTenant();
             json_sink.emplace(*json_out, wopts);
-            runner.addSink(*json_sink);
+            engine.addSink(*json_sink);
         }
 
         EngineTelemetry engine_tm;
-        records = runner.run(plan, &engine_tm);
+        records = engine.run(plan, &engine_tm);
         if (engine_tm.workers > 1 || cache) {
             std::cerr << "engine: " << engine_tm.workers << " worker(s), "
                       << report::num(engine_tm.wallMs, 0) << " ms wall, "
