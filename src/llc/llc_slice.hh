@@ -29,7 +29,6 @@
 #include "cache/mshr.hh"
 #include "common/config.hh"
 #include "common/ring.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "noc/queue.hh"
 #include "sim/sched.hh"

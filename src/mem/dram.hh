@@ -17,7 +17,6 @@
 #include <cstddef>
 
 #include "common/ring.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "noc/packet.hh"
 

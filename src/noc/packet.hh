@@ -27,9 +27,6 @@ enum class ResponseOrigin : std::uint8_t {
     RemoteMem,  //!< DRAM partition of another chip
 };
 
-/** Returns a short name for a response origin. */
-const char *toString(ResponseOrigin origin);
-
 /** Network message kinds. */
 enum class PacketKind : std::uint8_t {
     Request,     //!< L1-miss read or write travelling toward data

@@ -5,19 +5,6 @@
 
 namespace sac {
 
-const char *
-toString(ResponseOrigin origin)
-{
-    switch (origin) {
-      case ResponseOrigin::None: return "none";
-      case ResponseOrigin::LocalLlc: return "local-LLC";
-      case ResponseOrigin::RemoteLlc: return "remote-LLC";
-      case ResponseOrigin::LocalMem: return "local-mem";
-      case ResponseOrigin::RemoteMem: return "remote-mem";
-    }
-    return "?";
-}
-
 RoutePlan
 MemorySideRouting::route(Addr line_addr, ChipId /*src*/, ChipId home,
                          const AddressMap &map) const

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -142,13 +141,6 @@ ExperimentEngine::runJob(const ExperimentJob &job, std::size_t index,
 }
 
 namespace {
-
-/** One worker's job queue; fixed-size array of these, never moved. */
-struct WorkerQueue
-{
-    std::mutex mutex;
-    std::deque<std::size_t> jobs;
-};
 
 /** Record for a job that never produced measurements. */
 RunRecord
@@ -343,16 +335,18 @@ ExperimentEngine::run(const ExperimentPlan &plan,
 
     Emitter emitter(plan, out, sinks);
 
-    std::size_t remaining = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        remaining += settled[i] ? 0u : 1u;
+    // The jobs left to simulate, in plan order.
+    std::vector<std::size_t> pending;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!settled[i])
+            pending.push_back(i);
+    }
 
     unsigned workers =
         threads_ ? threads_
                  : std::max(1u, std::thread::hardware_concurrency());
     workers = static_cast<unsigned>(std::min<std::size_t>(
-        std::max<std::size_t>(workers, 1), std::max<std::size_t>(
-            remaining, 1)));
+        workers, std::max<std::size_t>(pending.size(), 1)));
 
     tm.workers = workers;
     tm.workerBusyMs.assign(workers, 0.0);
@@ -363,121 +357,47 @@ ExperimentEngine::run(const ExperimentPlan &plan,
         return std::chrono::duration<double, std::milli>(t - engine_t0)
             .count();
     };
-    const auto finish = [&] {
-        tm.wallMs = ms_since(clock_type::now());
-        emitter.finish(EngineDone{n, tm});
-    };
 
     // Settled (cache-hit) records deliver immediately.
     for (std::size_t i = 0; i < n; ++i) {
         if (settled[i])
             emitter.complete(i);
     }
-    if (remaining == 0) {
-        finish();
-        return out;
-    }
 
-    if (workers == 1) {
-        // Inline serial path: no threads, same results by construction.
-        for (std::size_t i = 0; i < n; ++i) {
-            if (settled[i])
-                continue;
+    // Every worker claims the next pending job from one shared
+    // cursor. Jobs are never re-queued, so the cursor is the whole
+    // queue: no job starts twice and none is left behind.
+    std::atomic<std::size_t> cursor{0};
+    const auto worker = [&](unsigned w) {
+        for (std::size_t k = cursor++; k < pending.size(); k = cursor++) {
+            const std::size_t i = pending[k];
             const double queued = ms_since(clock_type::now());
             out[i] = cancel_ && cancel_->cancelled()
                          ? cancelledRecord(plan[i], i, *cancel_)
                          : runGuarded(plan[i], i, cancel_);
             out[i].queueMs = queued;
-            out[i].worker = 0;
-            tm.busyMs += out[i].wallMs;
-            tm.workerBusyMs[0] += out[i].wallMs;
+            out[i].worker = w;
             emitter.complete(i);
         }
-        finish();
-        return out;
-    }
+    };
 
-    // Deal jobs round-robin so every worker starts loaded.
-    std::vector<WorkerQueue> queues(workers);
     {
-        std::size_t dealt = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!settled[i])
-                queues[dealt++ % workers].jobs.push_back(i);
-        }
+        // Worker 0 is the calling thread, so a one-worker run starts
+        // no thread at all. The pool joins when it leaves this scope,
+        // on an exception too.
+        std::vector<std::jthread> pool;
+        pool.reserve(workers - 1);
+        for (unsigned w = 1; w < workers; ++w)
+            pool.emplace_back(worker, w);
+        worker(0);
     }
 
-    const auto pop_own = [&](unsigned w, std::size_t &job) {
-        std::lock_guard<std::mutex> lock(queues[w].mutex);
-        if (queues[w].jobs.empty())
-            return false;
-        job = queues[w].jobs.front();
-        queues[w].jobs.pop_front();
-        return true;
-    };
-
-    // Steal from the back of the most loaded victim.
-    const auto steal = [&](unsigned thief, std::size_t &job) {
-        unsigned victim = workers;
-        std::size_t best = 0;
-        for (unsigned v = 0; v < workers; ++v) {
-            if (v == thief)
-                continue;
-            std::lock_guard<std::mutex> lock(queues[v].mutex);
-            if (queues[v].jobs.size() > best) {
-                best = queues[v].jobs.size();
-                victim = v;
-            }
-        }
-        if (victim == workers)
-            return false;
-        std::lock_guard<std::mutex> lock(queues[victim].mutex);
-        if (queues[victim].jobs.empty())
-            return false; // raced with the victim; caller rescans
-        job = queues[victim].jobs.back();
-        queues[victim].jobs.pop_back();
-        return true;
-    };
-
-    const auto worker = [&](unsigned w) {
-        for (;;) {
-            std::size_t job;
-            if (!pop_own(w, job) && !steal(w, job)) {
-                // Both empty in one scan: with no job re-queueing
-                // there is nothing left to do for this worker.
-                bool any = false;
-                for (unsigned v = 0; v < workers && !any; ++v) {
-                    std::lock_guard<std::mutex> lock(queues[v].mutex);
-                    any = !queues[v].jobs.empty();
-                }
-                if (!any)
-                    return;
-                continue;
-            }
-            const double queued = ms_since(clock_type::now());
-            out[job] = cancel_ && cancel_->cancelled()
-                           ? cancelledRecord(plan[job], job, *cancel_)
-                           : runGuarded(plan[job], job, cancel_);
-            out[job].queueMs = queued;
-            out[job].worker = w;
-            emitter.complete(job);
-        }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w)
-        pool.emplace_back(worker, w);
-    for (auto &t : pool)
-        t.join();
-
-    for (std::size_t i = 0; i < n; ++i) {
-        if (settled[i])
-            continue; // the storing run's wall time, not ours
+    for (const std::size_t i : pending) {
         tm.busyMs += out[i].wallMs;
         tm.workerBusyMs[out[i].worker] += out[i].wallMs;
     }
-    finish();
+    tm.wallMs = ms_since(clock_type::now());
+    emitter.finish(EngineDone{n, tm});
     return out;
 }
 

@@ -4,12 +4,14 @@
  *
  * An ExperimentPlan (sim/plan.hh) is a declarative list of
  * independent simulation jobs. The ExperimentEngine executes a plan
- * on a work-stealing thread pool and *streams* one RunRecord per job,
- * in plan order, to any number of attached ResultSinks — the CLI JSON
- * writer, the result-cache populator and the sacsimd wire protocol
- * are all sinks on this one delivery path. run() also returns the
- * records in plan order. It is the library's one entry point: sacsim,
- * sacsimd, the benches and the examples all drive it directly.
+ * on a pool of workers that claim jobs from one shared cursor, and
+ * *streams* one RunRecord per job, in plan order, to any number of
+ * attached ResultSinks — the result-cache populator, sacsim's
+ * progress lines and the sacsimd wire protocol are all sinks on this
+ * one delivery path. run() also returns the records in plan order,
+ * which is what sacsim --json serializes. It is the library's one
+ * entry point: sacsim, sacsimd, the benches and the examples all
+ * drive it directly.
  *
  *   ExperimentPlan plan;
  *   plan.addOrgSweep(findBenchmark("CFD"), cfg);
@@ -85,7 +87,7 @@ struct RunRecord
     double wallMs = 0.0;
     /** Time the job sat queued before a worker picked it up, ms. */
     double queueMs = 0.0;
-    /** Worker that executed the job (0 on the serial path). */
+    /** Worker that executed the job (0 is the calling thread). */
     unsigned worker = 0;
     /**
      * Provenance of this record in the run that delivered it.
@@ -201,21 +203,22 @@ class JobCache
 bool cacheEligible(const ExperimentJob &job);
 
 /**
- * Work-stealing thread pool for experiment plans.
+ * Thread pool for experiment plans.
  *
- * Jobs are dealt round-robin to per-worker deques; a worker drains
- * its own deque front-to-back and, when empty, steals from the back
- * of the most loaded victim, so long sweeps balance even when job
- * costs are skewed (a full-input SAC run costs ~10x a scaled-down
- * baseline).
+ * Each worker claims the next unstarted job, in plan order, from one
+ * shared atomic cursor, so long sweeps balance even when job costs
+ * are skewed (a full-input SAC run costs ~10x a scaled-down
+ * baseline): a worker takes a new job the moment it finishes one.
+ * Jobs never re-queue, so the cursor is the whole queue.
  */
 class ExperimentEngine
 {
   public:
     /**
      * @param threads worker count; 0 picks hardware_concurrency().
-     * A plan smaller than the worker count uses fewer workers; a
-     * 1-thread engine runs everything inline on the calling thread.
+     * A plan smaller than the worker count uses fewer workers. Worker
+     * 0 is the calling thread, so a 1-thread engine runs everything
+     * inline and starts no thread.
      */
     explicit ExperimentEngine(unsigned threads = 0);
 

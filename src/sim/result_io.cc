@@ -161,11 +161,8 @@ runResultFromValue(const Value &v)
 }
 
 const char *
-schemaForRecords(const std::vector<RunRecord> &records,
-                 const WriteOptions &opts)
+schemaForRecords(const std::vector<RunRecord> &records)
 {
-    if (opts.streamsSchema)
-        return "sac.results.v4";
     for (const auto &rec : records)
         if (!rec.result.streams.empty())
             return "sac.results.v4";
@@ -278,7 +275,7 @@ toJson(const std::vector<RunRecord> &records, const WriteOptions &opts)
     for (const auto &rec : records)
         results.item(recordToJson(rec, opts));
     Builder doc('{');
-    doc.field("schema", json::escape(schemaForRecords(records, opts)))
+    doc.field("schema", json::escape(schemaForRecords(records)))
         .field("results", results.close(']'));
     return doc.close('}');
 }
@@ -318,44 +315,6 @@ read(std::istream &is)
     std::ostringstream buf;
     buf << is.rdbuf();
     return fromJson(buf.str());
-}
-
-JsonDocumentSink::JsonDocumentSink(std::ostream &os,
-                                   const WriteOptions &opts)
-    : os_(os), opts_(opts)
-{
-}
-
-void
-JsonDocumentSink::onRecord(const EngineProgress &event)
-{
-    if (!open_) {
-        // The header goes out before later records are known, so a
-        // mixed batch whose first record is single-stream needs the
-        // WriteOptions::streamsSchema knob to get the v4 tag (the
-        // engine sets it whenever the plan holds a scenario job).
-        const bool v4 =
-            opts_.streamsSchema || !event.record.result.streams.empty();
-        os_ << "{\"schema\":\"" << (v4 ? "sac.results.v4" : "sac.results.v3")
-            << "\",\"results\":[";
-        open_ = true;
-    } else {
-        os_ << ',';
-    }
-    os_ << recordToJson(event.record, opts_);
-}
-
-void
-JsonDocumentSink::onDone(const EngineDone &)
-{
-    if (!open_) {
-        os_ << "{\"schema\":\""
-            << (opts_.streamsSchema ? "sac.results.v4" : "sac.results.v3")
-            << "\",\"results\":[";
-    }
-    os_ << "]}" << "\n";
-    os_.flush();
-    open_ = false;
 }
 
 } // namespace sac::result_io

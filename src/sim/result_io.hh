@@ -28,9 +28,9 @@
  * "streams" array inside "result" (one entry per co-resident kernel
  * stream, with its own cycle/cache counters and SAC verdicts). The
  * tag is backward-conservative: a document is stamped v4 only when at
- * least one record actually carries streams (or the streamsSchema
- * option forces it), so single-kernel plans keep emitting v3
- * byte-identically. The reader accepts v3 and v4 only.
+ * least one record actually carries streams, so single-kernel plans
+ * keep emitting v3 byte-identically. The reader accepts v3 and v4
+ * only.
  *
  * Serialization is lossless: integers are written verbatim and
  * doubles with max_digits10 precision, so a write/read round trip
@@ -61,15 +61,6 @@ struct WriteOptions
      * worker counts and cache hits; turn on for profiling output.
      */
     bool timing = false;
-
-    /**
-     * Stamp the document "sac.results.v4" even when no record carries
-     * per-stream results. The batch writer auto-upgrades by scanning
-     * its records; the streaming JsonDocumentSink cannot see past the
-     * first record, so engines running scenario plans set this to keep
-     * the two writers byte-identical.
-     */
-    bool streamsSchema = false;
 };
 
 /** Serializes one RunResult as a JSON object. */
@@ -103,31 +94,6 @@ std::vector<RunRecord> fromJson(const std::string &text);
 
 /** Reads a sac.results document (v3 or v4) from @p is. */
 std::vector<RunRecord> read(std::istream &is);
-
-// --- streaming sinks ----------------------------------------------------
-
-/**
- * Streams a sac.results document to an ostream record by record —
- * the one JSON writer behind sacsim --json and the daemon's batch
- * exports. The bytes are identical to toJson(records) provided
- * WriteOptions::streamsSchema matches the plan (see its doc): the
- * document header goes out with the first record (or at onDone for an
- * empty plan) and the closing bracket plus newline at onDone.
- */
-class JsonDocumentSink : public ResultSink
-{
-  public:
-    explicit JsonDocumentSink(std::ostream &os,
-                              const WriteOptions &opts = {});
-
-    void onRecord(const EngineProgress &event) override;
-    void onDone(const EngineDone &done) override;
-
-  private:
-    std::ostream &os_;
-    WriteOptions opts_;
-    bool open_ = false;
-};
 
 } // namespace sac::result_io
 

@@ -1,11 +1,11 @@
 #include "sim/system.hh"
 
 #include <algorithm>
+#include <iomanip>
 #include <ostream>
 #include <sstream>
 
 #include "common/log.hh"
-#include "common/stats.hh"
 #include "llc/flush_model.hh"
 #include "noc/routing.hh"
 #include "sim/plan.hh"
@@ -249,11 +249,9 @@ System::System(const GpuConfig &cfg, OrgKind kind, TraceSource &trace)
     const DigestFn digest = [this] { return occupancyDigest(); };
     livelockDog_ = std::make_unique<LivelockWatchdog>(limits_, digest);
     cycleDog_ = std::make_unique<CycleDeadlineWatchdog>(limits_, digest);
-    wallDog_ = std::make_unique<WallClockWatchdog>(limits_, digest);
+    cancelDog_ = std::make_unique<CancelWatchdog>(limits_, digest);
     services_.add(RunPhase::Watchdog, *livelockDog_);
     services_.add(RunPhase::Watchdog, *cycleDog_);
-    services_.add(RunPhase::Watchdog, *wallDog_);
-    cancelDog_ = std::make_unique<CancelWatchdog>(cancel_);
     services_.add(RunPhase::Watchdog, *cancelDog_);
 }
 
@@ -774,33 +772,20 @@ System::sampleOccupancy()
 void
 System::dumpStats(std::ostream &os) const
 {
-    using stats::Scalar;
-    using stats::StatGroup;
+    // One "path value  # description" line per counter, the path
+    // left-justified to 56 columns; lines within a group go in name
+    // order, the system group before the chips.
+    const auto line = [&os](const std::string &path, std::uint64_t value,
+                            const char *desc) {
+        os << std::left << std::setw(56) << path << " " << value << "  # "
+           << desc << "\n";
+    };
+    line("system.cycles", clock, "simulated cycles");
+    line("system.icnBytes", icn.bytesTransferred(),
+         "bytes across inter-chip links");
+    line("system.pages", pages.totalPages(), "pages placed by first touch");
 
-    StatGroup root("system");
-    Scalar cycles("cycles", "simulated cycles");
-    cycles = static_cast<double>(clock);
-    root.add(cycles);
-    Scalar icn_bytes("icnBytes", "bytes across inter-chip links");
-    icn_bytes = static_cast<double>(icn.bytesTransferred());
-    root.add(icn_bytes);
-    Scalar pages("pages", "pages placed by first touch");
-    pages = static_cast<double>(this->pages.totalPages());
-    root.add(pages);
-
-    std::vector<StatGroup> chip_groups;
-    // Reserve so addChild pointers stay valid.
-    chip_groups.reserve(chips.size());
-    std::vector<std::unique_ptr<Scalar>> scalars;
     for (const auto &chip : chips) {
-        chip_groups.emplace_back("chip" + std::to_string(chip->id()));
-        StatGroup &g = chip_groups.back();
-        const auto add = [&](const char *name, const char *desc,
-                             double value) {
-            scalars.push_back(std::make_unique<Scalar>(name, desc));
-            *scalars.back() = value;
-            g.add(*scalars.back());
-        };
         std::uint64_t req = 0;
         std::uint64_t hits = 0;
         std::uint64_t bypasses = 0;
@@ -812,26 +797,23 @@ System::dumpStats(std::ostream &os) const
             bypasses += st.bypasses;
             writebacks += st.writebacks;
         }
-        add("llcRequests", "LLC lookups", static_cast<double>(req));
-        add("llcHits", "LLC hits", static_cast<double>(hits));
-        add("llcBypasses", "bypass-path packets",
-            static_cast<double>(bypasses));
-        add("llcWritebacks", "dirty writebacks",
-            static_cast<double>(writebacks));
         std::uint64_t acc = 0;
         std::uint64_t l1h = 0;
         for (int c = 0; c < chip->numClusters(); ++c) {
             acc += chip->cluster(c).stats().accesses;
             l1h += chip->cluster(c).stats().l1Hits;
         }
-        add("accesses", "warp memory accesses", static_cast<double>(acc));
-        add("l1Hits", "L1 hits", static_cast<double>(l1h));
-        add("dramBytes", "DRAM bytes served",
-            static_cast<double>(chip->memCtrl().bytesServed()));
+        const std::string group =
+            "system.chip" + std::to_string(chip->id()) + ".";
+        line(group + "accesses", acc, "warp memory accesses");
+        line(group + "dramBytes", chip->memCtrl().bytesServed(),
+             "DRAM bytes served");
+        line(group + "l1Hits", l1h, "L1 hits");
+        line(group + "llcBypasses", bypasses, "bypass-path packets");
+        line(group + "llcHits", hits, "LLC hits");
+        line(group + "llcRequests", req, "LLC lookups");
+        line(group + "llcWritebacks", writebacks, "dirty writebacks");
     }
-    for (auto &g : chip_groups)
-        root.addChild(g);
-    root.dump(os);
 }
 
 RunResult
@@ -895,7 +877,7 @@ System::runStreams(std::vector<KernelStreamState> streams)
     }
     ks_->reset(std::move(streams));
 
-    wallDog_->start();
+    cancelDog_->start(cancel_);
 
     // The loop body is the whole story: advance simulated time, then
     // poll the service registry. Every control concern — fault

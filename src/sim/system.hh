@@ -151,12 +151,6 @@ struct RunResult
                    : 0.0;
     }
     double llcHitRate() const { return 1.0 - llcMissRate(); }
-    double accessesPerCycle() const
-    {
-        return cycles ? static_cast<double>(accesses) /
-                            static_cast<double>(cycles)
-                      : 0.0;
-    }
 };
 
 /** The simulated multi-chip GPU. */
@@ -197,21 +191,21 @@ class System : public ClusterEnv, public ChipHooks, public TenantHost
      * run(). Cycle deadlines fire at the exact same simulated cycle
      * with fast-forward on or off (their watchdog services
      * participate in the registry wake), so aborted runs are as
-     * deterministic as completed ones.
+     * deterministic as completed ones. The wall-clock budget is armed
+     * at the top of each run as a CancelToken deadline whose parent
+     * is the token attached with setCancelToken().
      */
     void setRunLimits(const RunLimits &limits) { limits_ = limits; }
-    const RunLimits &runLimits() const { return limits_; }
 
     /**
      * Attaches a cooperative cancellation token (non-owning, may be
      * nullptr); call before run(). The run loop observes it at the
      * watchdog poll points (sim/watchdog.hh, CancelWatchdog) and
      * aborts with SimTimeoutError once it reads cancelled — the same
-     * path a wall-clock deadline takes, so the ExperimentEngine
+     * path the wall-clock budget takes, so the ExperimentEngine
      * classifies the job as timed_out.
      */
     void setCancelToken(const CancelToken *token) { cancel_ = token; }
-    const CancelToken *cancelToken() const { return cancel_; }
 
     /**
      * Arms a deterministic fault: @p fn is called from the run loop
@@ -261,7 +255,6 @@ class System : public ClusterEnv, public ChipHooks, public TenantHost
      * May be toggled any time, including between kernels.
      */
     void setFastForward(bool enabled) { fastForward_ = enabled; }
-    bool fastForwardEnabled() const { return fastForward_; }
 
     /** Fast-forward effectiveness counters for one run. */
     struct FastForwardStats
@@ -306,23 +299,17 @@ class System : public ClusterEnv, public ChipHooks, public TenantHost
     // --- component access (tests, benches) -------------------------------
     Chip &chip(ChipId c) { return *chips[static_cast<std::size_t>(c)]; }
     const GpuConfig &config() const { return cfg_; }
-    Organization &organization() { return *org; }
-    PageTable &pageTable() { return pages; }
-    InterChipNet &interChip() { return icn; }
-    const AddressMap &addressMap() const { return map; }
 
     /** The run-loop service schedule (tests, diagnostics). */
     const RunServiceRegistry &runServices() const { return services_; }
-
-    /** The component scheduler (tests, diagnostics). */
-    const sim::Scheduler &scheduler() const { return sched_; }
 
     /** Aggregate LLC requests/hits over all slices (current totals). */
     std::pair<std::uint64_t, std::uint64_t> llcTotals() const;
 
     /**
-     * Dumps the full statistics tree (per-chip, per-slice, per-cluster
-     * counters) in the stats framework's "name value # desc" format.
+     * Dumps the system and per-chip counter totals, one
+     * "path value  # description" line each, values as exact
+     * integers (sacsim --stats).
      */
     void dumpStats(std::ostream &os) const;
 
@@ -435,7 +422,8 @@ class System : public ClusterEnv, public ChipHooks, public TenantHost
     Cycle svcWake_ = 0;
     bool svcWakeValid_ = false;
 
-    // Watchdog limits (see RunLimits) and the fault-injection hook.
+    // Watchdog limits (see RunLimits), the attached cancellation token
+    // and the fault-injection hook.
     RunLimits limits_;
     const CancelToken *cancel_ = nullptr;
     Cycle faultAt_ = cycleNever;
@@ -464,7 +452,6 @@ class System : public ClusterEnv, public ChipHooks, public TenantHost
     std::unique_ptr<OccupancyService> occupancySvc_;
     std::unique_ptr<LivelockWatchdog> livelockDog_;
     std::unique_ptr<CycleDeadlineWatchdog> cycleDog_;
-    std::unique_ptr<WallClockWatchdog> wallDog_;
     std::unique_ptr<CancelWatchdog> cancelDog_;
 
     RunResult result;

@@ -4,6 +4,14 @@
 
 namespace sac {
 
+namespace {
+
+/** The budget token's reason: poll() tells a spent wall budget from a
+ *  cancelled parent by it. */
+const char *const wallBudgetReason = "wall-clock budget spent";
+
+} // namespace
+
 Cycle
 LivelockWatchdog::nextDue(Cycle) const
 {
@@ -44,49 +52,41 @@ CycleDeadlineWatchdog::poll(const TickInfo &tick)
 }
 
 void
-WallClockWatchdog::start()
+CancelWatchdog::start(const CancelToken *token)
 {
-    start_ = std::chrono::steady_clock::now();
     checks_ = 0;
-}
-
-void
-WallClockWatchdog::poll(const TickInfo &tick)
-{
+    budget_.reset();
+    observed_ = token;
     if (limits_.maxWallMs <= 0.0)
         return;
-    // Dense path: one iteration advanced one cycle, so sampling
-    // steady_clock every checkInterval iterations bounds the check's
-    // staleness and costs nothing measurable. A fast-forwarded
-    // iteration may have skipped millions of cycles, so it is always
-    // checked — otherwise a mostly-idle run could blow through the
-    // wall budget between strided samples.
-    if (!tick.fastForwarded && ++checks_ % checkInterval != 0)
-        return;
-    const double wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - start_)
-                               .count();
-    if (wall_ms > limits_.maxWallMs) {
-        throw SimTimeoutError(log_detail::concat(
-            "run exceeded the wall-clock deadline (", limits_.maxWallMs,
-            " ms) in kernel ", tick.kernel, "\n", digest_()));
-    }
+    budget_ = std::make_unique<CancelToken>();
+    budget_->linkParent(token);
+    budget_->setDeadlineAfterMs(limits_.maxWallMs, wallBudgetReason);
+    observed_ = budget_.get();
 }
 
 void
 CancelWatchdog::poll(const TickInfo &tick)
 {
-    if (!token_)
+    if (!observed_)
         return;
-    // Same staleness bound as the wall-clock watchdog: strided on the
-    // dense path, always checked on an iteration that landed after a
-    // fast-forward jump.
+    // Dense path: one iteration advanced one cycle, so checking every
+    // checkInterval iterations bounds the staleness and costs nothing
+    // measurable. A fast-forwarded iteration may have skipped millions
+    // of cycles, so it is always checked — otherwise a mostly-idle run
+    // could blow through a deadline between strided checks.
     if (!tick.fastForwarded && ++checks_ % checkInterval != 0)
         return;
-    if (!token_->cancelled())
+    if (!observed_->cancelled())
         return;
+    const std::string why = observed_->reason();
+    if (budget_ && why == wallBudgetReason) {
+        throw SimTimeoutError(log_detail::concat(
+            "run exceeded the wall-clock deadline (", limits_.maxWallMs,
+            " ms) in kernel ", tick.kernel, "\n", digest_()));
+    }
     throw SimTimeoutError(log_detail::concat(
-        "run cancelled in kernel ", tick.kernel, ": ", token_->reason()));
+        "run cancelled in kernel ", tick.kernel, ": ", why));
 }
 
 } // namespace sac

@@ -1,22 +1,24 @@
 /**
  * @file
  * Run watchdogs as RunServices: the livelock cap, the per-run cycle
- * deadline and the wall-clock deadline, plus the RunLimits knobs and
- * the exceptions they throw.
+ * deadline, and cooperative cancellation together with the per-run
+ * wall-clock budget, plus the RunLimits knobs and the exceptions they
+ * throw.
  *
  * The cycle-denominated watchdogs participate in the registry's wake
  * computation, so an aborted run dies at the exact same simulated
- * cycle with fast-forward on or off. The wall-clock watchdog is
- * host-dependent by nature (fleet hygiene, not reproducibility) and
- * contributes no wake deadline.
+ * cycle with fast-forward on or off. The wall-clock budget is
+ * host-dependent by nature (fleet hygiene, not reproducibility): it
+ * rides a per-run CancelToken deadline that the cancel watchdog
+ * observes, and contributes no wake deadline.
  */
 
 #ifndef SAC_SIM_WATCHDOG_HH
 #define SAC_SIM_WATCHDOG_HH
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -38,7 +40,10 @@ struct RunLimits
 {
     /** Abort (SimTimeoutError) once the clock passes this cycle. */
     Cycle maxCycles = 0;
-    /** Abort (SimTimeoutError) after this much host time. */
+    /**
+     * Abort (SimTimeoutError) after this much host time; armed as a
+     * per-run CancelToken deadline (CancelWatchdog).
+     */
     double maxWallMs = 0.0;
     /**
      * Override of the built-in per-kernel livelock cap (50M cycles);
@@ -139,47 +144,22 @@ class CycleDeadlineWatchdog final : public RunService
 };
 
 /**
- * RunLimits::maxWallMs: aborts the run past a host-time budget. The
- * steady_clock sample is strided on the dense path (one iteration ==
- * one cycle, so the stride bounds the check's staleness), but taken
- * every iteration that lands after a fast-forward jump — a single
- * skipped-ahead iteration can cover millions of cycles, and a
- * strided check would let the deadline slip arbitrarily far.
- */
-class WallClockWatchdog final : public RunService
-{
-  public:
-    /** Dense-path stride between steady_clock samples. */
-    static constexpr std::uint64_t checkInterval = 4096;
-
-    WallClockWatchdog(const RunLimits &limits, DigestFn digest)
-        : limits_(limits), digest_(std::move(digest))
-    {
-    }
-
-    /** Starts the wall budget; call once at the top of a run. */
-    void start();
-
-    const char *name() const override { return "wall-clock"; }
-    Cycle nextDue(Cycle) const override { return cycleNever; }
-    void poll(const TickInfo &tick) override;
-
-  private:
-    const RunLimits &limits_;
-    DigestFn digest_;
-    std::chrono::steady_clock::time_point start_{};
-    std::uint64_t checks_ = 0;
-};
-
-/**
- * Cooperative cancellation at the watchdog poll points: observes a
- * CancelToken (sim/cancel.hh) with the same striding discipline as
- * the wall-clock watchdog and aborts the run with SimTimeoutError —
- * so a cancelled job finishes as a timed_out record through exactly
- * the machinery a deadline would have used. Wall-clock by nature
- * (who cancels and when is host timing), so it contributes no wake
- * deadline; records delivered before the cancellation stay
- * byte-identical to an uncancelled run.
+ * Cooperative cancellation at the watchdog poll points, and the one
+ * wall-clock check of the run loop. start() arms a per-run
+ * CancelToken whose deadline is RunLimits::maxWallMs and whose parent
+ * is the token attached with System::setCancelToken; without a budget
+ * the watchdog observes the attached token directly. Either way a
+ * cancelled token aborts the run with SimTimeoutError, so a
+ * cancelled or over-budget job finishes as a timed_out record.
+ *
+ * The token is checked every checkInterval iterations on the dense
+ * path (one iteration == one cycle, so the stride bounds the check's
+ * staleness), but on every iteration that lands after a fast-forward
+ * jump — a single skipped-ahead iteration can cover millions of
+ * cycles, and a strided check would let a deadline slip arbitrarily
+ * far. Wall-clock by nature (who cancels and when is host timing),
+ * so it contributes no wake deadline; records delivered before the
+ * cancellation stay byte-identical to an uncancelled run.
  */
 class CancelWatchdog final : public RunService
 {
@@ -187,19 +167,31 @@ class CancelWatchdog final : public RunService
     /** Dense-path stride between token checks. */
     static constexpr std::uint64_t checkInterval = 1024;
 
-    /** @p token is a reference to the owner's pointer slot, so the
-     *  token can be (re)attached after construction. */
-    explicit CancelWatchdog(const CancelToken *const &token)
-        : token_(token)
+    /** @p digest is embedded in the diagnostic when the wall budget
+     *  expires. */
+    CancelWatchdog(const RunLimits &limits, DigestFn digest)
+        : limits_(limits), digest_(std::move(digest))
     {
     }
+
+    /**
+     * Starts a run observing @p token (may be nullptr): arms the wall
+     * budget, if any, as a child of it, and resets the stride. Call
+     * once at the top of every run.
+     */
+    void start(const CancelToken *token);
 
     const char *name() const override { return "cancel"; }
     Cycle nextDue(Cycle) const override { return cycleNever; }
     void poll(const TickInfo &tick) override;
 
   private:
-    const CancelToken *const &token_;
+    const RunLimits &limits_;
+    DigestFn digest_;
+    /** The per-run budget token; null when maxWallMs is unset. */
+    std::unique_ptr<CancelToken> budget_;
+    /** What poll() checks: budget_, else the attached token. */
+    const CancelToken *observed_ = nullptr;
     std::uint64_t checks_ = 0;
 };
 

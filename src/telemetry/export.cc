@@ -185,6 +185,9 @@ writeJsonl(std::ostream &os, const Timeline &timeline,
     }
 }
 
+namespace {
+
+/** Appends one run's events to @p array, as Perfetto process @p pid. */
 void
 appendChromeEvents(Builder &array, const Timeline &timeline,
                    const std::string &label, int pid)
@@ -272,12 +275,15 @@ appendChromeEvents(Builder &array, const Timeline &timeline,
     }
 }
 
+} // namespace
+
 void
-writeChromeTrace(std::ostream &os, const Timeline &timeline,
-                 const std::string &label)
+writeChromeTrace(std::ostream &os, const std::vector<TraceRun> &runs)
 {
     Builder events('[');
-    appendChromeEvents(events, timeline, label, 0);
+    int pid = 0;
+    for (const auto &[label, timeline] : runs)
+        appendChromeEvents(events, *timeline, label, pid++);
     Builder doc('{');
     doc.field("traceEvents", events.close(']'))
         .field("displayTimeUnit", json::escape("ns"));

@@ -10,8 +10,8 @@
  *    the cross-worker determinism tests compare these strings.
  *  - writeJsonl: one JSON object per line, one line per event; the
  *    grep/jq-friendly stream for ad-hoc analysis.
- *  - writeChromeTrace/appendChromeEvents: Chrome trace-event JSON
- *    loadable in Perfetto (https://ui.perfetto.dev) — kernels become
+ *  - writeChromeTrace: Chrome trace-event JSON with one process per
+ *    run, loadable in Perfetto (https://ui.perfetto.dev) — kernels become
  *    B/E spans, flushes become complete ("X") slices, decisions and
  *    way moves become instants, and epoch samples become counter
  *    ("C") tracks for LLC hit rate, link utilization and DRAM
@@ -23,6 +23,8 @@
 
 #include <iosfwd>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/json.hh"
 #include "telemetry/timeline.hh"
@@ -49,17 +51,15 @@ Timeline timelineFromJson(const std::string &text);
 void writeJsonl(std::ostream &os, const Timeline &timeline,
                 const std::string &run = "");
 
-/**
- * Appends one run's Chrome trace events to @p array (a '[' Builder).
- * @p label names the Perfetto process; @p pid separates runs sharing
- * one file.
- */
-void appendChromeEvents(json::Builder &array, const Timeline &timeline,
-                        const std::string &label, int pid);
+/** One run in a Chrome trace: its label and its timeline. */
+using TraceRun = std::pair<std::string, const Timeline *>;
 
-/** Writes a complete single-run Chrome trace document. */
-void writeChromeTrace(std::ostream &os, const Timeline &timeline,
-                      const std::string &label = "sac");
+/**
+ * Writes one Chrome trace document holding every run in @p runs. Each
+ * run becomes a Perfetto process named by its label, with its
+ * position in @p runs as the pid.
+ */
+void writeChromeTrace(std::ostream &os, const std::vector<TraceRun> &runs);
 
 } // namespace sac::telemetry
 

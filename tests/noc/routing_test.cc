@@ -87,11 +87,5 @@ TEST_F(RoutingTest, PolicyNames)
     EXPECT_STREQ(PartitionedRouting{}.name(), "partitioned");
 }
 
-TEST_F(RoutingTest, OriginNames)
-{
-    EXPECT_STREQ(toString(ResponseOrigin::LocalLlc), "local-LLC");
-    EXPECT_STREQ(toString(ResponseOrigin::RemoteMem), "remote-mem");
-}
-
 } // namespace
 } // namespace sac

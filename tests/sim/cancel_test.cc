@@ -166,6 +166,33 @@ TEST(EngineCancellation, DeadlineInterruptsARunningKernel)
         << records[0].result.diagnostic;
 }
 
+TEST(EngineCancellation, WallBudgetObservesTheAttachedToken)
+{
+    // RunLimits::maxWallMs arms a per-run token whose parent is the
+    // attached one: with a budget far looser than the plan deadline,
+    // the parent's cancellation still interrupts the kernel and its
+    // reason, not the budget's, reaches the diagnostic.
+    ExperimentPlan plan;
+    plan.add(tinyProfile("RN", 1u << 22), tinyConfig(), OrgKind::Sac);
+    RunLimits limits;
+    limits.maxWallMs = 1e9;
+    plan.setLimits(limits);
+
+    CancelToken token;
+    token.setDeadlineAfterMs(50.0, "plan deadline (50 ms) exceeded");
+
+    ExperimentEngine engine(1);
+    engine.setCancelToken(&token);
+    const auto records = engine.run(plan);
+    ASSERT_EQ(records.size(), 1u);
+    const std::string &d = records[0].result.diagnostic;
+    EXPECT_EQ(records[0].result.status, RunStatus::TimedOut);
+    EXPECT_NE(d.find("run cancelled in kernel"), std::string::npos) << d;
+    EXPECT_NE(d.find("plan deadline (50 ms) exceeded"), std::string::npos)
+        << d;
+    EXPECT_EQ(d.find("wall-clock"), std::string::npos) << d;
+}
+
 /** Cancels the shared token as soon as record @p at is delivered. */
 class CancelAtSink : public ResultSink
 {

@@ -2,7 +2,7 @@
  * @file
  * Tests for the RunService framework: registry phase ordering, the
  * single-source wake computation, the schedule a System actually
- * registers, and the wall-clock watchdog's fast-forward behavior.
+ * registers, and the wall-clock budget's fast-forward behavior.
  */
 
 #include <gtest/gtest.h>
@@ -148,10 +148,10 @@ TEST(SystemSchedule, SacSystemRegistersWindowAndWatchdogs)
     System system(cfg, OrgKind::Sac, gen);
 
     const auto names = system.runServices().names();
+    // The wall-clock budget rides the cancel watchdog's token.
     const std::vector<std::string> expected{
         "fault-hook",        "sac-window",     "occupancy-sampler",
-        "livelock-watchdog", "cycle-deadline", "wall-clock",
-        "cancel"};
+        "livelock-watchdog", "cycle-deadline", "cancel"};
     ASSERT_EQ(names.size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i)
         EXPECT_EQ(names[i], expected[i]) << "slot " << i;
@@ -185,26 +185,30 @@ TEST(SystemSchedule, DynamicSystemRegistersTheEpochService)
     System system(cfg, OrgKind::DynamicLlc, gen);
 
     const auto names = system.runServices().names();
-    ASSERT_EQ(names.size(), 7u);
+    ASSERT_EQ(names.size(), 6u);
     EXPECT_STREQ(names[1], "dynamic-epoch");
     // No controller, no window service.
     for (const char *n : names)
         EXPECT_STRNE(n, "sac-window");
 }
 
-// --- wall-clock watchdog under fast-forward ----------------------------
+// --- wall-clock budget under fast-forward -----------------------------
 
 TEST(WallClockWatchdog, DeadlineFiresUnderFastForwardRegression)
 {
     // Regression: the wall-clock check used to sample steady_clock
-    // only every 4096 loop iterations. Under fast-forward an
+    // only every few thousand loop iterations. Under fast-forward an
     // idle-heavy run completes in far fewer iterations (each one can
     // skip millions of cycles), so the deadline could never fire.
+    // RunLimits::maxWallMs now rides the cancel watchdog's per-run
+    // token, which keeps the same rule at a stride of 1024.
     const GpuConfig cfg = tinyConfig();
-    const WorkloadProfile p = tinyProfile().scaledData(dataScale(cfg));
+    WorkloadProfile p = tinyProfile();
+    p.phases[0].accessesPerWarp = 12;
+    p = p.scaledData(dataScale(cfg));
 
     // First establish the regression precondition: this run takes
-    // fewer loop iterations than the 4096-iteration stride. One
+    // fewer loop iterations than the cancel watchdog's stride. One
     // iteration ticks one cycle; every remaining cycle is covered by
     // a skip, so iterations == cycles - skippedCycles.
     {
@@ -215,7 +219,7 @@ TEST(WallClockWatchdog, DeadlineFiresUnderFastForwardRegression)
         const auto &ff = probe.fastForwardStats();
         ASSERT_GT(ff.skips, 0u);
         ASSERT_LT(res.cycles - ff.skippedCycles,
-                  WallClockWatchdog::checkInterval)
+                  CancelWatchdog::checkInterval)
             << "workload no longer idle-heavy enough to regress";
     }
 
@@ -227,7 +231,17 @@ TEST(WallClockWatchdog, DeadlineFiresUnderFastForwardRegression)
     RunLimits limits;
     limits.maxWallMs = 1e-6;
     system.setRunLimits(limits);
-    EXPECT_THROW(system.run(kernelsFor(p)), SimTimeoutError);
+    try {
+        system.run(kernelsFor(p));
+        FAIL() << "the spent wall budget did not abort the run";
+    } catch (const SimTimeoutError &e) {
+        // The diagnostic names the budget and carries the digest.
+        const std::string what = e.what();
+        EXPECT_NE(what.find("wall-clock deadline (1e-06 ms)"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("occupancy digest"), std::string::npos) << what;
+    }
 }
 
 TEST(WallClockWatchdog, NoDeadlineMeansNoAbort)

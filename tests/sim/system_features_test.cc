@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <tuple>
 
@@ -61,7 +62,7 @@ TEST(SystemFeatures, StatsDumpContainsPerChipTree)
     GpuConfig cfg = GpuConfig::scaled(8);
     cfg.warpsPerCluster = 8;
     System *sys = nullptr;
-    runWith(cfg, OrgKind::MemorySide, tinyProfile(), &sys);
+    const RunResult r = runWith(cfg, OrgKind::MemorySide, tinyProfile(), &sys);
     std::ostringstream os;
     sys->dumpStats(os);
     const auto text = os.str();
@@ -69,6 +70,19 @@ TEST(SystemFeatures, StatsDumpContainsPerChipTree)
     EXPECT_NE(text.find("system.chip0.llcRequests"), std::string::npos);
     EXPECT_NE(text.find("system.chip3.dramBytes"), std::string::npos);
     EXPECT_NE(text.find("# LLC hits"), std::string::npos);
+
+    // Three system lines, then seven per chip.
+    const auto lines = static_cast<std::size_t>(
+        std::count(text.begin(), text.end(), '\n'));
+    EXPECT_EQ(lines, 3u + 7u * static_cast<std::size_t>(cfg.numChips));
+
+    // One whole line, byte for byte: the path left-justified to 56
+    // columns, one space, the exact integer value, the description.
+    const std::string path = "system.cycles";
+    const std::string first = path + std::string(56 - path.size(), ' ') +
+                              " " + std::to_string(r.cycles) +
+                              "  # simulated cycles\n";
+    EXPECT_EQ(text.substr(0, first.size()), first);
 }
 
 TEST(SystemFeatures, PeriodicReprofilingProducesMultipleDecisions)

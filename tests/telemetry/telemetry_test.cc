@@ -1,5 +1,5 @@
-/** @file Tests for the telemetry subsystem: snapshots, the epoch
- *  sampler, event traces and the three export formats. */
+/** @file Tests for the telemetry subsystem: the epoch sampler, event
+ *  traces and the three export formats. */
 
 #include <gtest/gtest.h>
 
@@ -8,14 +8,12 @@
 
 #include "common/json.hh"
 #include "common/log.hh"
-#include "common/stats.hh"
 #include "sim/engine.hh"
 #include "sim/plan.hh"
 #include "sim/result_io.hh"
 #include "telemetry/event_trace.hh"
 #include "telemetry/export.hh"
 #include "telemetry/sampler.hh"
-#include "telemetry/snapshot.hh"
 #include "workload/suite.hh"
 
 namespace sac {
@@ -27,84 +25,6 @@ using telemetry::EventTrace;
 using telemetry::Sampler;
 using telemetry::Timeline;
 using telemetry::TraceEvent;
-
-// --- Snapshot / Delta -------------------------------------------------
-
-struct StatFixture
-{
-    stats::StatGroup root{"system"};
-    stats::StatGroup chip{"chip0"};
-    stats::Counter hits{"hits", "LLC hits"};
-    stats::Scalar cycles{"cycles", "simulated cycles"};
-
-    StatFixture()
-    {
-        root.add(cycles);
-        chip.add(hits);
-        root.addChild(chip);
-    }
-};
-
-TEST(Snapshot, CapturesEveryStatWithQualifiedPaths)
-{
-    StatFixture f;
-    f.cycles = 100.0;
-    f.hits += 7;
-
-    const auto snap = telemetry::Snapshot::capture(f.root, 100);
-    EXPECT_EQ(snap.cycle(), 100u);
-    ASSERT_EQ(snap.size(), 2u);
-    EXPECT_EQ(snap.get("system.cycles"), 100.0);
-    EXPECT_EQ(snap.get("system.chip0.hits"), 7.0);
-    EXPECT_EQ(snap.find("system.chip0.misses"), nullptr);
-}
-
-TEST(Snapshot, DeltaDiffsAndRates)
-{
-    StatFixture f;
-    f.hits += 10;
-    const auto before = telemetry::Snapshot::capture(f.root, 1000);
-    f.hits += 40;
-    const auto after = telemetry::Snapshot::capture(f.root, 1200);
-
-    const auto d = telemetry::Delta::between(before, after);
-    EXPECT_EQ(d.fromCycle(), 1000u);
-    EXPECT_EQ(d.toCycle(), 1200u);
-    EXPECT_EQ(d.cycles(), 200u);
-    EXPECT_EQ(d.get("system.chip0.hits"), 40.0);
-    EXPECT_DOUBLE_EQ(d.rate("system.chip0.hits"), 0.2);
-}
-
-TEST(Snapshot, DeltaTreatsNewStatsAsStartingFromZero)
-{
-    StatFixture f;
-    const auto before = telemetry::Snapshot::capture(f.root, 0);
-
-    stats::Counter late("late", "registered between captures");
-    late += 5;
-    f.root.add(late);
-    const auto after = telemetry::Snapshot::capture(f.root, 10);
-
-    const auto d = telemetry::Delta::between(before, after);
-    EXPECT_EQ(d.get("system.late"), 5.0);
-}
-
-TEST(StatGroup, ForEachMatchesDumpOrder)
-{
-    StatFixture f;
-    std::vector<std::string> paths;
-    f.root.forEach([&](const std::string &path, const stats::Stat &) {
-        paths.push_back(path);
-    });
-    ASSERT_EQ(paths.size(), 2u);
-    EXPECT_EQ(paths[0], "system.cycles");
-    EXPECT_EQ(paths[1], "system.chip0.hits");
-
-    std::ostringstream os;
-    f.root.dump(os);
-    const std::string text = os.str();
-    EXPECT_LT(text.find("system.cycles"), text.find("system.chip0.hits"));
-}
 
 // --- Sampler ----------------------------------------------------------
 
@@ -261,33 +181,42 @@ TEST(Export, JsonlEmitsOneParsableObjectPerEvent)
 
 TEST(Export, ChromeTraceIsWellFormed)
 {
+    // Two runs in one document, as sacsim --trace-events writes them.
     const Timeline tl = sampleTimeline();
     std::ostringstream os;
-    telemetry::writeChromeTrace(os, tl, "CFD/sac");
+    telemetry::writeChromeTrace(os, {{"CFD/mem", &tl}, {"CFD/sac", &tl}});
+    EXPECT_EQ(os.str().back(), '\n');
 
     const auto doc = json::parse(os.str());
     ASSERT_TRUE(doc.has("traceEvents"));
+    EXPECT_EQ(doc.at("displayTimeUnit").asString(), "ns");
     const auto &events = doc.at("traceEvents").array;
-    // metadata + 3 events + 2 samples * 4 counter tracks.
-    ASSERT_EQ(events.size(), 1u + 3u + 2u * 4u);
+    // Per run: metadata + 3 events + 2 samples * 4 counter tracks.
+    constexpr std::size_t perRun = 1u + 3u + 2u * 4u;
+    ASSERT_EQ(events.size(), 2 * perRun);
 
     const std::set<std::string> phases = {"M", "B", "E", "X", "i", "C"};
-    for (const auto &e : events) {
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        const auto &e = events[i];
         EXPECT_TRUE(phases.count(e.at("ph").asString()))
             << e.at("ph").asString();
         EXPECT_FALSE(e.at("name").asString().empty());
+        // Each run is its own Perfetto process, numbered in order.
+        EXPECT_EQ(e.at("pid").asU64(), i / perRun);
         if (e.at("ph").asString() != "M") {
             EXPECT_GE(e.at("ts").asDouble(), 0.0);
-            EXPECT_GE(e.at("pid").asU64(), 0u);
         }
     }
 
     // The process metadata names the run.
-    const auto &meta = events.front();
-    EXPECT_EQ(meta.at("ph").asString(), "M");
-    EXPECT_EQ(meta.at("args").at("name").asString(), "CFD/sac");
+    for (const auto &[at, label] :
+         {std::pair{0u, "CFD/mem"}, std::pair{1u, "CFD/sac"}}) {
+        const auto &meta = events[at * perRun];
+        EXPECT_EQ(meta.at("ph").asString(), "M");
+        EXPECT_EQ(meta.at("args").at("name").asString(), label);
+    }
 
-    // Kernel begin/end become a balanced B/E span pair.
+    // Kernel begin/end become a balanced B/E span pair per run.
     std::size_t begins = 0;
     std::size_t ends = 0;
     for (const auto &e : events) {
@@ -296,8 +225,8 @@ TEST(Export, ChromeTraceIsWellFormed)
         if (e.at("ph").asString() == "E")
             ++ends;
     }
-    EXPECT_EQ(begins, 1u);
-    EXPECT_EQ(ends, 1u);
+    EXPECT_EQ(begins, 2u);
+    EXPECT_EQ(ends, 2u);
 }
 
 // --- end-to-end through a real run -----------------------------------

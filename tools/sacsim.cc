@@ -34,7 +34,9 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "common/json.hh"
 #include "common/log.hh"
@@ -172,6 +174,28 @@ parseOrgList(const std::string &spec)
     return kinds;
 }
 
+/**
+ * Parses @p text, the value given to @p flag, as a T the way the
+ * std::sto* family does; a value it rejects names the flag.
+ */
+template <typename T>
+T
+number(const std::string &flag, const std::string &text)
+{
+    try {
+        if constexpr (std::is_floating_point_v<T>)
+            return static_cast<T>(std::stod(text));
+        else if constexpr (std::is_signed_v<T>)
+            return static_cast<T>(std::stoi(text));
+        else
+            return static_cast<T>(std::stoull(text));
+    } catch (const std::invalid_argument &) {
+        fatal("invalid value '", text, "' for ", flag);
+    } catch (const std::out_of_range &) {
+        fatal("value '", text, "' for ", flag, " is out of range");
+    }
+}
+
 Options
 parse(int argc, char **argv)
 {
@@ -194,25 +218,25 @@ parse(int argc, char **argv)
         else if (arg == "--org")
             o.org = value();
         else if (arg == "--jobs")
-            o.jobs = static_cast<unsigned>(std::stoul(value()));
+            o.jobs = number<unsigned>(arg, value());
         else if (arg == "--json")
             o.jsonPath = value();
         else if (arg == "--scale")
-            o.scale = std::stoi(value());
+            o.scale = number<int>(arg, value());
         else if (arg == "--seed")
-            o.seed = std::stoull(value());
+            o.seed = number<std::uint64_t>(arg, value());
         else if (arg == "--input-scale")
-            o.inputScale = std::stod(value());
+            o.inputScale = number<double>(arg, value());
         else if (arg == "--coherence")
             o.coherence = value();
         else if (arg == "--sectors")
-            o.sectors = static_cast<unsigned>(std::stoul(value()));
+            o.sectors = number<unsigned>(arg, value());
         else if (arg == "--interchip-bw")
-            o.interChipBw = std::stod(value());
+            o.interChipBw = number<double>(arg, value());
         else if (arg == "--occupancy-interval")
-            o.occupancyInterval = std::stoull(value());
+            o.occupancyInterval = number<Cycle>(arg, value());
         else if (arg == "--apw")
-            o.apw = std::stoull(value());
+            o.apw = number<std::uint64_t>(arg, value());
         else if (arg == "--record")
             o.recordPath = value();
         else if (arg == "--trace")
@@ -224,15 +248,15 @@ parse(int argc, char **argv)
         else if (arg == "--trace-events")
             o.traceEventsPath = value();
         else if (arg == "--epoch")
-            o.epoch = std::stoull(value());
+            o.epoch = number<Cycle>(arg, value());
         else if (arg == "--no-fast-forward")
             o.fastForward = false;
         else if (arg == "--cache")
             o.cachePath = value();
         else if (arg == "--max-cycles")
-            o.maxCycles = std::stoull(value());
+            o.maxCycles = number<Cycle>(arg, value());
         else if (arg == "--max-wall-ms")
-            o.maxWallMs = std::stod(value());
+            o.maxWallMs = number<double>(arg, value());
         else
             fatal("unknown option '", arg, "' (try --help)");
     }
@@ -428,18 +452,12 @@ writeTraceEvents(const std::string &path,
                                       rec.label);
         }
     } else {
-        json::Builder events('[');
-        int pid = 0;
+        std::vector<telemetry::TraceRun> runs;
         for (const auto &rec : records) {
-            if (rec.result.timeline) {
-                telemetry::appendChromeEvents(events, *rec.result.timeline,
-                                              rec.label, pid++);
-            }
+            if (rec.result.timeline)
+                runs.emplace_back(rec.label, &*rec.result.timeline);
         }
-        json::Builder doc('{');
-        doc.field("traceEvents", events.close(']'))
-            .field("displayTimeUnit", json::escape("ns"));
-        out << doc.close('}') << "\n";
+        telemetry::writeChromeTrace(out, runs);
     }
     std::cerr << "wrote trace events to " << path << "\n";
 }
@@ -452,6 +470,8 @@ run(const Options &o)
         return 0;
     }
 
+    if (o.coherence != "sw" && o.coherence != "hw")
+        fatal("--coherence must be sw or hw, not '", o.coherence, "'");
     GpuConfig cfg = GpuConfig::scaled(o.scale);
     cfg.seed = o.seed;
     cfg.coherence =
@@ -498,15 +518,22 @@ run(const Options &o)
 
     const std::vector<OrgKind> kinds = parseOrgList(o.org);
     const telemetry::Options topts = telemetryOptions(o);
-    std::vector<RunRecord> records;
-    bool wrote_json = false;
+    const bool serial = needsSerialPath(o, kinds.size());
+    if (serial && !o.cachePath.empty()) {
+        fatal("--cache requires the engine path; it cannot be "
+              "combined with --trace, --record or single-org "
+              "--stats");
+    }
 
-    if (needsSerialPath(o, kinds.size())) {
-        if (!o.cachePath.empty()) {
-            fatal("--cache requires the engine path; it cannot be "
-                  "combined with --trace, --record or single-org "
-                  "--stats");
-        }
+    // --json opens its file before anything simulates, so an
+    // unwritable path fails fast; the document is written once the
+    // records are in hand.
+    std::ofstream json_file;
+    if (!o.jsonPath.empty() && o.jsonPath != "-")
+        json_file = openOut(o.jsonPath);
+
+    std::vector<RunRecord> records;
+    if (serial) {
         for (const auto kind : kinds) {
             const bool dump = o.stats && kinds.size() == 1;
             const auto t0 = std::chrono::steady_clock::now();
@@ -555,25 +582,6 @@ run(const Options &o)
             engine.setCache(&*cache);
         }
 
-        // The CLI JSON writer rides the engine's delivery path: the
-        // document streams record by record, byte-identical to the
-        // batch serializer.
-        std::ofstream json_file;
-        std::optional<result_io::JsonDocumentSink> json_sink;
-        if (!o.jsonPath.empty()) {
-            std::ostream *json_out = &std::cout;
-            if (o.jsonPath != "-") {
-                json_file = openOut(o.jsonPath);
-                json_out = &json_file;
-            }
-            result_io::WriteOptions wopts;
-            // A single-stream scenario is a plain run, so it keeps
-            // the v3 tag (and its byte-identity) too.
-            wopts.streamsSchema = scenario && scenario->multiTenant();
-            json_sink.emplace(*json_out, wopts);
-            engine.addSink(*json_sink);
-        }
-
         EngineTelemetry engine_tm;
         records = engine.run(plan, &engine_tm);
         if (engine_tm.workers > 1 || cache) {
@@ -588,26 +596,18 @@ run(const Options &o)
             }
             std::cerr << "\n";
         }
-        if (json_sink && o.jsonPath != "-") {
-            std::cerr << "wrote " << records.size() << " result(s) to "
-                      << o.jsonPath << "\n";
-        }
-        wrote_json = true;
     }
 
-    printRecords(records);
-    if (!wrote_json && !o.jsonPath.empty()) {
-        // Serial path: the engine never ran, so write the document
-        // in one batch (same bytes as the streaming sink).
+    if (!o.jsonPath.empty()) {
         if (o.jsonPath == "-") {
             result_io::write(std::cout, records);
         } else {
-            auto out = openOut(o.jsonPath);
-            result_io::write(out, records);
+            result_io::write(json_file, records);
             std::cerr << "wrote " << records.size() << " result(s) to "
                       << o.jsonPath << "\n";
         }
     }
+    printRecords(records);
 
     if (!o.timelinePath.empty())
         writeTimelines(o.timelinePath, records);
