@@ -135,8 +135,8 @@ struct GpuConfig
     /**
      * Cycles between Fig. 9 LLC remote-occupancy samples. A run-loop
      * control deadline (the occupancy RunService), so it trades
-     * llcRemoteFraction resolution against fast-forward skip length
-     * on idle-heavy workloads. Must be positive.
+     * llcRemoteFraction resolution against the length of the run
+     * loop's at-rest jumps across idle launch gaps. Must be positive.
      */
     Cycle occupancyInterval = 2048;
 

@@ -36,10 +36,9 @@ using ChannelId = int;
 constexpr ChipId invalidChip = -1;
 
 /**
- * Sentinel "no pending event" for the next-event fast-forward
- * protocol: a component with nothing scheduled reports cycleNever
- * from its nextEventCycle() and the minimum over all components
- * decides how far the clock may jump.
+ * Sentinel "no deadline": a run service with nothing time-based left
+ * to do reports cycleNever from its nextDue(), and the minimum over
+ * all services decides how far the run loop's at-rest jump may go.
  */
 constexpr Cycle cycleNever = ~static_cast<Cycle>(0);
 

@@ -171,45 +171,6 @@ SmCluster::tick(Cycle now, ClusterEnv &env)
 }
 
 void
-SmCluster::bind(ClusterEnv &env, BwQueue &resp_port, std::string name)
-{
-    env_ = &env;
-    respPort_ = &resp_port;
-    name_ = std::move(name);
-}
-
-void
-SmCluster::tick(Cycle now)
-{
-    SAC_ASSERT(env_ && respPort_, "unbound cluster component ticked");
-    // Reference phase order inside Chip::tickClusters: refill and
-    // drain this cluster's response port, then issue.
-    respPort_->beginCycle();
-    Packet resp;
-    while (respPort_->tryPop(resp, now))
-        deliver(resp, now);
-    tick(now, *env_);
-}
-
-Cycle
-SmCluster::nextEventCycle(Cycle now) const
-{
-    const Cycle issue = issueEventCycle(now);
-    if (!respPort_)
-        return issue;
-    return std::min(issue, respPort_->nextEventCycle(now));
-}
-
-void
-SmCluster::skipIdleCycles(Cycle cycles)
-{
-    // The warp scheduler is timestamp-based; only the response port
-    // accumulates per-cycle bandwidth credit.
-    if (respPort_)
-        respPort_->skipIdleCycles(cycles);
-}
-
-void
 SmCluster::deliver(const Packet &resp, Cycle now)
 {
     SAC_ASSERT(resp.kind == PacketKind::Response, "non-response at cluster");

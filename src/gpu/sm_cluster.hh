@@ -12,8 +12,6 @@
 #ifndef SAC_GPU_SM_CLUSTER_HH
 #define SAC_GPU_SM_CLUSTER_HH
 
-#include <algorithm>
-#include <string>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -23,8 +21,7 @@
 #include "common/types.hh"
 #include "gpu/kernel.hh"
 #include "gpu/warp.hh"
-#include "noc/queue.hh"
-#include "sim/sched.hh"
+#include "noc/packet.hh"
 
 namespace sac {
 
@@ -58,30 +55,11 @@ struct ClusterStats
 };
 
 /** One SM cluster. */
-class SmCluster : public sim::Component
+class SmCluster
 {
   public:
     SmCluster(const GpuConfig &cfg, ChipId chip, ClusterId id,
               TraceSource &trace);
-
-    /**
-     * Binds the scheduling-unit view (sim::Component): this cluster
-     * plus the response-crossbar port that feeds it. Must be called
-     * before the Component overrides are used.
-     */
-    void bind(ClusterEnv &env, BwQueue &resp_port, std::string name);
-
-    // --- sim::Component ---------------------------------------------------
-    const char *name() const override { return name_.c_str(); }
-    /**
-     * One reference cluster phase: refill and drain the bound
-     * response port into deliver(), then issue via tick(now, env).
-     */
-    void tick(Cycle now) override;
-    /** min(response-port event, issue event) for the bound unit. */
-    Cycle nextEventCycle(Cycle now) const override;
-    /** Replays idle refills of the bound response port. */
-    void skipIdleCycles(Cycle cycles) override;
 
     /** Starts a kernel: every warp gets @p accesses_per_warp to issue. */
     void beginKernel(std::uint64_t accesses_per_warp, Cycle now);
@@ -108,22 +86,11 @@ class SmCluster : public sim::Component
     void pauseUntil(Cycle until) { pausedUntil = until; }
 
     /**
-     * Earliest cycle this cluster might issue an access: now when a
-     * warp is ready, else the earliest pending wake, both clamped to
-     * the pause window. cycleNever when every warp is blocked, parked
-     * or retired: blocked and parked warps resume only from deliver(),
-     * and the responses that trigger deliver() are response-port
-     * events, so sleeping through them is impossible.
+     * True when tick() is a no-op until the next beginKernel(): no
+     * warp is ready or sleeping and nothing is outstanding. A parked
+     * warp implies outstanding traffic, so it is covered too.
      */
-    Cycle issueEventCycle(Cycle now) const
-    {
-        if (sched.hasReady())
-            return std::max(now, pausedUntil);
-        const Cycle wake = sched.nextPendingCycle();
-        if (wake == cycleNever)
-            return cycleNever;
-        return std::max({now, wake, pausedUntil});
-    }
+    bool atRest() const { return sched.idle() && outstanding() == 0; }
 
     const ClusterStats &stats() const { return stats_; }
     void resetStats() { stats_ = ClusterStats{}; }
@@ -153,11 +120,6 @@ class SmCluster : public sim::Component
     const GpuConfig &cfg_;
     TraceSource &trace_;
 
-    // Scheduling-unit binding (sim::Component); null until bind().
-    ClusterEnv *env_ = nullptr;
-    BwQueue *respPort_ = nullptr;
-    std::string name_;
-
     SetAssocCache l1;
     MshrFile l1Mshrs;
     WarpScheduler sched;
@@ -166,7 +128,7 @@ class SmCluster : public sim::Component
     // Warps parked on a full MSHR file / outstanding-write cap, in
     // park order. Resumed one-per-freed-slot from deliver(); a parked
     // warp always implies in-flight traffic, so resumption is never
-    // starved (see issueEventCycle()).
+    // starved.
     Ring<int> mshrParked_;
     Ring<int> writeParked_;
 

@@ -90,16 +90,8 @@ class WarpScheduler
 
     std::size_t readyCount() const { return ready.size(); }
 
-    /**
-     * Earliest wake time among sleeping warps; cycleNever when none
-     * are pending. advance() at (or past) that cycle surfaces the
-     * same warps in the same order as per-cycle advancing would,
-     * because the pending heap pops in (time, warp) order either way.
-     */
-    Cycle nextPendingCycle() const
-    {
-        return pending.empty() ? cycleNever : pending.top() >> warpBits;
-    }
+    /** No warp is ready or sleeping. */
+    bool idle() const { return ready.empty() && pending.empty(); }
 
   private:
     /**

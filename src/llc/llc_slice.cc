@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/log.hh"
-#include "mem/mem_ctrl.hh"
 
 namespace sac {
 
@@ -46,21 +45,6 @@ void
 LlcSlice::pushFill(const Packet &pkt)
 {
     fillQ.push_back(pkt);
-}
-
-void
-LlcSlice::bind(SliceEnv &env, const MemCtrl &mem, std::string name)
-{
-    env_ = &env;
-    mem_ = &mem;
-    name_ = std::move(name);
-}
-
-void
-LlcSlice::tick(Cycle now)
-{
-    SAC_ASSERT(env_, "unbound slice component ticked");
-    tick(now, *env_);
 }
 
 void
@@ -148,35 +132,6 @@ LlcSlice::missWouldStall(const MshrFile &file, const Packet &head) const
     // invisible to the simulation.
     return file.full() && !file.has(head.lineAddr, head.sector) &&
            !array.probe(head.lineAddr, head.sector);
-}
-
-Cycle
-LlcSlice::nextEventCycle(Cycle now) const
-{
-    SAC_ASSERT(env_ && mem_, "unbound slice component queried");
-    if (!fillQ.empty())
-        return now;
-    Cycle next = cycleNever;
-    if (!missQ.empty()) {
-        // A blocked head retries when the controller frees a slot.
-        next = env_->memCanAccept(missQ.front().lineAddr)
-                   ? now
-                   : mem_->nextEventCycle(now);
-    }
-    next = std::min(next, inQ.nextEventCycle(now));
-    next = std::min(next, vcQ.nextEventCycle(now));
-    return next;
-}
-
-void
-LlcSlice::skipIdleCycles(Cycle cycles)
-{
-    inQ.skipIdleCycles(cycles);
-    vcQ.skipIdleCycles(cycles);
-    // The array budget saturates at its cap exactly like a BwQueue's.
-    const double cap = 2.0 * arrayBw;
-    for (Cycle i = 0; i < cycles && budget != cap; ++i)
-        budget = std::min(budget + arrayBw, cap);
 }
 
 void

@@ -22,7 +22,6 @@
 #ifndef SAC_LLC_LLC_SLICE_HH
 #define SAC_LLC_LLC_SLICE_HH
 
-#include <string>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -31,7 +30,6 @@
 #include "common/ring.hh"
 #include "common/types.hh"
 #include "noc/queue.hh"
-#include "sim/sched.hh"
 
 namespace sac {
 
@@ -72,36 +70,11 @@ struct SliceStats
     std::uint64_t stallsMshrFull = 0;
 };
 
-class MemCtrl;
-
 /** One LLC slice. */
-class LlcSlice : public sim::Component
+class LlcSlice
 {
   public:
     LlcSlice(const GpuConfig &cfg, ChipId chip, int index);
-
-    /**
-     * Binds the scheduling-unit view (sim::Component): the chip-side
-     * environment plus the memory controller whose next completion
-     * bounds a blocked miss queue's retry. Must be called before the
-     * Component overrides are used.
-     */
-    void bind(SliceEnv &env, const MemCtrl &mem, std::string name);
-
-    // --- sim::Component ---------------------------------------------------
-    const char *name() const override { return name_.c_str(); }
-    /** One reference slice phase: tick(now, bound env). */
-    void tick(Cycle now) override;
-    /**
-     * Earliest cycle this slice might do work. Pending fills are
-     * work now; a blocked miss queue retries when the bound memory
-     * controller frees a slot (its next completion, queried only in
-     * that case); the input queues follow the BwQueue contract.
-     * MSHR-full head-of-line stalls deliberately report "now": the
-     * unblocking fill is someone else's event, and a ready head
-     * simply disables skipping until it drains (conservative, exact).
-     */
-    Cycle nextEventCycle(Cycle now) const override;
 
     /** Input queue: the crossbar port that feeds this slice. */
     BwQueue &inQueue() { return inQ; }
@@ -120,9 +93,6 @@ class LlcSlice : public sim::Component
 
     /** Processes fills and requests for one cycle. */
     void tick(Cycle now, SliceEnv &env);
-
-    /** Replays @p cycles idle refills (input queues + array budget). */
-    void skipIdleCycles(Cycle cycles) override;
 
     /** Tag/state array (flush and partition control live here). */
     SetAssocCache &cache() { return array; }
@@ -157,6 +127,16 @@ class LlcSlice : public sim::Component
                fillQ.size() + inQ.size() + vcQ.size();
     }
 
+    /**
+     * True when tick() is a no-op: nothing outstanding, both input
+     * queues at rest, and the array budget at its 2 * bw cap.
+     */
+    bool atRest() const
+    {
+        return outstanding() == 0 && inQ.atRest() && vcQ.atRest() &&
+               budget == 2.0 * arrayBw;
+    }
+
     // Queue introspection (tests and debugging).
     std::size_t mshrsInUse() const { return mshrs.inUse(); }
     std::size_t missQueued() const { return missQ.size(); }
@@ -182,11 +162,6 @@ class LlcSlice : public sim::Component
 
     ChipId chip_;
     int index_;
-
-    // Scheduling-unit binding (sim::Component); null until bind().
-    SliceEnv *env_ = nullptr;
-    const MemCtrl *mem_ = nullptr;
-    std::string name_;
 
     unsigned lineBytes;
     unsigned sectorBytes;

@@ -47,18 +47,6 @@ class DramChannel
      */
     bool popReady(Packet &out, Cycle now);
 
-    /**
-     * Earliest cycle a queued request completes; cycleNever when the
-     * channel is empty. All channel state is timestamp-based (no
-     * per-cycle refills), so skipped cycles need no replay here.
-     */
-    Cycle nextEventCycle(Cycle now) const
-    {
-        if (q.empty())
-            return cycleNever;
-        return q.front().readyAt > now ? q.front().readyAt : now;
-    }
-
     std::size_t inFlight() const { return q.size(); }
     std::uint64_t bytesServed() const { return served; }
     double bandwidth() const { return bw; }

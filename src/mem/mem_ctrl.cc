@@ -67,15 +67,6 @@ MemCtrl::occupyBulk(std::uint64_t bytes, Cycle now)
     return last;
 }
 
-Cycle
-MemCtrl::nextEventCycle(Cycle now) const
-{
-    Cycle next = cycleNever;
-    for (const auto &ch : channels)
-        next = std::min(next, ch.nextEventCycle(now));
-    return next;
-}
-
 std::uint64_t
 MemCtrl::bytesServed() const
 {

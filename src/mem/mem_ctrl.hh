@@ -51,13 +51,6 @@ class MemCtrl
      */
     Cycle occupyBulk(std::uint64_t bytes, Cycle now);
 
-    /**
-     * Earliest cycle any channel completes a request — both the next
-     * fill dispatch and the next time a full channel frees a queue
-     * slot (upstream miss-queue retries key off this).
-     */
-    Cycle nextEventCycle(Cycle now) const;
-
     std::uint64_t readsServed() const { return reads; }
     std::uint64_t writesServed() const { return writes; }
     std::uint64_t bytesServed() const;

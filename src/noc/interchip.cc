@@ -61,26 +61,13 @@ InterChipNet::receive(ChipId dst, Packet &out, Cycle now)
     return true;
 }
 
-Cycle
-InterChipNet::nextEventCycle(Cycle now) const
+bool
+InterChipNet::atRest() const
 {
-    Cycle next = cycleNever;
-    for (const auto &q : egress)
-        next = std::min(next, q.nextEventCycle(now));
-    for (const auto &q : inbox) {
-        // Arrival times are monotonic within an inbox (packets are
-        // enqueued in tick order), so the front is the earliest.
-        if (!q.empty())
-            next = std::min(next, std::max(q.front().at, now));
-    }
-    return next;
-}
-
-void
-InterChipNet::skipIdleCycles(Cycle cycles)
-{
-    for (auto &q : egress)
-        q.skipIdleCycles(cycles);
+    return std::all_of(egress.begin(), egress.end(),
+                       [](const BwQueue &q) { return q.atRest(); }) &&
+           std::all_of(inbox.begin(), inbox.end(),
+                       [](const Ring<Arrival> &q) { return q.empty(); });
 }
 
 std::size_t

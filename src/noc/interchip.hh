@@ -47,15 +47,8 @@ class InterChipNet
     /** Pops the next packet that has arrived at chip @p dst by @p now. */
     bool receive(ChipId dst, Packet &out, Cycle now);
 
-    /**
-     * Earliest cycle the network might move or deliver a packet:
-     * egress queues per the BwQueue contract, inboxes at their
-     * front's arrival time. cycleNever when fully drained.
-     */
-    Cycle nextEventCycle(Cycle now) const;
-
-    /** Replays @p cycles idle egress-budget refills. */
-    void skipIdleCycles(Cycle cycles);
+    /** Every egress queue at rest and every inbox empty. */
+    bool atRest() const;
 
     /** Total bytes that crossed chip boundaries. */
     std::uint64_t bytesTransferred() const { return bytes; }

@@ -1,7 +1,5 @@
 #include "noc/queue.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
 
 namespace sac {
@@ -26,18 +24,6 @@ BwQueue::popHead()
     budget -= static_cast<double>(q.front().pkt.bytes);
     drained += q.front().pkt.bytes;
     q.pop_front();
-}
-
-void
-BwQueue::skipIdleCycles(Cycle cycles)
-{
-    // Identical to `cycles` beginCycle() calls: each step is the same
-    // add-then-clamp, and once the budget reaches the cap (the exact
-    // double 2.0 * bw) further refills are no-ops, so the loop is
-    // bounded by the debt being repaid, not by the skip length.
-    const double cap = 2.0 * bw;
-    for (Cycle i = 0; i < cycles && budget != cap; ++i)
-        budget = std::min(budget + bw, cap);
 }
 
 void

@@ -46,8 +46,7 @@ class BwQueue
     void push(Packet pkt, Cycle now);
 
     // The per-cycle methods below are defined inline: every queue in
-    // the machine goes through them every simulated cycle, in both
-    // the reference loop and the event-driven replay.
+    // the machine goes through them every simulated cycle.
 
     /** Refills the cycle's bandwidth budget. Call once per cycle. */
     void
@@ -108,48 +107,12 @@ class BwQueue
     void popHead();
 
     /**
-     * Earliest cycle at which this queue might drain a packet, for
-     * the fast-forward protocol:
-     *
-     *  - empty queue: cycleNever (nothing will ever happen without a
-     *    push, and pushes are events of the producer);
-     *  - head still in latency: its readyAt (budget refills during
-     *    the skip are replayed exactly by skipIdleCycles);
-     *  - head ready but no credit: now + 1 (debt is repaid one
-     *    refill per cycle; never skip while repaying);
-     *  - head ready and credit available: now.
-     *
-     * The contract is conservative: the returned cycle is never later
-     * than the first cycle the queue actually drains, so ticking at
-     * it (and every later recomputation) reproduces the per-cycle
-     * loop exactly.
+     * True when a cycle of this queue is a no-op: nothing queued and
+     * the budget at its 2 * bw cap, where beginCycle() leaves it
+     * unchanged. A queue still repaying debt is not at rest until the
+     * refills bring it back to the cap.
      */
-    Cycle
-    nextEventCycle(Cycle now) const
-    {
-        if (q.empty())
-            return cycleNever;
-        const Entry &head = q.front();
-        if (head.readyAt > now)
-            return head.readyAt;
-        // A tick at `now` refills the budget (beginCycle) before
-        // draining, so the head goes out at `now` unless even the
-        // refilled budget stays non-positive. In that debt case
-        // `now + 1` is still conservative — the skip replays the
-        // missed refill — never late.
-        if (budget + bw <= 0.0)
-            return now + 1;
-        return now;
-    }
-
-    /**
-     * Replays @p cycles idle beginCycle() refills in one call. Only
-     * valid across cycles in which the queue provably drained
-     * nothing (the fast-forward skip window); bit-exact with calling
-     * beginCycle() @p cycles times because the refill saturates at
-     * the credit cap and then stays there.
-     */
-    void skipIdleCycles(Cycle cycles);
+    bool atRest() const { return q.empty() && budget == 2.0 * bw; }
 
     std::size_t size() const { return q.size(); }
     bool empty() const { return q.empty(); }

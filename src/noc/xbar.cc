@@ -14,20 +14,11 @@ Xbar::Xbar(int ports, double port_bw, Cycle latency)
         queues.emplace_back(port_bw, latency);
 }
 
-Cycle
-Xbar::nextEventCycle(Cycle now) const
+bool
+Xbar::atRest() const
 {
-    Cycle next = cycleNever;
-    for (const auto &q : queues)
-        next = std::min(next, q.nextEventCycle(now));
-    return next;
-}
-
-void
-Xbar::skipIdleCycles(Cycle cycles)
-{
-    for (auto &q : queues)
-        q.skipIdleCycles(cycles);
+    return std::all_of(queues.begin(), queues.end(),
+                       [](const BwQueue &q) { return q.atRest(); });
 }
 
 std::size_t

@@ -36,9 +36,9 @@ class Xbar
      */
     Xbar(int ports, double port_bw, Cycle latency);
 
-    // The per-cycle forwarding wrappers are defined inline: both
-    // loops hit them for every cluster and slice every cycle, and
-    // each is a bounds-checked delegation to one BwQueue.
+    // The per-cycle forwarding wrappers are defined inline: the loop
+    // hits them for every cluster and slice every cycle, and each is
+    // a bounds-checked delegation to one BwQueue.
 
     /** True when port @p port can accept a packet. */
     bool
@@ -71,19 +71,8 @@ class Xbar
         return queues[static_cast<std::size_t>(port)].tryPop(out, now);
     }
 
-    /** Earliest cycle any port might drain (see BwQueue contract). */
-    Cycle nextEventCycle(Cycle now) const;
-
-    /** Replays @p cycles idle refills on every port queue. */
-    void skipIdleCycles(Cycle cycles);
-
-    /** Direct access to one output-port queue (per-port scheduling). */
-    BwQueue &port(int port) { return queues[static_cast<std::size_t>(port)]; }
-    const BwQueue &
-    port(int port) const
-    {
-        return queues[static_cast<std::size_t>(port)];
-    }
+    /** Every port at rest (BwQueue::atRest). */
+    bool atRest() const;
 
     int ports() const { return static_cast<int>(queues.size()); }
     std::size_t queued(int port) const;

@@ -6,31 +6,11 @@
 
 namespace sac {
 
-namespace {
-
-/**
- * Builds "c<chip>.<unit><index>" by appending into one string.
- * Chained operator+ over temporaries trips a GCC 12 -Wrestrict false
- * positive under -O2 (inlined self-copy check); appends do not.
- */
-std::string
-unitName(ChipId chip, const char *unit, int index)
-{
-    std::string name = "c";
-    name += std::to_string(chip);
-    name += '.';
-    name += unit;
-    name += std::to_string(index);
-    return name;
-}
-
-} // namespace
-
 Chip::Chip(const GpuConfig &cfg, const AddressMap &map, ChipId id,
            TraceSource &trace, ChipHooks &hooks)
     : cfg_(cfg), map_(map), id_(id), hooks(hooks),
       respXbar(cfg.clustersPerChip, cfg.xbarPortBw, cfg.xbarLatency),
-      mem(cfg, map, id), memUnit_(*this)
+      mem(cfg, map, id)
 {
     clusters.reserve(static_cast<std::size_t>(cfg.clustersPerChip));
     for (ClusterId c = 0; c < cfg.clustersPerChip; ++c)
@@ -38,38 +18,6 @@ Chip::Chip(const GpuConfig &cfg, const AddressMap &map, ChipId id,
     slices.reserve(static_cast<std::size_t>(cfg.slicesPerChip));
     for (int s = 0; s < cfg.slicesPerChip; ++s)
         slices.push_back(std::make_unique<LlcSlice>(cfg, id, s));
-    std::string mem_name = "c";
-    mem_name += std::to_string(id_);
-    mem_name += ".mem";
-    memUnit_.setName(std::move(mem_name));
-}
-
-void
-Chip::registerClusterComponents(sim::Scheduler &sched, ClusterEnv &env)
-{
-    sched_ = &sched;
-    clusterIds_.reserve(clusters.size());
-    for (auto &cluster : clusters) {
-        cluster->bind(env, respXbar.port(cluster->id()),
-                      unitName(id_, "cluster", cluster->id()));
-        clusterIds_.push_back(sched.add(*cluster));
-    }
-}
-
-void
-Chip::registerSliceComponents(sim::Scheduler &sched)
-{
-    sliceIds_.reserve(slices.size());
-    for (auto &slice : slices) {
-        slice->bind(*this, mem, unitName(id_, "slice", slice->index()));
-        sliceIds_.push_back(sched.add(*slice));
-    }
-}
-
-void
-Chip::registerMemoryComponent(sim::Scheduler &sched)
-{
-    memId_ = sched.add(memUnit_);
 }
 
 void
@@ -106,36 +54,22 @@ Chip::acceptIcnArrival(Packet pkt, Cycle now)
             } else {
                 directBypassQ.push_back(pkt);
             }
-            if (sched_)
-                sched_->wake(memId_, mem.nextEventCycle(now));
             return;
         }
         if (pkt.atHome || pkt.bypassLlc ||
             pkt.kind == PacketKind::Writeback) {
             // Home-level / bypass virtual channel (deadlock freedom).
-            auto &slice = *slices[static_cast<std::size_t>(pkt.slice)];
-            slice.vcQueue().push(pkt, now);
-            if (sched_) {
-                sched_->wake(sliceIds_[static_cast<std::size_t>(pkt.slice)],
-                             slice.vcQueue().nextEventCycle(now));
-            }
+            slices[static_cast<std::size_t>(pkt.slice)]->vcQueue().push(
+                pkt, now);
         } else {
-            auto &slice = *slices[static_cast<std::size_t>(pkt.slice)];
-            slice.inQueue().push(pkt, now);
-            if (sched_) {
-                sched_->wake(sliceIds_[static_cast<std::size_t>(pkt.slice)],
-                             slice.inQueue().nextEventCycle(now));
-            }
+            slices[static_cast<std::size_t>(pkt.slice)]->inQueue().push(
+                pkt, now);
         }
         return;
       case PacketKind::Response:
         if (!pkt.serveFilled && pkt.serveChip == id_) {
             SAC_ASSERT(pkt.slice >= 0, "fill without a slice");
             slices[static_cast<std::size_t>(pkt.slice)]->pushFill(pkt);
-            if (sched_) {
-                sched_->wake(sliceIds_[static_cast<std::size_t>(pkt.slice)],
-                             now);
-            }
             return;
         }
         SAC_ASSERT(pkt.srcChip == id_, "response arrived at wrong chip");
@@ -164,35 +98,21 @@ Chip::tickMemory(Cycle now)
     memFills_.clear();
     mem.tick(now, memFills_);
     for (const auto &fill : memFills_)
-        dispatchFill(fill, now);
-    if (sched_ && !memFills_.empty()) {
-        // Completions freed memory-queue slots: slices parked on a
-        // full controller queue can retry their missQ heads. The
-        // scheduler clamps these to the next cycle (slice phase
-        // precedes memory phase), matching the reference retry cycle.
-        for (std::size_t s = 0; s < slices.size(); ++s) {
-            if (slices[s]->missQueued() > 0)
-                sched_->wake(sliceIds_[s], now);
-        }
-    }
+        dispatchFill(fill);
 }
 
 void
-Chip::dispatchFill(Packet pkt, Cycle now)
+Chip::dispatchFill(const Packet &pkt)
 {
     // A memory fill completes either the home level of a partitioned
     // lookup (fill here) or the serve level (here or on another chip).
     if (pkt.atHome && !pkt.homeFilled) {
         SAC_ASSERT(pkt.homeChip == id_, "home fill on wrong chip");
         slices[static_cast<std::size_t>(pkt.slice)]->pushFill(pkt);
-        if (sched_)
-            sched_->wake(sliceIds_[static_cast<std::size_t>(pkt.slice)], now);
         return;
     }
     if (pkt.serveChip == id_) {
         slices[static_cast<std::size_t>(pkt.slice)]->pushFill(pkt);
-        if (sched_)
-            sched_->wake(sliceIds_[static_cast<std::size_t>(pkt.slice)], now);
     } else {
         // SM-side remote miss: the fill crosses back to the
         // requester's chip and fills its slice there.
@@ -209,10 +129,7 @@ Chip::memCanAccept(Addr line_addr) const
 void
 Chip::memPush(const Packet &pkt)
 {
-    const Cycle now = hooks.now();
-    mem.push(pkt, now);
-    if (sched_)
-        sched_->wake(memId_, mem.nextEventCycle(now));
+    mem.push(pkt, hooks.now());
 }
 
 void
@@ -227,13 +144,7 @@ Chip::respondCluster(Packet pkt)
     SAC_ASSERT(pkt.srcChip == id_, "response for another chip's cluster");
     if (pkt.type == AccessType::Read)
         hooks.countResponse(pkt);
-    const Cycle now = hooks.now();
-    const ClusterId target = pkt.srcCluster;
-    respXbar.push(target, pkt, now);
-    if (sched_) {
-        sched_->wake(clusterIds_[static_cast<std::size_t>(target)],
-                     respXbar.port(target).nextEventCycle(now));
-    }
+    respXbar.push(pkt.srcCluster, pkt, hooks.now());
 }
 
 void
@@ -258,23 +169,15 @@ void
 Chip::pushLocalRequest(const Packet &pkt, Cycle now)
 {
     SAC_ASSERT(pkt.serveChip == id_, "local push for a remote serve chip");
-    auto &slice = *slices[static_cast<std::size_t>(pkt.slice)];
-    slice.inQueue().push(pkt, now);
-    if (sched_) {
-        sched_->wake(sliceIds_[static_cast<std::size_t>(pkt.slice)],
-                     slice.inQueue().nextEventCycle(now));
-    }
+    slices[static_cast<std::size_t>(pkt.slice)]->inQueue().push(pkt, now);
 }
 
 void
 Chip::beginKernel(std::uint64_t first, std::uint64_t count,
                   std::uint64_t accesses_per_warp, Cycle now)
 {
-    for (std::uint64_t c = first; c < first + count; ++c) {
+    for (std::uint64_t c = first; c < first + count; ++c)
         clusters[c]->beginKernel(accesses_per_warp, now);
-        if (sched_)
-            sched_->wake(clusterIds_[c], now);
-    }
 }
 
 void
@@ -313,24 +216,6 @@ Chip::setWaySplit(int local_ways)
         slice->cache().setWaySplit(local_ways);
 }
 
-Cycle
-Chip::memoryEventCycle(Cycle now) const
-{
-    const Cycle mem_next = mem.nextEventCycle(now);
-    if (!directBypassQ.empty() &&
-        mem.canAccept(directBypassQ.front().lineAddr)) {
-        return now;
-    }
-    return mem_next;
-}
-
-void
-Chip::wakeMemory(Cycle now)
-{
-    if (sched_)
-        sched_->wake(memId_, memoryEventCycle(now));
-}
-
 bool
 Chip::clustersDone(std::uint64_t first, std::uint64_t count) const
 {
@@ -352,6 +237,16 @@ Chip::outstanding() const
     for (const auto &cluster : clusters)
         n += cluster->outstanding();
     return n;
+}
+
+bool
+Chip::atRest() const
+{
+    const auto at_rest = [](const auto &unit) { return unit->atRest(); };
+    return directBypassQ.empty() && mem.inFlight() == 0 &&
+           respXbar.atRest() &&
+           std::all_of(clusters.begin(), clusters.end(), at_rest) &&
+           std::all_of(slices.begin(), slices.end(), at_rest);
 }
 
 } // namespace sac

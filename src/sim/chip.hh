@@ -9,7 +9,6 @@
 #define SAC_SIM_CHIP_HH
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/config.hh"
@@ -21,7 +20,6 @@
 #include "mem/address_map.hh"
 #include "mem/mem_ctrl.hh"
 #include "noc/xbar.hh"
-#include "sim/sched.hh"
 
 namespace sac {
 
@@ -101,34 +99,16 @@ class Chip : public SliceEnv
     /** Applies a way split to every slice (Static/Dynamic orgs). */
     void setWaySplit(int local_ways);
 
-    // --- scheduling (sim::Component registration) -------------------------
-    /**
-     * Registers this chip's schedulable units with @p sched. Three
-     * separate passes because registration ordinal == reference phase
-     * order, and the reference loop runs each phase across all chips
-     * before the next: System calls registerClusterComponents for
-     * every chip, then registers the network, then
-     * registerSliceComponents for every chip, then
-     * registerMemoryComponent for every chip.
-     */
-    void registerClusterComponents(sim::Scheduler &sched, ClusterEnv &env);
-    void registerSliceComponents(sim::Scheduler &sched);
-    void registerMemoryComponent(sim::Scheduler &sched);
-
-    /**
-     * Earliest cycle the memory phase might do work: a DRAM
-     * completion, or a blocked two-NoC bypass retry that can proceed
-     * now. The MemoryUnit component's nextEventCycle.
-     */
-    Cycle memoryEventCycle(Cycle now) const;
-
-    /** Wakes the memory component (out-of-band occupancy changes). */
-    void wakeMemory(Cycle now);
-
     // --- queries ----------------------------------------------------------
     /** done() over clusters [first, first+count). */
     bool clustersDone(std::uint64_t first, std::uint64_t count) const;
     std::size_t outstanding() const;
+    /**
+     * True when a tick of this chip changes nothing: every cluster,
+     * slice and response port at rest, no bypass-queue entry and
+     * nothing in DRAM.
+     */
+    bool atRest() const;
 
     SmCluster &cluster(ClusterId c) { return *clusters[
         static_cast<std::size_t>(c)]; }
@@ -148,30 +128,7 @@ class Chip : public SliceEnv
     ChipId id() const { return id_; }
 
   private:
-    /**
-     * The chip's memory phase (bypass-queue retry, DRAM tick, fill
-     * dispatch) as one schedulable unit. DRAM is timestamp-based, so
-     * the default no-op skipIdleCycles is exact.
-     */
-    class MemoryUnit final : public sim::Component
-    {
-      public:
-        explicit MemoryUnit(Chip &chip) : chip_(chip) {}
-        void setName(std::string name) { name_ = std::move(name); }
-        const char *name() const override { return name_.c_str(); }
-        void tick(Cycle now) override { chip_.tickMemory(now); }
-        Cycle
-        nextEventCycle(Cycle now) const override
-        {
-            return chip_.memoryEventCycle(now);
-        }
-
-      private:
-        Chip &chip_;
-        std::string name_;
-    };
-
-    void dispatchFill(Packet pkt, Cycle now);
+    void dispatchFill(const Packet &pkt);
 
     const GpuConfig &cfg_;
     const AddressMap &map_;
@@ -188,13 +145,6 @@ class Chip : public SliceEnv
     Ring<Packet> directBypassQ;
     /** Scratch for MemCtrl::tick() fills, reused across cycles. */
     std::vector<Packet> memFills_;
-
-    // Scheduling registration (null/empty until System registers us).
-    sim::Scheduler *sched_ = nullptr;
-    std::vector<sim::ComponentId> clusterIds_;
-    std::vector<sim::ComponentId> sliceIds_;
-    sim::ComponentId memId_ = sim::invalidComponent;
-    MemoryUnit memUnit_;
 };
 
 } // namespace sac

@@ -108,7 +108,7 @@ ExperimentEngine::runJob(const ExperimentJob &job, std::size_t index,
         system.enableTelemetry(job.telemetry);
 
     // In-run faults fire at a simulated cycle, so the failure point
-    // is identical with fast-forward on or off and for any worker.
+    // is identical with the at-rest jump on or off and for any worker.
     switch (job.fault.kind) {
       case FaultSpec::Kind::Fatal:
         system.setFaultHook(job.fault.atCycle,

@@ -8,13 +8,9 @@
  * cycle N, or a validation failure before the System is even built —
  * and the engine arms the corresponding hook when it runs that job.
  * Because faults fire at simulated cycles (via System::setFaultHook,
- * which participates in the fast-forward wake protocol), an injected
- * failure is exactly as reproducible as a successful run: same cycle,
- * same message, same resulting document, for any worker count.
- *
- * The file helpers at the bottom produce the other half of the test
- * matrix — truncated and corrupted trace and cache-entry files —
- * without tests hand-rolling file surgery.
+ * a run-loop service deadline), an injected failure is exactly as
+ * reproducible as a successful run: same cycle, same message, same
+ * resulting document, for any worker count.
  */
 
 #ifndef SAC_SIM_FAULT_INJECTION_HH
@@ -78,23 +74,6 @@ class FaultPlan
   private:
     std::map<std::string, FaultSpec> faults_;
 };
-
-namespace fault_injection {
-
-/**
- * Truncates the file at @p path to its first @p keep_bytes bytes —
- * the canonical "process was SIGKILLed mid-write" artifact for
- * cache-entry and trace robustness tests.
- */
-void truncateFile(const std::string &path, std::size_t keep_bytes);
-
-/**
- * Flips every bit of the byte at @p offset in @p path (clamped to
- * the last byte), producing a corrupt-but-same-length file.
- */
-void corruptFile(const std::string &path, std::size_t offset);
-
-} // namespace fault_injection
 
 } // namespace sac
 

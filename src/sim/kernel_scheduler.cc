@@ -13,6 +13,8 @@ KernelScheduler::reset(std::vector<KernelStreamState> streams)
         SAC_ASSERT(!s.kernels.empty(), "stream without any kernel");
     streams_ = std::move(streams);
     tickKernel_ = 0;
+    resident_ = 0;
+    sys_.livelockDog_->idle();
 }
 
 void
@@ -35,9 +37,9 @@ KernelScheduler::finished() const
 Cycle
 KernelScheduler::nextDue(Cycle) const
 {
-    // Completion is detected by the per-iteration poll — warp
-    // retirement is a component event, so fast-forward can never skip
-    // past it. Only future first launches need a cycle deadline.
+    // Completion is detected by the per-iteration poll, and the clock
+    // never jumps while a kernel is resident. Only future first
+    // launches need a cycle deadline.
     Cycle due = cycleNever;
     for (const auto &s : streams_) {
         if (!s.started && s.launchAt < due)
@@ -73,6 +75,7 @@ KernelScheduler::launch(KernelStreamState &s)
         s.startedAt = sys_.clock;
     }
     s.running = true;
+    ++resident_;
     ++s.next;
     tickKernel_ = kernel.index;
 }
@@ -82,6 +85,8 @@ KernelScheduler::finish(KernelStreamState &s)
 {
     const int kernel_index = s.kernels[s.next - 1].index;
     s.running = false;
+    if (--resident_ == 0)
+        sys_.livelockDog_->idle();
     sys_.finishStreamKernel(s.stream, kernel_index, s.clusters, s.kernelStart);
     if (s.exhausted()) {
         s.complete = true;

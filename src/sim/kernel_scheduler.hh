@@ -15,6 +15,11 @@
  * when the finishing stream owns every cluster, the software-coherence
  * flush jumps the clock and SAC reverts without a charge; otherwise
  * only that stream's clusters stall.
+ *
+ * Between a stream's last finish and another's first launch no kernel
+ * may be resident at all. The run loop asks anyResident() before it
+ * considers the at-rest jump, and the livelock watchdog stays disarmed
+ * through such a gap.
  */
 
 #ifndef SAC_SIM_KERNEL_SCHEDULER_HH
@@ -81,6 +86,9 @@ class KernelScheduler final : public RunService
     /** True once every stream completed its kernel sequence. */
     bool finished() const;
 
+    /** True while some stream has a kernel resident. */
+    bool anyResident() const { return resident_ > 0; }
+
     /** Index of the most recently launched kernel (TickInfo::kernel). */
     int currentKernelIndex() const { return tickKernel_; }
 
@@ -107,6 +115,8 @@ class KernelScheduler final : public RunService
     System &sys_;
     std::vector<KernelStreamState> streams_;
     int tickKernel_ = 0;
+    /** Streams with a kernel resident. */
+    int resident_ = 0;
 };
 
 } // namespace sac

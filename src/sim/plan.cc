@@ -223,7 +223,6 @@ ExperimentPlan::add(ExperimentJob job)
         job.label = job.benchmarkName() + "/" + toString(job.org);
     if (!job.telemetry.enabled())
         job.telemetry = telemetryDefault_;
-    job.fastForward = job.fastForward && fastForwardDefault_;
     if (!job.limits.any())
         job.limits = limitsDefault_;
     if (!job.fault.enabled()) {
@@ -266,15 +265,6 @@ ExperimentPlan::enableTelemetry(const telemetry::Options &opts)
         if (!job.telemetry.enabled())
             job.telemetry = opts;
     }
-    return *this;
-}
-
-ExperimentPlan &
-ExperimentPlan::setFastForward(bool enabled)
-{
-    fastForwardDefault_ = enabled;
-    for (auto &job : jobs_)
-        job.fastForward = enabled;
     return *this;
 }
 

@@ -6,16 +6,16 @@
  *
  * An ExperimentPlan is a declarative list of independent simulation
  * jobs — (workload, config, organization, seed) tuples with a display
- * label — plus plan-wide defaults (telemetry, fast-forward, limits,
- * fault plan). Nothing in here runs anything; a plan is data, and two
- * equal plans are interchangeable.
+ * label — plus plan-wide defaults (telemetry, limits, fault plan).
+ * Nothing in here runs anything; a plan is data, and two equal plans
+ * are interchangeable.
  *
  * That property is load-bearing: every job has a *stable canonical
  * content hash* over exactly the fields that determine its simulated
  * results (config, workload, seed, organization, schema version —
  * see canonicalJobKey()). The result cache (service/result_cache.hh)
  * keys on this hash, so it deliberately excludes anything that cannot
- * change measurements: labels, telemetry options, fast-forward,
+ * change measurements: labels, telemetry options, the at-rest jump,
  * watchdog limits, fault specs. The hash is versioned by
  * planSchemaVersion; bump it whenever the canonical key gains, loses
  * or reorders a field.
@@ -77,10 +77,10 @@ struct ExperimentJob
      */
     telemetry::Options telemetry;
     /**
-     * Event-driven advance for this job's System (see
+     * The run loop's at-rest clock jump for this job's System (see
      * System::setFastForward). On by default; results are
-     * bit-identical either way, so turning it off is only useful for
-     * differential testing of the scheduling layer itself.
+     * bit-identical either way, so turning it off only gives tests
+     * the pure per-cycle loop to compare against.
      */
     bool fastForward = true;
     /**
@@ -172,14 +172,6 @@ class ExperimentPlan
     ExperimentPlan &enableTelemetry(const telemetry::Options &opts);
 
     /**
-     * Sets event-driven advance for every job already in the plan
-     * and for jobs added later. Results are unaffected either way
-     * (the differential tests prove it); off means the per-cycle
-     * reference loop.
-     */
-    ExperimentPlan &setFastForward(bool enabled);
-
-    /**
      * Applies watchdog limits to every job already in the plan whose
      * own limits are unset, and to jobs added later.
      */
@@ -197,8 +189,8 @@ class ExperimentPlan
      * Order-sensitive content hash of the whole plan: the chained
      * per-job hashes under the current schema version. Two plans with
      * the same hash produce byte-identical result sets; execution
-     * policy (fast-forward, limits, fault plan) is excluded for the
-     * same reason it is excluded from the per-job key.
+     * policy (the at-rest jump, limits, fault plan) is excluded for
+     * the same reason it is excluded from the per-job key.
      */
     std::uint64_t contentHash() const;
 
@@ -210,7 +202,6 @@ class ExperimentPlan
   private:
     std::vector<ExperimentJob> jobs_;
     telemetry::Options telemetryDefault_;
-    bool fastForwardDefault_ = true;
     RunLimits limitsDefault_;
     FaultPlan faults_;
 };

@@ -34,17 +34,11 @@ RunServiceRegistry::nextWake(Cycle now) const
     return wake;
 }
 
-Cycle
+void
 RunServiceRegistry::poll(const TickInfo &tick)
 {
-    Cycle wake = cycleNever;
-    for (const Entry &e : entries_) {
+    for (const Entry &e : entries_)
         e.svc->poll(tick);
-        const Cycle due = e.svc->nextDue(tick.now);
-        if (due != cycleNever)
-            wake = std::min(wake, checkWake(due));
-    }
-    return wake;
 }
 
 std::vector<const char *>

@@ -4,18 +4,17 @@
  *
  * Every periodic concern of the System run loop — telemetry epoch
  * sampling, the SAC profiling window, the dynamic-partition epoch,
- * occupancy sampling, fault injection, the watchdogs — is a
- * RunService. A service declares *when* it next needs the loop's
+ * occupancy sampling, fault injection, the watchdogs, kernel flow —
+ * is a RunService. A service declares *when* it next needs the loop's
  * attention (nextDue) and *what* to do when polled (poll). Services
  * register once, in a fixed phase order, with a RunServiceRegistry;
- * the per-cycle loop body and the fast-forward wake computation both
- * iterate that one registry.
+ * the loop polls that one registry after every tick.
  *
- * This is what makes "a control check fires at the same simulated
- * cycle with fast-forward on or off" hold by construction: a deadline
- * exists in exactly one place, so the skip layer cannot drift out of
- * sync with the loop body (docs/PERFORMANCE.md, "why fast-forward
- * stays exact").
+ * The deadlines also bound the loop's one shortcut: while no kernel
+ * is resident and the machine is at rest, the clock jumps to
+ * nextWake(), so a control check fires at the same simulated cycle
+ * with the jump on or off (docs/PERFORMANCE.md, "How simulated time
+ * advances").
  */
 
 #ifndef SAC_SIM_RUN_SERVICE_HH
@@ -34,9 +33,9 @@ struct TickInfo
     /** Post-tick clock: the cycle the loop body observes. */
     Cycle now = 0;
     /**
-     * True when this iteration landed after a fast-forward clock
-     * jump, i.e. an unbounded number of cycles passed since the
-     * previous poll. Wall-clock-strided services must not assume one
+     * True when this iteration landed after an at-rest clock jump,
+     * i.e. an unbounded number of cycles passed since the previous
+     * poll. Wall-clock-strided services must not assume one
      * iteration == one cycle when this is set.
      */
     bool fastForwarded = false;
@@ -47,11 +46,9 @@ struct TickInfo
 /**
  * One periodic run-loop concern.
  *
- * The contract mirrors the fast-forward invariants
- * (docs/PERFORMANCE.md): nextDue() may be conservative (early) but
- * never late, and count-based triggers need no deadline — counts
- * only change when components do work, and that work is already a
- * component event.
+ * nextDue() may be conservative (early) but never late. Count-based
+ * triggers need no deadline: counts only change when the machine does
+ * work, and the clock never jumps while it does.
  */
 class RunService
 {
@@ -72,7 +69,8 @@ class RunService
     /**
      * Runs the service's check for this iteration. Called after
      * every tick, in registry phase order; may mutate the system or
-     * throw (watchdogs do).
+     * throw (watchdogs do). A poll at a cycle before nextDue() with
+     * the machine at rest must do nothing: the at-rest jump skips it.
      */
     virtual void poll(const TickInfo &tick) = 0;
 };
@@ -101,7 +99,7 @@ enum class RunPhase : int
 /**
  * The ordered service registry. Non-owning: services live in the
  * System (or wherever their state belongs); the registry is the
- * single schedule both loop flavours consume.
+ * run loop's single schedule.
  */
 class RunServiceRegistry
 {
@@ -116,21 +114,13 @@ class RunServiceRegistry
 
     /**
      * Earliest pre-tick wake cycle any registered service needs,
-     * cycleNever when no service has a cycle deadline. This is the
-     * control-deadline half of System::nextWakeCycle().
+     * cycleNever when no service has a cycle deadline: the target of
+     * the run loop's at-rest jump.
      */
     Cycle nextWake(Cycle now) const;
 
-    /**
-     * Polls every service in phase order and returns the earliest
-     * pre-tick wake cycle any of them needs afterwards (the same
-     * value nextWake(tick.now) would compute, read in the same sweep
-     * right after each service's poll so the extra virtual pass per
-     * iteration disappears). Nothing runs between the end of a poll
-     * sweep and the next advance, so the value is exactly as fresh as
-     * an advance-time recomputation.
-     */
-    Cycle poll(const TickInfo &tick);
+    /** Polls every service in phase order. */
+    void poll(const TickInfo &tick);
 
     std::size_t size() const { return entries_.size(); }
 
@@ -149,8 +139,8 @@ class RunServiceRegistry
 /**
  * Pre-tick wake cycle for a post-tick `clock >= threshold` check:
  * the tick at `threshold - 1` raises the clock to `threshold`, so
- * the check fires at exactly the cycle it would have in the
- * per-cycle reference loop.
+ * the check fires at exactly the cycle it would have without the
+ * jump.
  */
 Cycle checkWake(Cycle threshold);
 

@@ -45,8 +45,8 @@ constexpr unsigned invalidateBytes = 16;
 /**
  * One-shot deterministic fault injection (System::setFaultHook).
  * First in the poll order so a fault lands before any bookkeeping
- * runs at its cycle, and its armed cycle participates in the wake so
- * it fires cycle-exactly under fast-forward.
+ * runs at its cycle, and its armed cycle bounds the at-rest jump so
+ * it fires cycle-exactly.
  */
 class System::FaultHookService final : public RunService
 {
@@ -66,41 +66,8 @@ class System::FaultHookService final : public RunService
         sys_.faultAt_ = cycleNever;
         auto fn = std::move(sys_.faultFn_);
         sys_.faultFn_ = nullptr;
-        if (fn) {
+        if (fn)
             fn(sys_);
-            // The hook may have mutated anything; one all-due cycle
-            // re-establishes exact wake keys.
-            sys_.sched_.wakeAll(tick.now);
-        }
-    }
-
-  private:
-    System &sys_;
-};
-
-/**
- * The inter-chip network as one schedulable unit: credit refill, link
- * movement and arrival dispatch (reference phases 1+2).
- */
-class System::NetUnit final : public sim::Component
-{
-  public:
-    explicit NetUnit(System &sys) : sys_(sys) {}
-
-    const char *name() const override { return "icn"; }
-
-    void tick(Cycle now) override { sys_.tickNetwork(now); }
-
-    Cycle
-    nextEventCycle(Cycle now) const override
-    {
-        return sys_.icn.nextEventCycle(now);
-    }
-
-    void
-    skipIdleCycles(Cycle cycles) override
-    {
-        sys_.icn.skipIdleCycles(cycles);
     }
 
   private:
@@ -213,26 +180,13 @@ System::System(const GpuConfig &cfg, OrgKind kind, TraceSource &trace)
         chip->setDirectBypass(org->separateRemoteNoc());
     }
 
-    // Component registration: ordinal == reference phase order, and
-    // the reference loop runs each phase across all chips before the
-    // next, so the passes go phase-major (all clusters, the network,
-    // all slices, all memory pipelines).
-    for (auto &chip : chips)
-        chip->registerClusterComponents(sched_, *this);
-    netUnit_ = std::make_unique<NetUnit>(*this);
-    netId_ = sched_.add(*netUnit_);
-    for (auto &chip : chips)
-        chip->registerSliceComponents(sched_);
-    for (auto &chip : chips)
-        chip->registerMemoryComponent(sched_);
-
     result.organization = org->name();
 
     // The run-loop schedule: every periodic concern registers here
-    // exactly once; run() polls the registry and nextWakeCycle()
-    // derives every control deadline from it. The sampler joins in
-    // enableTelemetry() — phase ordering puts it in the right slot
-    // even though it registers last.
+    // exactly once; run() polls the registry and takes the at-rest
+    // jump's target from it. The sampler joins in enableTelemetry() —
+    // phase ordering puts it in the right slot even though it
+    // registers last.
     faultSvc_ = std::make_unique<FaultHookService>(*this);
     services_.add(RunPhase::FaultHook, *faultSvc_);
     if (sacOrg) {
@@ -304,8 +258,6 @@ System::setFaultHook(Cycle at, std::function<void(System &)> fn)
 {
     faultAt_ = at;
     faultFn_ = std::move(fn);
-    // The cached service wake predates this deadline.
-    svcWakeValid_ = false;
 }
 
 std::string
@@ -383,9 +335,6 @@ System::icnSend(ChipId src, ChipId dst, Packet pkt)
 {
     chipIcnInBytes[static_cast<std::size_t>(dst)] += pkt.bytes;
     icn.send(src, dst, std::move(pkt), clock);
-    // At most one spurious network tick: the network re-keys itself
-    // to the packet's actual movement cycle after it.
-    sched_.wake(netId_, clock);
 }
 
 void
@@ -450,70 +399,15 @@ System::tick()
         chip->tickSlices(clock);
     for (auto &chip : chips)
         chip->tickMemory(clock);
-
-    // Everything was ticked (and so refilled) this cycle; keep the
-    // scheduler's per-component replay bookkeeping in step for runs
-    // that mix tick() and advance().
-    sched_.onFullTick(clock);
     ++clock;
 }
 
-void
-System::tickNetwork(Cycle now)
+bool
+System::atRest() const
 {
-    icn.beginCycle();
-    icn.tick(now);
-    Packet pkt;
-    for (auto &chip : chips) {
-        while (icn.receive(chip->id(), pkt, now))
-            chip->acceptIcnArrival(pkt, now);
-    }
-}
-
-void
-System::advance()
-{
-    lastAdvanceSkipped_ = false;
-    if (!fastForward_) {
-        tick();
-        return;
-    }
-
-    // Event-driven cycle: jump to the earliest component or run-loop
-    // deadline, then tick only the due components. The registry feeds
-    // the same wake computation the loop polls, so a control check
-    // fires at the same simulated cycle with fast-forward on or off.
-    // The livelock watchdog's deadline bounds the target even when
-    // every component reports cycleNever, so a wedged system aborts
-    // at the exact cycle it would have in the per-cycle loop. run()
-    // refreshes the cached service wake on every poll; outside run()
-    // (or after a setter re-arms a service) it is recomputed here.
-    if (!svcWakeValid_) {
-        svcWake_ = services_.nextWake(clock);
-        svcWakeValid_ = true;
-    }
-    const Cycle due = std::min(sched_.nextDue(), svcWake_);
-    if (due > clock) {
-        ++ffStats_.skips;
-        ffStats_.skippedCycles += due - clock;
-        clock = due;
-        lastAdvanceSkipped_ = true;
-    }
-    sched_.runCycle(clock);
-    ++clock;
-}
-
-System::FastForwardStats
-System::fastForwardStats() const
-{
-    FastForwardStats merged = ffStats_;
-    const sim::Scheduler::Stats &s = sched_.stats();
-    merged.schedCycles = s.cycles;
-    merged.heapPops = s.heapPops;
-    merged.denseCycles = s.denseCycles;
-    merged.denseSpans = s.denseSpans;
-    merged.dueHist = s.dueHist;
-    return merged;
+    return icn.atRest() &&
+           std::all_of(chips.begin(), chips.end(),
+                       [](const auto &chip) { return chip->atRest(); });
 }
 
 std::pair<std::uint64_t, std::uint64_t>
@@ -624,13 +518,9 @@ System::flushLlc(bool replicas_only)
         Cycle
         occupyBulk(ChipId chip, std::uint64_t bytes, Cycle now) override
         {
-            Chip &target = *sys.chips[static_cast<std::size_t>(chip)];
-            const Cycle done = target.memCtrl().occupyBulk(bytes, now);
-            // The reservation occupies real controller slots; the
-            // memory component must run at their drain times so
-            // blocked slices see the queue free up on cycle.
-            target.wakeMemory(now);
-            return done;
+            return sys.chips[static_cast<std::size_t>(chip)]
+                ->memCtrl()
+                .occupyBulk(bytes, now);
         }
     } mem(*this);
 
@@ -648,7 +538,6 @@ System::launchStreamKernel(int stream, const KernelDescriptor &kernel,
     }
     // The livelock deadline re-arms on any stream's launch.
     livelockDog_->beginKernel(clock);
-    svcWakeValid_ = false;
 
     currentKernel = kernel.index;
     if (eventTrace_)
@@ -710,12 +599,9 @@ System::finishStreamKernel(int stream, int kernel_index,
                                "kernel-boundary");
         }
         if (whole_machine) {
-            // The reference loop jumps the clock here without ticking
-            // anything: exclude the jump from idle-refill replay.
-            if (done > clock) {
-                sched_.onClockJump(clock, done);
-                clock = done;
-            }
+            // Nothing else runs: the clock jumps over the flush
+            // envelope without ticking anything.
+            clock = std::max(clock, done);
         } else {
             // Co-resident streams keep running: only the finishing
             // stream's clusters stall for the flush envelope.
@@ -879,28 +765,31 @@ System::runStreams(std::vector<KernelStreamState> streams)
 
     cancelDog_->start(cancel_);
 
-    // The loop body is the whole story: advance simulated time, then
-    // poll the service registry. Every control concern — fault
-    // injection, telemetry, the SAC window, the dynamic-LLC epoch,
-    // occupancy sampling, the watchdogs, and kernel flow itself —
-    // lives behind the registry, and the same registry feeds
-    // nextWakeCycle(), so no deadline exists anywhere else.
+    // The loop body is the whole story: tick one cycle, then poll the
+    // service registry. Every control concern — fault injection,
+    // telemetry, the SAC window, the dynamic-LLC epoch, occupancy
+    // sampling, the watchdogs, and kernel flow itself — lives behind
+    // the registry. While no stream has a kernel resident and the
+    // machine is at rest, a tick changes nothing but the clock, so
+    // the clock jumps to the earliest pre-tick service deadline: the
+    // polls it passes over would all have found nothing due.
     ks_->start(clock);
-    TickInfo tick;
+    TickInfo info;
     while (!ks_->finished()) {
-        advance();
-        tick.now = clock;
-        tick.fastForwarded = lastAdvanceSkipped_;
-        tick.kernel = ks_->currentKernelIndex();
-        svcWakeValid_ = true;
-        const Cycle wake = services_.poll(tick);
-        // A launch inside the kernel-flow poll re-arms services after
-        // their nextDue was already read this sweep; it clears
-        // svcWakeValid_, and the next advance() recomputes the wake
-        // fresh — exactly what the old loop did with launches outside
-        // the loop body.
-        if (svcWakeValid_)
-            svcWake_ = wake;
+        info.fastForwarded = false;
+        if (!ks_->anyResident() && fastForward_ && atRest()) {
+            const Cycle wake = services_.nextWake(clock);
+            if (wake > clock && wake != cycleNever) {
+                ++ffStats_.skips;
+                ffStats_.skippedCycles += wake - clock;
+                clock = wake;
+                info.fastForwarded = true;
+            }
+        }
+        tick();
+        info.now = clock;
+        info.kernel = ks_->currentKernelIndex();
+        services_.poll(info);
     }
 
     // --- final aggregation ------------------------------------------------

@@ -8,13 +8,14 @@
  * run() with the kernel sequence. The returned RunResult carries the
  * measurements every bench/figure consumes.
  *
- * The run loop itself is thin: every periodic concern (telemetry
- * sampling, the SAC window, the dynamic-LLC epoch, occupancy
- * sampling, fault injection, the watchdogs) is a RunService
- * registered once in a RunServiceRegistry; the loop body polls the
- * registry and the fast-forward wake computation asks it for the
- * earliest control deadline, so the two can never disagree
- * (sim/run_service.hh).
+ * The run loop itself is thin: tick() one cycle, then poll the
+ * RunServiceRegistry. Every periodic concern (telemetry sampling, the
+ * SAC window, the dynamic-LLC epoch, occupancy sampling, fault
+ * injection, the watchdogs, kernel flow) is a RunService registered
+ * there once (sim/run_service.hh). One shortcut: while no stream has
+ * a kernel resident and the machine is at rest, a tick would change
+ * nothing but the clock, so the loop jumps the clock to the earliest
+ * service deadline instead (docs/PERFORMANCE.md).
  */
 
 #ifndef SAC_SIM_SYSTEM_HH
@@ -40,7 +41,6 @@
 #include "sim/chip.hh"
 #include "sim/kernel_scheduler.hh"
 #include "sim/run_service.hh"
-#include "sim/sched.hh"
 #include "sim/watchdog.hh"
 #include "telemetry/event_trace.hh"
 #include "telemetry/sampler.hh"
@@ -189,11 +189,11 @@ class System : public ClusterEnv, public ChipHooks, public TenantHost
     /**
      * Installs watchdog deadlines for the coming run; call before
      * run(). Cycle deadlines fire at the exact same simulated cycle
-     * with fast-forward on or off (their watchdog services
-     * participate in the registry wake), so aborted runs are as
-     * deterministic as completed ones. The wall-clock budget is armed
-     * at the top of each run as a CancelToken deadline whose parent
-     * is the token attached with setCancelToken().
+     * with the at-rest jump on or off (their watchdog services are
+     * registry deadlines, which bound the jump), so aborted runs are
+     * as deterministic as completed ones. The wall-clock budget is
+     * armed at the top of each run as a CancelToken deadline whose
+     * parent is the token attached with setCancelToken().
      */
     void setRunLimits(const RunLimits &limits) { limits_ = limits; }
 
@@ -209,9 +209,10 @@ class System : public ClusterEnv, public ChipHooks, public TenantHost
 
     /**
      * Arms a deterministic fault: @p fn is called from the run loop
-     * the first time the clock reaches @p at (exact under
-     * fast-forward). The fault-injection harness uses this to throw
-     * at cycle N; fn may also mutate the system for chaos testing.
+     * the first time the clock reaches @p at (exact across an at-rest
+     * jump, which never passes a service deadline). The
+     * fault-injection harness uses this to throw at cycle N; fn may
+     * also mutate the system for chaos testing.
      * One-shot: the hook disarms before it fires.
      */
     void setFaultHook(Cycle at, std::function<void(System &)> fn);
@@ -237,53 +238,33 @@ class System : public ClusterEnv, public ChipHooks, public TenantHost
     void tick();
 
     /**
-     * Advances simulated time by one *event*: pops the scheduler's
-     * wake queue and ticks only the components that are due this
-     * cycle, first jumping the clock to the earliest component or
-     * run-loop-service deadline when nothing is due now (replaying
-     * the skipped bandwidth refills bit-exactly per component). With
-     * fast-forward disabled, identical to tick() — the per-cycle
-     * reference loop. Either way every observable result is the
-     * same; only wall time differs (sim/sched.hh has the contract).
-     */
-    void advance();
-
-    /**
-     * Enables/disables next-event fast-forward for run(). On by
-     * default; turning it off forces the per-cycle loop (the
-     * differential-testing escape hatch, sacsim --no-fast-forward).
-     * May be toggled any time, including between kernels.
+     * Enables/disables the at-rest clock jump for run(). On by
+     * default; off leaves the pure per-cycle loop, which tests use as
+     * the reference. Results are identical either way. May be toggled
+     * any time, including between kernels.
      */
     void setFastForward(bool enabled) { fastForward_ = enabled; }
 
-    /** Fast-forward effectiveness counters for one run. */
+    /** Clock-jump counters for one run. */
     struct FastForwardStats
     {
-        /** Number of clock jumps taken. */
+        /** At-rest clock jumps taken. */
         std::uint64_t skips = 0;
-        /** Cycles covered by jumps (not ticked one by one). */
+        /** Cycles covered by those jumps (not ticked one by one). */
         std::uint64_t skippedCycles = 0;
-        // Scheduler regime counters (sim::Scheduler::Stats), merged
-        // in so one struct diagnoses a bench row end to end.
-        /** Event-driven cycles actually run (runCycle calls). */
+        // There is no event-driven scheduler any more; these read 0
+        // so perfbench's scheduler metrics keep their names.
         std::uint64_t schedCycles = 0;
-        /** Heap pops taken in the sparse regime. */
         std::uint64_t heapPops = 0;
-        /** Cycles run in the dense (flat-sweep) regime. */
         std::uint64_t denseCycles = 0;
-        /** Contiguous dense spans entered. */
-        std::uint64_t denseSpans = 0;
-        /** Due-fraction histogram, bucket i = [i/8, (i+1)/8). */
-        std::array<std::uint64_t, 8> dueHist{};
     };
 
     /**
-     * Skip and scheduler-regime counters for the current/last run.
-     * Deliberately not part of RunResult: results must stay
-     * byte-identical with fast-forward on and off, and these
-     * counters are zero when off.
+     * Jump counters for the current/last run. Deliberately not part
+     * of RunResult: results must stay byte-identical with the jump on
+     * and off, and these counters are zero when off.
      */
-    FastForwardStats fastForwardStats() const;
+    FastForwardStats fastForwardStats() const { return ffStats_; }
 
     // --- ClusterEnv -----------------------------------------------------
     void injectMiss(Packet &&pkt, Cycle now) override;
@@ -320,17 +301,15 @@ class System : public ClusterEnv, public ChipHooks, public TenantHost
     class SamplerService;
     class DynamicEpochService;
     class OccupancyService;
-    class NetUnit;
 
     /** The kernel-flow service drives launch/finish on the System. */
     friend class KernelScheduler;
 
     /**
-     * One inter-chip network phase: credit refill, link movement,
-     * then arrival dispatch into the chips. The NetUnit component's
-     * tick; also phases 1+2 of the reference System::tick().
+     * True when tick() would change nothing but the clock: the
+     * inter-chip network and every chip at rest.
      */
-    void tickNetwork(Cycle now);
+    bool atRest() const;
     /**
      * Kernel launch: begins the kernel on the stream's cluster range
      * and opens that tenant's profiling window.
@@ -341,9 +320,9 @@ class System : public ClusterEnv, public ChipHooks, public TenantHost
      * Kernel boundary: flushes the stream's L1s and runs the
      * software-coherence LLC flush. When the stream owns every
      * cluster nothing else runs, so the clock jumps over the flush
-     * envelope, as in the reference loop, and SAC reverts without a
-     * charge. Otherwise only the stream's clusters stall while
-     * co-resident streams keep running.
+     * envelope without ticking, and SAC reverts without a charge.
+     * Otherwise only the stream's clusters stall while co-resident
+     * streams keep running.
      */
     void finishStreamKernel(int stream, int kernel_index,
                             const CtaScheduler::Range &clusters,
@@ -402,25 +381,8 @@ class System : public ClusterEnv, public ChipHooks, public TenantHost
     // Fig. 10 response accounting.
     std::array<std::uint64_t, 5> respByOrigin{};
 
-    // Event-driven dense path (tentpole of the perf work; see
-    // sim/sched.hh for the contract and docs/PERFORMANCE.md for the
-    // byte-identity argument). Components register in the ctor in
-    // reference phase order; ordinals are their in-cycle position.
-    sim::Scheduler sched_;
-    std::unique_ptr<NetUnit> netUnit_;
-    sim::ComponentId netId_ = sim::invalidComponent;
-
     bool fastForward_ = true;
     FastForwardStats ffStats_;
-    /** True when the last advance() jumped the clock. */
-    bool lastAdvanceSkipped_ = false;
-    /**
-     * Service wake cached by run()'s poll sweep (RunServiceRegistry::
-     * poll returns it for free); advance() recomputes it only when a
-     * setter re-armed a service or no poll has happened yet.
-     */
-    Cycle svcWake_ = 0;
-    bool svcWakeValid_ = false;
 
     // Watchdog limits (see RunLimits), the attached cancellation token
     // and the fault-injection hook.
@@ -436,8 +398,8 @@ class System : public ClusterEnv, public ChipHooks, public TenantHost
 
     /**
      * The single source of run-loop deadlines: every service below
-     * registers here once; run() polls the registry and
-     * nextWakeCycle() derives every control deadline from it.
+     * registers here once; run() polls the registry after every tick
+     * and takes the at-rest jump's target from it.
      */
     RunServiceRegistry services_;
     std::unique_ptr<FaultHookService> faultSvc_;

@@ -16,17 +16,14 @@ Cycle
 LivelockWatchdog::nextDue(Cycle) const
 {
     // The loop check is `now - kernelStart > cap`, i.e. it first
-    // fires at kernelStart + cap + 1. This deadline bounds the wake
-    // even when every component reports cycleNever, so a wedged
-    // system aborts at the exact same cycle it would have without
-    // fast-forward.
-    return kernelStart_ + cap() + 1;
+    // fires at kernelStart + cap + 1.
+    return armed_ ? kernelStart_ + cap() + 1 : cycleNever;
 }
 
 void
 LivelockWatchdog::poll(const TickInfo &tick)
 {
-    if (tick.now - kernelStart_ <= cap())
+    if (!armed_ || tick.now - kernelStart_ <= cap())
         return;
     // Instead of dying silently at the cap, capture what every queue
     // and MSHR file was holding so the post-mortem starts with data.
@@ -70,11 +67,12 @@ CancelWatchdog::poll(const TickInfo &tick)
 {
     if (!observed_)
         return;
-    // Dense path: one iteration advanced one cycle, so checking every
-    // checkInterval iterations bounds the staleness and costs nothing
-    // measurable. A fast-forwarded iteration may have skipped millions
-    // of cycles, so it is always checked — otherwise a mostly-idle run
-    // could blow through a deadline between strided checks.
+    // Per-cycle iterations advance one cycle each, so checking every
+    // checkInterval of them bounds the staleness and costs nothing
+    // measurable. An iteration after an at-rest jump may have skipped
+    // millions of cycles, so it is always checked — otherwise a
+    // mostly-idle run could blow through a deadline between strided
+    // checks.
     if (!tick.fastForwarded && ++checks_ % checkInterval != 0)
         return;
     if (!observed_->cancelled())

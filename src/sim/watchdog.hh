@@ -5,12 +5,12 @@
  * wall-clock budget, plus the RunLimits knobs and the exceptions they
  * throw.
  *
- * The cycle-denominated watchdogs participate in the registry's wake
- * computation, so an aborted run dies at the exact same simulated
- * cycle with fast-forward on or off. The wall-clock budget is
- * host-dependent by nature (fleet hygiene, not reproducibility): it
- * rides a per-run CancelToken deadline that the cancel watchdog
- * observes, and contributes no wake deadline.
+ * The cycle-denominated watchdogs are registry deadlines, which bound
+ * the run loop's at-rest jump, so an aborted run dies at the exact
+ * same simulated cycle with the jump on or off. The wall-clock budget
+ * is host-dependent by nature (fleet hygiene, not reproducibility):
+ * it rides a per-run CancelToken deadline that the cancel watchdog
+ * observes, and contributes no deadline.
  */
 
 #ifndef SAC_SIM_WATCHDOG_HH
@@ -32,7 +32,7 @@ namespace sac {
  * Per-run watchdog deadlines (System::setRunLimits). Zero means
  * "no limit" for every field. Cycle limits are exact and
  * deterministic — a run aborts at the same simulated cycle whether
- * fast-forward is on or off and however many sweep workers ran it;
+ * the at-rest jump is on or off and however many sweep workers ran it;
  * the wall-clock limit is inherently host-dependent and exists for
  * fleet hygiene, not reproducibility.
  */
@@ -92,7 +92,9 @@ using DigestFn = std::function<std::string()>;
  * simulator bug (a wedged queue, a lost wakeup), so the watchdog
  * throws LivelockError with the occupancy digest instead of letting
  * the run spin forever. RunLimits::livelockCycles overrides the
- * built-in 50M-cycle cap.
+ * built-in 50M-cycle cap. The cap counts from the latest launch of
+ * any stream, and only while some stream has a kernel resident: an
+ * idle launch gap is not a livelock, however long.
  */
 class LivelockWatchdog final : public RunService
 {
@@ -105,8 +107,16 @@ class LivelockWatchdog final : public RunService
     {
     }
 
-    /** Rebases the cap at a kernel launch. */
-    void beginKernel(Cycle start) { kernelStart_ = start; }
+    /** Arms the watchdog and rebases the cap at a kernel launch. */
+    void
+    beginKernel(Cycle start)
+    {
+        kernelStart_ = start;
+        armed_ = true;
+    }
+
+    /** Disarms the watchdog while no stream has a kernel resident. */
+    void idle() { armed_ = false; }
 
     /** Effective cap: the RunLimits override or the built-in 50M. */
     Cycle cap() const
@@ -123,6 +133,7 @@ class LivelockWatchdog final : public RunService
     const RunLimits &limits_;
     DigestFn digest_;
     Cycle kernelStart_ = 0;
+    bool armed_ = false;
 };
 
 /** RunLimits::maxCycles: aborts the run past an absolute cycle. */
@@ -152,19 +163,19 @@ class CycleDeadlineWatchdog final : public RunService
  * cancelled token aborts the run with SimTimeoutError, so a
  * cancelled or over-budget job finishes as a timed_out record.
  *
- * The token is checked every checkInterval iterations on the dense
- * path (one iteration == one cycle, so the stride bounds the check's
- * staleness), but on every iteration that lands after a fast-forward
- * jump — a single skipped-ahead iteration can cover millions of
- * cycles, and a strided check would let a deadline slip arbitrarily
- * far. Wall-clock by nature (who cancels and when is host timing),
- * so it contributes no wake deadline; records delivered before the
- * cancellation stay byte-identical to an uncancelled run.
+ * The token is checked every checkInterval iterations while the loop
+ * ticks cycle by cycle (one iteration == one cycle, so the stride
+ * bounds the check's staleness), but on every iteration that lands
+ * after an at-rest jump — a single jump can cover millions of cycles,
+ * and a strided check would let a deadline slip arbitrarily far.
+ * Wall-clock by nature (who cancels and when is host timing), so it
+ * contributes no deadline; records delivered before the cancellation
+ * stay byte-identical to an uncancelled run.
  */
 class CancelWatchdog final : public RunService
 {
   public:
-    /** Dense-path stride between token checks. */
+    /** Stride between token checks while the loop ticks per cycle. */
     static constexpr std::uint64_t checkInterval = 1024;
 
     /** @p digest is embedded in the diagnostic when the wall budget

@@ -58,7 +58,7 @@ class Sampler
     /** True when the next epoch boundary has been reached. */
     bool due(Cycle now) const { return now >= nextAt_; }
 
-    /** Cycle at which due() first becomes true (fast-forward wake). */
+    /** Cycle at which due() first becomes true (the service deadline). */
     Cycle nextDue() const { return nextAt_; }
 
     /**

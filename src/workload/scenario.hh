@@ -70,9 +70,6 @@ struct Scenario
 {
     std::vector<StreamSpec> streams;
 
-    /** True when streams actually co-reside (two or more). */
-    bool multiTenant() const { return streams.size() > 1; }
-
     /** Stream profile names joined with '+' ("CFD+SRAD"). */
     std::string name() const;
 

@@ -14,11 +14,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -108,6 +110,53 @@ runWithCache(const ExperimentPlan &plan, ResultCache &cache,
     return engine.run(plan, tm);
 }
 
+std::vector<char>
+readBytes(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    if (!is)
+        invalid(path, "cannot open file to damage");
+    return std::vector<char>(std::istreambuf_iterator<char>(is),
+                             std::istreambuf_iterator<char>());
+}
+
+void
+writeBytes(const std::string &path, const std::vector<char> &bytes)
+{
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    if (!os)
+        invalid(path, "cannot rewrite damaged file");
+}
+
+/**
+ * Truncates the file at @p path to its first @p keep_bytes bytes:
+ * the "process was SIGKILLed mid-write" artifact.
+ */
+void
+truncateFile(const std::string &path, std::size_t keep_bytes)
+{
+    std::vector<char> bytes = readBytes(path);
+    if (keep_bytes < bytes.size())
+        bytes.resize(keep_bytes);
+    writeBytes(path, bytes);
+}
+
+/**
+ * Flips every bit of the byte at @p offset in @p path (clamped to
+ * the last byte), producing a corrupt-but-same-length file.
+ */
+void
+corruptFile(const std::string &path, std::size_t offset)
+{
+    std::vector<char> bytes = readBytes(path);
+    if (bytes.empty())
+        invalid(path, "cannot corrupt an empty file");
+    offset = std::min(offset, bytes.size() - 1);
+    bytes[offset] = static_cast<char>(~bytes[offset]);
+    writeBytes(path, bytes);
+}
+
 TEST(ResultCache, HitsAreByteIdenticalAcrossAllOrgsAndShapes)
 {
     const ExperimentPlan plan = fullPlan();
@@ -189,8 +238,8 @@ TEST(ResultCache, TornCorruptAndWrongSchemaEntriesReSimulate)
     const auto entry = [&](std::size_t i) {
         return cache.entryPath(plan[i]);
     };
-    fault_injection::truncateFile(entry(0), 40);
-    fault_injection::corruptFile(
+    truncateFile(entry(0), 40);
+    corruptFile(
         entry(1), std::filesystem::file_size(entry(1)) / 2);
     {
         std::ofstream os(entry(2));

@@ -1,31 +1,35 @@
 /**
  * @file
- * Differential tests for the event-driven scheduler core.
+ * Differential tests for the run loop's at-rest clock jump.
  *
- * The core's contract is absolute: for any workload, organization and
- * worker count, an event-driven run produces byte-identical results —
- * every counter, every SAC decision, every telemetry epoch sample and
- * trace event — to the per-cycle reference loop. These tests serialize
- * whole RunResults (losslessly, through result_io) and compare the
- * strings, so any divergence in any field fails loudly.
+ * While no stream has a kernel resident and the machine is at rest,
+ * System::run jumps the clock to the next run-service deadline
+ * instead of ticking an idle machine. The jump must be invisible: for
+ * any organization and worker count, a run with it produces
+ * byte-identical results — every counter, every SAC decision, every
+ * telemetry epoch sample and trace event — to the pure per-cycle loop
+ * (fastForward = false). The jump only fires across launch gaps, so
+ * every case here is a scenario with one, and each one checks that
+ * the jump actually skipped cycles, or the comparison proves nothing.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hh"
 #include "sim/plan.hh"
 #include "sim/result_io.hh"
 #include "sim/system.hh"
+#include "workload/scenario.hh"
 #include "workload/suite.hh"
-#include "workload/tracegen.hh"
 
 namespace sac {
 namespace {
 
-/** Small but real configuration so the 2x5-org matrix stays fast. */
+/** Small but real configuration so the 5-org matrices stay fast. */
 GpuConfig
 diffConfig()
 {
@@ -45,6 +49,23 @@ diffProfile(const std::string &name)
     return p;
 }
 
+/** Cycle the second stream of gapScenario() launches at. */
+constexpr Cycle secondLaunch = 60000;
+
+/**
+ * Two streams, the second launching long after the first has
+ * finished: an idle launch gap the jump skips.
+ */
+Scenario
+gapScenario(const std::string &first, const std::string &second)
+{
+    Scenario scn;
+    scn.streams.push_back(StreamSpec{diffProfile(first), 0, 1.0, 0});
+    scn.streams.push_back(
+        StreamSpec{diffProfile(second), secondLaunch, 1.0, 0});
+    return scn;
+}
+
 /** Full telemetry so timelines and events are part of the comparison. */
 telemetry::Options
 fullTelemetry()
@@ -55,126 +76,163 @@ fullTelemetry()
     return opts;
 }
 
-RunRecord
-runOne(OrgKind org, bool fast_forward, const std::string &bench = "CFD")
+/** One run's result and the System's jump counters. */
+struct JumpRun
 {
-    ExperimentJob job;
-    job.profile = diffProfile(bench);
-    job.config = diffConfig();
-    job.org = org;
-    job.telemetry = fullTelemetry();
-    job.fastForward = fast_forward;
-    return ExperimentEngine::runJob(job);
+    RunResult result;
+    System::FastForwardStats ff;
+};
+
+/** Runs @p scn the way ExperimentEngine::runJob does, seed 1. */
+JumpRun
+runScenario(const Scenario &scn, OrgKind org, bool fast_forward,
+            GpuConfig cfg = diffConfig())
+{
+    cfg.seed = 1;
+    const Scenario scaled = scn.scaledData(dataScale(cfg));
+    StreamTraceMux mux(scaled, cfg, 1);
+    System system(cfg, org, mux);
+    system.setFastForward(fast_forward);
+    system.enableTelemetry(fullTelemetry());
+    JumpRun out;
+    out.result = system.run(scaled);
+    out.ff = system.fastForwardStats();
+    return out;
+}
+
+/**
+ * Runs @p scn with and without the jump under @p org and expects the
+ * same bytes, an ok status and a jump that skipped cycles.
+ */
+JumpRun
+expectTwinsAgree(const Scenario &scn, OrgKind org,
+                 const GpuConfig &cfg = diffConfig())
+{
+    const JumpRun jump = runScenario(scn, org, true, cfg);
+    const JumpRun ref = runScenario(scn, org, false, cfg);
+    EXPECT_EQ(jump.result.status, RunStatus::Ok) << jump.result.diagnostic;
+    EXPECT_EQ(result_io::toJson(jump.result), result_io::toJson(ref.result))
+        << scn.name() << "/" << toString(org);
+    EXPECT_GT(jump.ff.skippedCycles, 0u)
+        << scn.name() << "/" << toString(org) << ": the jump never fired";
+    // Telemetry must actually be present, or the comparison above
+    // proves less than it claims.
+    EXPECT_TRUE(jump.result.timeline.has_value() &&
+                !jump.result.timeline->samples.empty())
+        << scn.name() << "/" << toString(org);
+    return jump;
 }
 
 TEST(FastForward, AllOrganizationsBitIdentical)
 {
-    for (const OrgKind org : ExperimentPlan::allOrganizations()) {
-        const RunRecord ff = runOne(org, true);
-        const RunRecord ref = runOne(org, false);
-        EXPECT_EQ(result_io::toJson(ff.result),
-                  result_io::toJson(ref.result))
-            << "org " << toString(org);
-        // Telemetry must actually be present, or the comparison above
-        // proves less than it claims.
-        ASSERT_TRUE(ff.result.timeline.has_value()) << toString(org);
-        EXPECT_FALSE(ff.result.timeline->samples.empty())
-            << toString(org);
-    }
+    for (const OrgKind org : ExperimentPlan::allOrganizations())
+        expectTwinsAgree(gapScenario("CFD", "SRAD"), org);
+}
+
+TEST(FastForward, StaggeredScenarioAtApw8BitIdentical)
+{
+    // examples/scenario_staggered.json with every stream at apw 8, on
+    // the default machine: each stream finishes before the next one
+    // launches, so the run crosses two launch gaps.
+    const Scenario scn = scenarioFromJson(R"({
+      "schema": "sac.scenario.v1",
+      "streams": [
+        {"benchmark": "RN", "launchCycle": 0, "clusterShare": 2.0,
+         "kernels": 2, "apw": 8},
+        {"benchmark": "GEMM", "launchCycle": 8192, "clusterShare": 1.0,
+         "inputScale": 0.5, "apw": 8},
+        {"benchmark": "BP", "launchCycle": 16384, "clusterShare": 1.0,
+         "inputScale": 0.5, "apw": 8}
+      ]
+    })");
+    for (const OrgKind org : ExperimentPlan::allOrganizations())
+        expectTwinsAgree(scn, org, GpuConfig::scaled(4));
 }
 
 TEST(FastForward, SacEndToEndWithBothSharingShapes)
 {
-    // CFD (above) leans memory-side; RN's sharing leans SM-side, so
-    // between them the SAC controller exercises both decisions, the
-    // boundary flushes and the re-profiling path.
-    for (const char *bench : {"RN", "GEMM"}) {
-        const RunRecord ff = runOne(OrgKind::Sac, true, bench);
-        const RunRecord ref = runOne(OrgKind::Sac, false, bench);
-        EXPECT_EQ(result_io::toJson(ff.result),
-                  result_io::toJson(ref.result))
-            << bench;
-        EXPECT_FALSE(ff.result.sacDecisions.empty()) << bench;
+    // RN's sharing leans SM-side and GEMM's memory-side, so between
+    // them the SAC controller exercises both decisions, the boundary
+    // flushes and the window re-opening after the gap.
+    for (const auto &[first, second] :
+         {std::pair{"RN", "GEMM"}, std::pair{"GEMM", "RN"}}) {
+        const JumpRun run =
+            expectTwinsAgree(gapScenario(first, second), OrgKind::Sac);
+        ASSERT_EQ(run.result.streams.size(), 2u) << first;
+        for (const auto &s : run.result.streams)
+            EXPECT_FALSE(s.sacDecisions.empty()) << first << " " << s.name;
     }
 }
 
 TEST(FastForward, BfsSacBoundaryFlushJumpMatchesReference)
 {
-    // Regression: six BFS kernels under SAC alternate SM-side and
-    // memory-side verdicts, and every software-coherence boundary
-    // flush jumps the clock. Wake keys left below the landing cycle
-    // used to pop in key order, ahead of the clusters the next launch
-    // woke, and the network ticked twice in one cycle.
-    ExperimentJob job;
-    job.profile = findBenchmark("BFS");
-    for (auto &phase : job.profile.phases)
+    // Six BFS kernels under SAC alternate SM-side and memory-side
+    // verdicts, and every software-coherence boundary flush jumps the
+    // clock. Those flush jumps happen only when one stream owns every
+    // cluster, so the launch gap here is the one stream's late first
+    // launch: the at-rest jump and the flush jumps share one run.
+    Scenario scn;
+    WorkloadProfile bfs = findBenchmark("BFS");
+    for (auto &phase : bfs.phases)
         phase.accessesPerWarp = 128;
-    job.config = GpuConfig::scaled(8);
-    job.org = OrgKind::Sac;
-    job.seed = 1;
-    const RunRecord ff = ExperimentEngine::runJob(job);
-    job.fastForward = false;
-    const RunRecord ref = ExperimentEngine::runJob(job);
-    ASSERT_EQ(ff.result.status, RunStatus::Ok) << ff.result.diagnostic;
-    EXPECT_EQ(result_io::toJson(ff.result), result_io::toJson(ref.result));
-    EXPECT_GT(ff.result.flushStallCycles, 0u);
-    EXPECT_GT(ff.result.reconfigurations, 0);
+    scn.streams.push_back(StreamSpec{bfs, 20000, 1.0, 0});
+    const JumpRun run =
+        expectTwinsAgree(scn, OrgKind::Sac, GpuConfig::scaled(8));
+    EXPECT_GT(run.result.flushStallCycles, 0u);
+    EXPECT_GT(run.result.reconfigurations, 0);
 }
 
 TEST(FastForward, SkipsActuallyHappen)
 {
-    // Guard against the layer silently degrading into the reference
-    // loop (e.g. a component that always reports "now"): a run must
-    // skip a meaningful share of its cycles.
-    const GpuConfig cfg = diffConfig();
-    const WorkloadProfile scaled =
-        diffProfile("CFD").scaledData(dataScale(cfg));
-    SharingTraceGen gen(scaled, cfg, 1);
-    System system(cfg, OrgKind::MemorySide, gen);
-    system.setFastForward(true);
-    const RunResult res = system.run(kernelsFor(scaled));
-    const auto &ff = system.fastForwardStats();
-    EXPECT_GT(ff.skips, 0u);
-    EXPECT_GT(ff.skippedCycles, res.cycles / 20)
-        << "fast-forward skipped under 5% of cycles on an idle-heavy "
-           "tiny machine";
+    // Guard against the jump silently degrading into the per-cycle
+    // loop: it must skip most of the idle launch gap.
+    const JumpRun run =
+        runScenario(gapScenario("CFD", "SRAD"), OrgKind::MemorySide, true);
+    ASSERT_EQ(run.result.streams.size(), 2u);
+    const Cycle gap = secondLaunch - run.result.streams[0].finishCycle;
+    ASSERT_LT(run.result.streams[0].finishCycle, secondLaunch);
+    EXPECT_GT(run.ff.skips, 0u);
+    EXPECT_GT(run.ff.skippedCycles, gap / 2)
+        << "the jump skipped under half of a " << gap << "-cycle gap";
+    // The scheduler counters kept for perfbench's metrics read 0.
+    EXPECT_EQ(run.ff.schedCycles, 0u);
+    EXPECT_EQ(run.ff.heapPops, 0u);
+    EXPECT_EQ(run.ff.denseCycles, 0u);
 }
 
 TEST(FastForward, DisabledMeansNoSkips)
 {
-    const GpuConfig cfg = diffConfig();
-    const WorkloadProfile scaled =
-        diffProfile("CFD").scaledData(dataScale(cfg));
-    SharingTraceGen gen(scaled, cfg, 1);
-    System system(cfg, OrgKind::MemorySide, gen);
-    system.setFastForward(false);
-    system.run(kernelsFor(scaled));
-    EXPECT_EQ(system.fastForwardStats().skips, 0u);
-    EXPECT_EQ(system.fastForwardStats().skippedCycles, 0u);
+    const JumpRun run =
+        runScenario(gapScenario("CFD", "SRAD"), OrgKind::MemorySide, false);
+    EXPECT_EQ(run.result.status, RunStatus::Ok);
+    EXPECT_EQ(run.ff.skips, 0u);
+    EXPECT_EQ(run.ff.skippedCycles, 0u);
 }
 
 TEST(FastForward, IdenticalAcrossWorkerCounts)
 {
-    // The full matrix: both sharing shapes (CFD leans memory-side,
-    // RN leans SM-side) x five organizations x {event-driven,
-    // reference}, run with 1, 2 and 8 engine workers. Everything —
-    // counters, SAC decisions, telemetry timelines and events — must
-    // match the serial event-driven run byte for byte.
+    // The full matrix: both sharing shapes first (CFD leans
+    // memory-side, RN leans SM-side) x five organizations x {jump,
+    // per-cycle loop}, run with 1, 2 and 8 engine workers.
+    // Everything — counters, SAC decisions, telemetry timelines and
+    // events — must match the serial run with the jump byte for byte.
     const GpuConfig cfg = diffConfig();
     ExperimentPlan plan;
     plan.enableTelemetry(fullTelemetry());
-    for (const char *bench : {"CFD", "RN"}) {
-        const WorkloadProfile p = diffProfile(bench);
+    for (const auto &[first, second] :
+         {std::pair{"CFD", "RN"}, std::pair{"RN", "CFD"}}) {
+        const Scenario scn = gapScenario(first, second);
         for (const OrgKind org : ExperimentPlan::allOrganizations()) {
             ExperimentJob job;
-            job.profile = p;
+            job.scenario = scn;
             job.config = cfg;
             job.org = org;
             job.telemetry = fullTelemetry();
             plan.add(job);
             ExperimentJob ref = job;
             ref.fastForward = false;
-            ref.label = p.name + "/" + toString(org) + "/ref";
+            ref.label =
+                scn.name() + "/" + std::string(toString(org)) + "/ref";
             plan.add(ref);
         }
     }
@@ -184,9 +242,10 @@ TEST(FastForward, IdenticalAcrossWorkerCounts)
     std::vector<std::string> expected;
     for (const auto &rec : serial)
         expected.push_back(result_io::toJson(rec.result));
-    // Each event-driven/reference pair in the serial run must already
-    // agree, and timelines must actually be present in both.
+    // Each jump/per-cycle pair in the serial run must already agree,
+    // and timelines must actually be present in both.
     for (std::size_t i = 0; i < serial.size(); i += 2) {
+        EXPECT_EQ(serial[i].result.status, RunStatus::Ok) << serial[i].label;
         EXPECT_EQ(expected[i], expected[i + 1]) << serial[i].label;
         ASSERT_TRUE(serial[i].result.timeline.has_value())
             << serial[i].label;

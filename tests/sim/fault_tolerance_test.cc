@@ -15,6 +15,7 @@
 #include "sim/fault_injection.hh"
 #include "sim/plan.hh"
 #include "sim/result_io.hh"
+#include "workload/scenario.hh"
 #include "workload/suite.hh"
 
 namespace sac {
@@ -126,6 +127,37 @@ TEST(FaultTolerance, LivelockWatchdogReportsOccupancyDigest)
     EXPECT_NE(d.find("occupancy digest"), std::string::npos) << d;
     EXPECT_NE(d.find("chip0"), std::string::npos) << d;
     EXPECT_NE(d.find("sliceMshrs"), std::string::npos) << d;
+}
+
+TEST(FaultTolerance, IdleLaunchGapIsNotALivelock)
+{
+    // The livelock cap counts from the latest launch only while some
+    // stream has a kernel resident. A second stream launching at cycle
+    // 100,000, long after the first one finished, must not trip a
+    // 20,000-cycle cap — with the at-rest jump or without it.
+    ExperimentJob job;
+    job.scenario.streams.push_back(
+        StreamSpec{tinyProfile("RN", 8), 0, 1.0, 0});
+    job.scenario.streams.push_back(
+        StreamSpec{tinyProfile("SN", 8), 100000, 1.0, 0});
+    job.config = tinyConfig();
+    job.org = OrgKind::MemorySide;
+    job.limits.livelockCycles = 20000;
+    ExperimentPlan plan;
+    plan.add(job);
+    job.fastForward = false;
+    plan.add(std::move(job));
+
+    const auto records = ExperimentEngine(1).run(plan);
+    ASSERT_EQ(records.size(), 2u);
+    for (const auto &rec : records) {
+        ASSERT_EQ(rec.result.status, RunStatus::Ok) << rec.result.diagnostic;
+        ASSERT_EQ(rec.result.streams.size(), 2u);
+        EXPECT_LT(rec.result.streams[0].finishCycle, 20000u);
+        EXPECT_EQ(rec.result.streams[1].launchCycle, 100000u);
+    }
+    EXPECT_EQ(result_io::toJson(records[0].result),
+              result_io::toJson(records[1].result));
 }
 
 TEST(FaultTolerance, CycleDeadlineTimesOutDeterministically)

@@ -4,10 +4,10 @@
  *
  * Three contracts: (1) the one-stream scenario is the plain
  * run(kernels), byte-identical through lossless serialization;
- * (2) multi-stream runs are deterministic — same bytes with
- * fast-forward on or off and across repeated runs; (3) the per-stream
- * breakdown partitions the machine totals and round-trips through the
- * sac.results.v4 schema with v3 documents still readable.
+ * (2) multi-stream runs are deterministic — same bytes with the
+ * at-rest jump on or off and across repeated runs; (3) the
+ * per-stream breakdown partitions the machine totals and round-trips
+ * through the sac.results.v4 schema with v3 documents still readable.
  */
 
 #include <gtest/gtest.h>

@@ -122,7 +122,6 @@ TEST(PlanHashTest, PlanHashIgnoresPolicyKnobs)
     plan.addOrgSweep(findBenchmark("CFD"), cfg);
     const std::uint64_t h0 = plan.contentHash();
 
-    plan.setFastForward(false);
     plan.setLimits(RunLimits{.maxCycles = 1000});
     plan.setFaultPlan(FaultPlan().fail("CFD/SAC", FaultSpec::fatalAt(1)));
     EXPECT_EQ(plan.contentHash(), h0);

@@ -1,30 +1,31 @@
 /**
  * @file
- * Randomized differential test for the event-driven core.
+ * Randomized tests of the one kernel path and of the run loop's
+ * at-rest clock jump.
  *
- * The hand-written identity matrix (fast_forward_test.cc) pins the
- * benchmark suite's shapes; this file searches the space around them.
- * Each case draws a workload shape — warp count, compute gaps, access
- * counts, sharing mix, kernel count, organization — from a seeded
- * generator, runs it event-driven and with the per-cycle reference
- * loop, and requires the serialized results (sac.results.v3, full
- * telemetry) to match byte for byte. Shapes deliberately mix dense
- * phases (tiny compute gaps, most components ticking every cycle)
- * with idle-heavy ones (huge gaps), so runs cross the scheduler's
- * dense/sparse regime boundary in both directions.
+ * RandomIdentity draws multi-stream scenarios with launch gaps —
+ * stream count, workload shapes, warp count, launch cycles,
+ * organization — from a seeded generator, runs each with the jump and
+ * with the pure per-cycle loop (fastForward = false), and requires the
+ * serialized results (full telemetry) to match byte for byte. Every
+ * case must actually take the jump.
+ *
+ * The MergedPath family aims at the hard cases of the one kernel
+ * path: multi-kernel SAC under software and hardware coherence
+ * (re-profiling on in some cases), Static/Dynamic replica-only
+ * boundary flushes, and two-stream scenarios under SAC and Dynamic.
+ * A one-stream run never has an idle launch gap, so the single-stream
+ * kinds check invariants; the two-stream kind also compares against
+ * its per-cycle twin. One ctest case per seed, so they spread across
+ * cores.
  *
  * Seeds are fixed: a failure is reproducible by its case index alone.
- *
- * The MergedPath family aims the same comparison at the hard cases of
- * the one kernel path: multi-kernel SAC under software and hardware
- * coherence (re-profiling on in some cases), Static/Dynamic
- * replica-only boundary flushes, and two-stream scenarios under SAC
- * and Dynamic. One ctest case per seed, so they spread across cores.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -34,7 +35,6 @@
 #include "sim/system.hh"
 #include "workload/scenario.hh"
 #include "workload/suite.hh"
-#include "workload/tracegen.hh"
 
 namespace sac {
 namespace {
@@ -71,8 +71,8 @@ randomProfile(Rng &rng)
         ph.privHotFrac = uniform(rng, 0.5, 1.0);
         ph.rereadFrac = uniform(rng, 0.0, 0.4);
         // Compute gap: half the draws are dense (0-3 cycles between
-        // accesses), half idle-heavy (tens to hundreds). Multi-phase
-        // profiles therefore alternate regimes within one run.
+        // accesses), half idle-heavy (tens to hundreds), so
+        // multi-phase profiles alternate the two within one run.
         ph.computeGap = rng.nextBool(0.5)
                             ? static_cast<unsigned>(rng.nextBounded(4))
                             : 30 + static_cast<unsigned>(
@@ -89,69 +89,47 @@ TEST(RandomIdentity, RandomShapesAreBitIdenticalToReference)
     for (int i = 0; i < cases; ++i) {
         Rng rng(0x5ac0 + static_cast<std::uint64_t>(i));
 
-        ExperimentJob job;
-        job.profile = randomProfile(rng);
-        job.config = GpuConfig::scaled(8);
-        job.config.warpsPerCluster =
-            2 + static_cast<int>(rng.nextBounded(7));
-        job.config.sac.profileWindow = 256 + rng.nextBounded(512);
-        job.config.sac.profileMinRequests = 200;
+        GpuConfig cfg = GpuConfig::scaled(8);
+        cfg.seed = 1;
+        cfg.warpsPerCluster = 2 + static_cast<int>(rng.nextBounded(7));
+        cfg.sac.profileWindow = 256 + rng.nextBounded(512);
+        cfg.sac.profileMinRequests = 200;
         const auto orgs = ExperimentPlan::allOrganizations();
-        job.org = orgs[static_cast<std::size_t>(
-            rng.nextBounded(orgs.size()))];
-        job.telemetry.epoch = 256;
-        job.telemetry.events = true;
+        const OrgKind org =
+            orgs[static_cast<std::size_t>(rng.nextBounded(orgs.size()))];
 
-        job.fastForward = true;
-        const RunRecord ed = ExperimentEngine::runJob(job);
-        job.fastForward = false;
-        const RunRecord ref = ExperimentEngine::runJob(job);
+        // Two or three streams. The first launches late, so every case
+        // opens with an idle gap; the later ones launch 20-60K cycles
+        // apart, mostly after the previous stream has finished.
+        Scenario scn;
+        const std::size_t streams = 2 + rng.nextBounded(2);
+        Cycle launch = 1000 + rng.nextBounded(4000);
+        for (std::size_t s = 0; s < streams; ++s) {
+            WorkloadProfile p = randomProfile(rng);
+            p.numKernels = 1 + static_cast<int>(rng.nextBounded(2));
+            scn.streams.push_back(
+                StreamSpec{p, launch, uniform(rng, 0.5, 2.0), 0});
+            launch += 20000 + rng.nextBounded(40000);
+        }
+        const Scenario scaled = scn.scaledData(dataScale(cfg));
 
-        EXPECT_EQ(result_io::toJson(ed.result),
-                  result_io::toJson(ref.result))
-            << "case " << i << ": " << job.profile.name << "/"
-            << toString(job.org) << " warps="
-            << job.config.warpsPerCluster;
+        const auto run = [&](bool fast_forward) {
+            StreamTraceMux mux(scaled, cfg, 1);
+            System system(cfg, org, mux);
+            system.setFastForward(fast_forward);
+            system.enableTelemetry({.epoch = 256, .events = true});
+            RunResult r = system.run(scaled);
+            return std::pair{std::move(r), system.fastForwardStats()};
+        };
+        const auto [jump, ff] = run(true);
+        const RunResult ref = run(false).first;
+
+        const std::string what = "case " + std::to_string(i) + ": " +
+                                 scn.name() + "/" + toString(org);
+        EXPECT_EQ(jump.status, RunStatus::Ok) << what << jump.diagnostic;
+        EXPECT_EQ(result_io::toJson(jump), result_io::toJson(ref)) << what;
+        EXPECT_GT(ff.skippedCycles, 0u) << what << ": the jump never fired";
     }
-}
-
-TEST(RandomIdentity, RegimeBoundaryIsCrossedAndInvisible)
-{
-    // A shape built to straddle the hysteresis thresholds: a dense
-    // kernel (gap 0, every warp hammering) followed by an idle-heavy
-    // one (gap 400). The event-driven run must enter the dense regime
-    // at least once, leave it again, and still match the reference
-    // loop byte for byte.
-    GpuConfig cfg = GpuConfig::scaled(8);
-    cfg.warpsPerCluster = 6;
-    WorkloadProfile p = findBenchmark("CFD");
-    p.numKernels = 2;
-    p.phases.resize(2);
-    p.phases[0].computeGap = 0;
-    p.phases[0].accessesPerWarp = 96;
-    p.phases[1].computeGap = 400;
-    p.phases[1].accessesPerWarp = 24;
-
-    const WorkloadProfile scaled = p.scaledData(dataScale(cfg));
-
-    SharingTraceGen edGen(scaled, cfg, 1);
-    System ed(cfg, OrgKind::Sac, edGen);
-    ed.setFastForward(true);
-    const RunResult edRes = ed.run(kernelsFor(scaled));
-
-    const auto &ff = ed.fastForwardStats();
-    EXPECT_GE(ff.denseSpans, 1u) << "dense regime never entered";
-    EXPECT_GT(ff.denseCycles, 0u);
-    EXPECT_LT(ff.denseCycles, ff.schedCycles)
-        << "dense regime never exited";
-    EXPECT_GT(ff.heapPops, 0u) << "sparse regime never ran";
-
-    SharingTraceGen refGen(scaled, cfg, 1);
-    System ref(cfg, OrgKind::Sac, refGen);
-    ref.setFastForward(false);
-    const RunResult refRes = ref.run(kernelsFor(scaled));
-
-    EXPECT_EQ(result_io::toJson(edRes), result_io::toJson(refRes));
 }
 
 /** What a MergedPath case exercises; the case index picks one. */
@@ -193,6 +171,8 @@ TEST_P(MergedPath, EventDrivenMatchesReference)
     job.telemetry.epoch = 256;
     job.telemetry.events = true;
 
+    std::size_t kernels = static_cast<std::size_t>(job.profile.numKernels);
+    std::size_t tenants = 1;
     switch (kind) {
       case MergedCase::SacSoftware: job.org = OrgKind::Sac; break;
       case MergedCase::SacHardware:
@@ -211,31 +191,55 @@ TEST_P(MergedPath, EventDrivenMatchesReference)
         const double share = uniform(rng, 0.3, 2.0);
         job.scenario.streams.push_back(StreamSpec{job.profile, 0, 1.0, 0});
         job.scenario.streams.push_back(StreamSpec{second, launch, share, 0});
+        kernels += static_cast<std::size_t>(second.numKernels);
+        tenants = 2;
         break;
       }
     }
 
-    job.fastForward = true;
-    const RunRecord ed = ExperimentEngine::runJob(job);
+    const RunRecord rec = ExperimentEngine::runJob(job);
+    const RunResult &r = rec.result;
+    const std::string what = "case " + std::to_string(index) + ": " +
+                             job.benchmarkName() + "/" + toString(job.org);
+    ASSERT_EQ(r.status, RunStatus::Ok) << what << r.diagnostic;
+    // One kernelCycles entry per kernel launched.
+    EXPECT_EQ(r.kernelCycles.size(), kernels) << what;
+    if (job.org == OrgKind::Sac)
+        EXPECT_FALSE(r.sacDecisions.empty()) << what;
+    if (kind == MergedCase::ReplicaFlush)
+        EXPECT_GT(r.flushStallCycles, 0u) << what;
+    if (kind != MergedCase::TwoStreams) {
+        EXPECT_TRUE(r.streams.empty()) << what;
+        return;
+    }
+
+    // Two streams: the per-stream counters partition the machine
+    // totals, and the per-cycle twin produces the same bytes.
+    ASSERT_EQ(r.streams.size(), tenants) << what;
+    std::uint64_t accesses = 0, l1_hits = 0, l1_misses = 0;
+    std::uint64_t llc_requests = 0, llc_hits = 0;
+    std::size_t stream_kernels = 0;
+    Cycle flush_stall = 0;
+    for (const auto &s : r.streams) {
+        accesses += s.accesses;
+        l1_hits += s.l1Hits;
+        l1_misses += s.l1Misses;
+        llc_requests += s.llcRequests;
+        llc_hits += s.llcHits;
+        stream_kernels += s.kernelCycles.size();
+        flush_stall += s.flushStallCycles;
+    }
+    EXPECT_EQ(accesses, r.accesses) << what;
+    EXPECT_EQ(l1_hits, r.l1Hits) << what;
+    EXPECT_EQ(l1_misses, r.l1Misses) << what;
+    EXPECT_EQ(llc_requests, r.llcRequests) << what;
+    EXPECT_EQ(llc_hits, r.llcHits) << what;
+    EXPECT_EQ(stream_kernels, r.kernelCycles.size()) << what;
+    EXPECT_LE(flush_stall, r.flushStallCycles) << what;
+
     job.fastForward = false;
     const RunRecord ref = ExperimentEngine::runJob(job);
-
-    ASSERT_EQ(ed.result.status, RunStatus::Ok) << ed.result.diagnostic;
-    EXPECT_EQ(result_io::toJson(ed.result), result_io::toJson(ref.result))
-        << "case " << index << ": " << job.benchmarkName() << "/"
-        << toString(job.org);
-
-    // The case exercised what it claims.
-    EXPECT_GE(ed.result.kernelCycles.size(), 2u);
-    if (kind == MergedCase::TwoStreams) {
-        EXPECT_EQ(ed.result.streams.size(), 2u);
-    } else {
-        EXPECT_TRUE(ed.result.streams.empty());
-    }
-    if (job.org == OrgKind::Sac)
-        EXPECT_FALSE(ed.result.sacDecisions.empty());
-    if (kind == MergedCase::ReplicaFlush)
-        EXPECT_GT(ed.result.flushStallCycles, 0u);
+    EXPECT_EQ(result_io::toJson(r), result_io::toJson(ref.result)) << what;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MergedPath, ::testing::Range(0, mergedCases));

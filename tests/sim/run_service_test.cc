@@ -2,7 +2,7 @@
  * @file
  * Tests for the RunService framework: registry phase ordering, the
  * single-source wake computation, the schedule a System actually
- * registers, and the wall-clock budget's fast-forward behavior.
+ * registers, and the wall-clock budget across at-rest jumps.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "sim/run_service.hh"
 #include "sim/system.hh"
 #include "sim/watchdog.hh"
+#include "workload/scenario.hh"
 #include "workload/suite.hh"
 #include "workload/tracegen.hh"
 
@@ -192,31 +193,33 @@ TEST(SystemSchedule, DynamicSystemRegistersTheEpochService)
         EXPECT_STRNE(n, "sac-window");
 }
 
-// --- wall-clock budget under fast-forward -----------------------------
+// --- wall-clock budget across at-rest jumps ----------------------------
 
 TEST(WallClockWatchdog, DeadlineFiresUnderFastForwardRegression)
 {
     // Regression: the wall-clock check used to sample steady_clock
-    // only every few thousand loop iterations. Under fast-forward an
-    // idle-heavy run completes in far fewer iterations (each one can
-    // skip millions of cycles), so the deadline could never fire.
-    // RunLimits::maxWallMs now rides the cancel watchdog's per-run
-    // token, which keeps the same rule at a stride of 1024.
+    // only every few thousand loop iterations. A run that spends most
+    // of its cycles in an idle launch gap completes in far fewer
+    // iterations (each at-rest jump can skip millions of cycles), so
+    // the deadline could never fire. RunLimits::maxWallMs now rides
+    // the cancel watchdog's per-run token, which checks every jump
+    // iteration and strides only over per-cycle ones.
     const GpuConfig cfg = tinyConfig();
     WorkloadProfile p = tinyProfile();
-    p.phases[0].accessesPerWarp = 12;
-    p = p.scaledData(dataScale(cfg));
+    p.phases[0].accessesPerWarp = 2;
+    Scenario scn;
+    scn.streams.push_back(StreamSpec{p, 200000, 1.0, 0});
+    scn = scn.scaledData(dataScale(cfg));
 
     // First establish the regression precondition: this run takes
     // fewer loop iterations than the cancel watchdog's stride. One
     // iteration ticks one cycle; every remaining cycle is covered by
-    // a skip, so iterations == cycles - skippedCycles.
+    // a jump, so iterations == cycles - skippedCycles.
     {
-        SharingTraceGen gen(p, cfg, 1);
-        System probe(cfg, OrgKind::MemorySide, gen);
-        probe.setFastForward(true);
-        const RunResult res = probe.run(kernelsFor(p));
-        const auto &ff = probe.fastForwardStats();
+        StreamTraceMux mux(scn, cfg, 1);
+        System probe(cfg, OrgKind::MemorySide, mux);
+        const RunResult res = probe.run(scn);
+        const auto ff = probe.fastForwardStats();
         ASSERT_GT(ff.skips, 0u);
         ASSERT_LT(res.cycles - ff.skippedCycles,
                   CancelWatchdog::checkInterval)
@@ -224,15 +227,14 @@ TEST(WallClockWatchdog, DeadlineFiresUnderFastForwardRegression)
     }
 
     // With an already-expired wall budget the watchdog must still
-    // fire, because fast-forwarded iterations are checked unstrided.
-    SharingTraceGen gen(p, cfg, 1);
-    System system(cfg, OrgKind::MemorySide, gen);
-    system.setFastForward(true);
+    // fire, because jump iterations are checked unstrided.
+    StreamTraceMux mux(scn, cfg, 1);
+    System system(cfg, OrgKind::MemorySide, mux);
     RunLimits limits;
     limits.maxWallMs = 1e-6;
     system.setRunLimits(limits);
     try {
-        system.run(kernelsFor(p));
+        system.run(scn);
         FAIL() << "the spent wall budget did not abort the run";
     } catch (const SimTimeoutError &e) {
         // The diagnostic names the budget and carries the digest.

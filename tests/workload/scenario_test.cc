@@ -38,7 +38,6 @@ TEST(ScenarioParse, ReadsStreamsWithDefaults)
             "\"clusterShare\":2.0,\"kernels\":3,\"apw\":64,"
             "\"inputScale\":0.5}]"));
     ASSERT_EQ(scn.streams.size(), 2u);
-    EXPECT_TRUE(scn.multiTenant());
     EXPECT_EQ(scn.name(), "CFD+SRAD");
 
     EXPECT_EQ(scn.streams[0].profile.name, "CFD");
@@ -57,7 +56,7 @@ TEST(ScenarioParse, SingleStreamIsNotMultiTenant)
 {
     const Scenario scn =
         scenarioFromJson(doc("[{\"benchmark\":\"RN\"}]"));
-    EXPECT_FALSE(scn.multiTenant());
+    EXPECT_EQ(scn.streams.size(), 1u);
     EXPECT_EQ(scn.name(), "RN");
 }
 

@@ -29,6 +29,7 @@
  *   sacsim --trace sn.trace --org mem --apw 256
  */
 
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -36,7 +37,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
+#include <system_error>
 
 #include "common/json.hh"
 #include "common/log.hh"
@@ -76,7 +77,6 @@ struct Options
     std::string timelinePath;
     std::string traceEventsPath;
     Cycle epoch = 0; // 0 = default (2048) when --timeline is given
-    bool fastForward = true;
     std::string cachePath;
     Cycle maxCycles = 0;    // 0 = no cycle deadline
     double maxWallMs = 0.0; // 0 = no wall-clock deadline
@@ -135,11 +135,6 @@ usage(int code)
         "  --epoch N              telemetry sampling epoch in cycles\n"
         "                         (default 2048 when --timeline is "
         "given)\n"
-        "  --no-fast-forward      force the per-cycle reference loop\n"
-        "                         (results are bit-identical either "
-        "way;\n"
-        "                         this is the differential-testing "
-        "hatch)\n"
         "  --cache DIR            serve identical jobs from the\n"
         "                         persistent result cache in DIR and\n"
         "                         add fresh results to it; rerun an\n"
@@ -175,25 +170,23 @@ parseOrgList(const std::string &spec)
 }
 
 /**
- * Parses @p text, the value given to @p flag, as a T the way the
- * std::sto* family does; a value it rejects names the flag.
+ * Parses @p text, the value given to @p flag, as a T. The whole text
+ * must be one number that fits T: trailing text, a sign on an
+ * unsigned flag and a value outside T's range are rejected, and the
+ * message names the flag.
  */
 template <typename T>
 T
 number(const std::string &flag, const std::string &text)
 {
-    try {
-        if constexpr (std::is_floating_point_v<T>)
-            return static_cast<T>(std::stod(text));
-        else if constexpr (std::is_signed_v<T>)
-            return static_cast<T>(std::stoi(text));
-        else
-            return static_cast<T>(std::stoull(text));
-    } catch (const std::invalid_argument &) {
-        fatal("invalid value '", text, "' for ", flag);
-    } catch (const std::out_of_range &) {
+    T value{};
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec == std::errc::result_out_of_range)
         fatal("value '", text, "' for ", flag, " is out of range");
-    }
+    if (ec != std::errc() || ptr != end)
+        fatal("invalid value '", text, "' for ", flag);
+    return value;
 }
 
 Options
@@ -249,8 +242,6 @@ parse(int argc, char **argv)
             o.traceEventsPath = value();
         else if (arg == "--epoch")
             o.epoch = number<Cycle>(arg, value());
-        else if (arg == "--no-fast-forward")
-            o.fastForward = false;
         else if (arg == "--cache")
             o.cachePath = value();
         else if (arg == "--max-cycles")
@@ -307,7 +298,6 @@ runOne(const Options &o, const GpuConfig &cfg,
     TraceSource &trace = source ? *source : *gen;
 
     System system(cfg, kind, trace);
-    system.setFastForward(o.fastForward);
     const auto topts = telemetryOptions(o);
     if (topts.enabled())
         system.enableTelemetry(topts);
@@ -562,7 +552,6 @@ run(const Options &o)
         } else {
             plan.addOrgSweep(profile, cfg, kinds, o.seed);
         }
-        plan.setFastForward(o.fastForward);
         if (topts.enabled())
             plan.enableTelemetry(topts);
         RunLimits limits;
