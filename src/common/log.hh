@@ -40,9 +40,9 @@ class FatalError : public std::runtime_error
  *
  * Derives from FatalError so every existing catch/EXPECT_THROW keeps
  * working, but additionally carries a machine-checkable context
- * string locating the offending input — "file.trace:17" for file
- * input, "line 3, column 12" for JSON text, "GpuConfig.lineBytes"
- * for configuration fields. Validation errors are recoverable by
+ * string locating the offending input — the path of a scenario file,
+ * "line 3, column 12" for JSON text, "GpuConfig.lineBytes" for
+ * configuration fields. Validation errors are recoverable by
  * design: no simulator state is modified before they are thrown, so
  * a sweep engine can mark the one job failed and carry on.
  */

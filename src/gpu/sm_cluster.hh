@@ -99,7 +99,6 @@ class SmCluster
     void setStream(int stream) { stream_ = stream; }
     int stream() const { return stream_; }
 
-    ChipId chip() const { return chip_; }
     ClusterId id() const { return id_; }
     std::size_t outstanding() const
     {

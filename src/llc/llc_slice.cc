@@ -25,9 +25,8 @@ constexpr unsigned ackBytes = 8;
 
 } // namespace
 
-LlcSlice::LlcSlice(const GpuConfig &cfg, ChipId chip, int index)
+LlcSlice::LlcSlice(const GpuConfig &cfg, ChipId chip)
     : chip_(chip),
-      index_(index),
       lineBytes(cfg.lineBytes),
       sectorBytes(cfg.lineBytes / cfg.sectorsPerLine),
       requestBytes(cfg.requestBytes),

@@ -74,7 +74,7 @@ struct SliceStats
 class LlcSlice
 {
   public:
-    LlcSlice(const GpuConfig &cfg, ChipId chip, int index);
+    LlcSlice(const GpuConfig &cfg, ChipId chip);
 
     /** Input queue: the crossbar port that feeds this slice. */
     BwQueue &inQueue() { return inQ; }
@@ -143,9 +143,6 @@ class LlcSlice
     std::size_t fillQueued() const { return fillQ.size(); }
     std::size_t inQueued() const { return inQ.size(); }
 
-    ChipId chip() const { return chip_; }
-    int index() const { return index_; }
-
   private:
     /**
      * True when request @p head must wait at the head of its queue:
@@ -161,7 +158,6 @@ class LlcSlice
     void respond(Packet resp, SliceEnv &env);
 
     ChipId chip_;
-    int index_;
 
     unsigned lineBytes;
     unsigned sectorBytes;

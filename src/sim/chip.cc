@@ -17,7 +17,7 @@ Chip::Chip(const GpuConfig &cfg, const AddressMap &map, ChipId id,
         clusters.push_back(std::make_unique<SmCluster>(cfg, id, c, trace));
     slices.reserve(static_cast<std::size_t>(cfg.slicesPerChip));
     for (int s = 0; s < cfg.slicesPerChip; ++s)
-        slices.push_back(std::make_unique<LlcSlice>(cfg, id, s));
+        slices.push_back(std::make_unique<LlcSlice>(cfg, id));
 }
 
 void

@@ -78,7 +78,7 @@ ExperimentEngine::simulatedSystemRuns()
 
 RunRecord
 ExperimentEngine::runJob(const ExperimentJob &job, std::size_t index,
-                         const CancelToken *cancel)
+                         const CancelToken *cancel, const SystemFn &onSystem)
 {
     const auto t0 = std::chrono::steady_clock::now();
 
@@ -134,6 +134,8 @@ ExperimentEngine::runJob(const ExperimentJob &job, std::size_t index,
     systemRuns.fetch_add(1, std::memory_order_relaxed);
     rec.result = job.hasScenario() ? system.run(scaledScenario)
                                    : system.run(kernelsFor(scaled));
+    if (onSystem)
+        onSystem(index, system);
     rec.wallMs = std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - t0)
                      .count();
@@ -176,12 +178,12 @@ cancelledRecord(const ExperimentJob &job, std::size_t index,
  */
 RunRecord
 runGuarded(const ExperimentJob &job, std::size_t index,
-           const CancelToken *cancel)
+           const CancelToken *cancel, const SystemFn &onSystem)
 {
     const auto t0 = std::chrono::steady_clock::now();
     RunRecord rec;
     try {
-        return ExperimentEngine::runJob(job, index, cancel);
+        return ExperimentEngine::runJob(job, index, cancel, onSystem);
     } catch (const LivelockError &e) {
         rec = failedRecord(job, index, RunStatus::Livelocked, e.what());
     } catch (const SimTimeoutError &e) {
@@ -374,7 +376,7 @@ ExperimentEngine::run(const ExperimentPlan &plan,
             const double queued = ms_since(clock_type::now());
             out[i] = cancel_ && cancel_->cancelled()
                          ? cancelledRecord(plan[i], i, *cancel_)
-                         : runGuarded(plan[i], i, cancel_);
+                         : runGuarded(plan[i], i, cancel_, onSystem_);
             out[i].queueMs = queued;
             out[i].worker = w;
             emitter.complete(i);

@@ -27,12 +27,11 @@
  * the delivery sequence is deterministic for any worker count too.
  *
  * Fault tolerance: each job runs isolated. A job that throws — bad
- * configuration, trace validation failure, watchdog deadline,
- * livelock cap, simulator panic — becomes a RunRecord whose
- * RunResult carries a non-ok status and the error text as its
- * diagnostic; every other job's results are unaffected and run()
- * always delivers a record per job. A job runs once: a failure is
- * reported, never retried.
+ * configuration, watchdog deadline, livelock cap, simulator panic —
+ * becomes a RunRecord whose RunResult carries a non-ok status and the
+ * error text as its diagnostic; every other job's results are
+ * unaffected and run() always delivers a record per job. A job runs
+ * once: a failure is reported, never retried.
  *
  * Memoization and resume: attach a JobCache (setCache) and the engine
  * consults it before scheduling work — a job whose content hash
@@ -152,6 +151,9 @@ struct EngineDone
 
 using ProgressFn = std::function<void(const EngineProgress &)>;
 
+/** Inspector for a finished job's System: (plan index, system). */
+using SystemFn = std::function<void(std::size_t, const System &)>;
+
 /**
  * A consumer on the engine's delivery path. onRecord fires once per
  * job, serialized and in plan order regardless of worker count or
@@ -230,6 +232,17 @@ class ExperimentEngine
     void onProgress(ProgressFn fn) { progress_ = std::move(fn); }
 
     /**
+     * Registers an inspector for the System of every job this engine
+     * simulates, e.g. to dump its full counter tree (sacsim --stats).
+     * fn(planIndex, system) runs on the worker thread once
+     * System::run returns, before the System is destroyed, so calls
+     * for different jobs may overlap. It never fires for a cache hit
+     * (no System exists) or for a job whose run threw; if it throws,
+     * that job is recorded as failed.
+     */
+    void onSystem(SystemFn fn) { onSystem_ = std::move(fn); }
+
+    /**
      * Attaches a delivery sink (non-owning; must outlive run()).
      * Sinks fire in attachment order, after the internal cache
      * populator.
@@ -285,9 +298,12 @@ class ExperimentEngine
      * propagates exceptions — it is the raw building block the
      * engine's isolation layer wraps. @p cancel, when non-null, is
      * observed at the run's watchdog poll points (SimTimeoutError).
+     * @p onSystem, when set, is called with (index, system) once
+     * System::run returns.
      */
     static RunRecord runJob(const ExperimentJob &job, std::size_t index = 0,
-                            const CancelToken *cancel = nullptr);
+                            const CancelToken *cancel = nullptr,
+                            const SystemFn &onSystem = {});
 
     /**
      * Process-wide count of System::run invocations made through the
@@ -301,6 +317,7 @@ class ExperimentEngine
   private:
     unsigned threads_;
     ProgressFn progress_;
+    SystemFn onSystem_;
     std::vector<ResultSink *> sinks_;
     JobCache *cache_ = nullptr;
     const CancelToken *cancel_ = nullptr;

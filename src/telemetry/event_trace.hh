@@ -6,8 +6,8 @@
  * worth explaining happens — a kernel launches, SAC closes a profile
  * window and decides, the LLC drains and flushes, the dynamic
  * partitioner moves a way. The trace is a flat, cycle-ordered vector
- * of TraceEvent; exporters (telemetry/export.hh) turn it into JSONL
- * or Chrome-trace JSON for Perfetto.
+ * of TraceEvent; exporters (telemetry/export.hh) turn it into
+ * lossless JSON or Chrome-trace JSON for Perfetto.
  *
  * Like the Sampler, an EventTrace only exists when event recording
  * was requested; a null check guards every record site.

@@ -52,9 +52,8 @@ sampleFromValue(const Value &v)
     return s;
 }
 
-/** Event fields shared by toJson(TraceEvent) and the JSONL writer. */
-void
-eventFields(Builder &b, const TraceEvent &e)
+std::string
+eventToJson(const TraceEvent &e)
 {
     // Args stay an array of [name, value] pairs: an object would come
     // back key-sorted from the parser and break the byte-identical
@@ -65,6 +64,7 @@ eventFields(Builder &b, const TraceEvent &e)
         pair.item(json::escape(name)).item(json::number(value));
         args.item(pair.close(']'));
     }
+    Builder b('{');
     b.field("kind", json::escape(toString(e.kind)))
         .field("cycle", json::number(e.cycle))
         .field("dur", json::number(e.duration))
@@ -72,6 +72,7 @@ eventFields(Builder &b, const TraceEvent &e)
         .field("chip", json::number(static_cast<double>(e.chip)))
         .field("label", json::escape(e.label))
         .field("args", args.close(']'));
+    return b.close('}');
 }
 
 TraceEvent
@@ -130,14 +131,6 @@ argsObject(const std::vector<std::pair<std::string, double>> &args)
 } // namespace
 
 std::string
-toJson(const TraceEvent &event)
-{
-    Builder b('{');
-    eventFields(b, event);
-    return b.close('}');
-}
-
-std::string
 toJson(const Timeline &timeline)
 {
     Builder samples('[');
@@ -145,7 +138,7 @@ toJson(const Timeline &timeline)
         samples.item(sampleToJson(s));
     Builder events('[');
     for (const auto &e : timeline.events)
-        events.item(toJson(e));
+        events.item(eventToJson(e));
 
     Builder b('{');
     b.field("epoch", json::number(timeline.epoch))
@@ -164,25 +157,6 @@ timelineFromValue(const Value &v)
     for (const auto &e : v.at("events").array)
         t.events.push_back(eventFromValue(e));
     return t;
-}
-
-Timeline
-timelineFromJson(const std::string &text)
-{
-    return timelineFromValue(json::parse(text));
-}
-
-void
-writeJsonl(std::ostream &os, const Timeline &timeline,
-           const std::string &run)
-{
-    for (const auto &e : timeline.events) {
-        Builder b('{');
-        if (!run.empty())
-            b.field("run", json::escape(run));
-        eventFields(b, e);
-        os << b.close('}') << "\n";
-    }
 }
 
 namespace {

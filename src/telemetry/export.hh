@@ -2,14 +2,12 @@
  * @file
  * Timeline/event serialization.
  *
- * Three formats, three audiences:
+ * Two formats, two audiences:
  *
- *  - toJson/timelineFromJson: the lossless machine format (integers
+ *  - toJson/timelineFromValue: the lossless machine format (integers
  *    verbatim, doubles at max_digits10); also what sim/result_io
  *    embeds into sac.results documents. Round trips bit-for-bit —
  *    the cross-worker determinism tests compare these strings.
- *  - writeJsonl: one JSON object per line, one line per event; the
- *    grep/jq-friendly stream for ad-hoc analysis.
  *  - writeChromeTrace: Chrome trace-event JSON with one process per
  *    run, loadable in Perfetto (https://ui.perfetto.dev) — kernels become
  *    B/E spans, flushes become complete ("X") slices, decisions and
@@ -34,22 +32,8 @@ namespace sac::telemetry {
 /** Serializes a timeline as a lossless JSON object. */
 std::string toJson(const Timeline &timeline);
 
-/** Serializes one event as a lossless JSON object. */
-std::string toJson(const TraceEvent &event);
-
 /** Parses the output of toJson(Timeline), already as a value tree. */
 Timeline timelineFromValue(const json::Value &v);
-
-/** Parses the output of toJson(Timeline). Throws FatalError. */
-Timeline timelineFromJson(const std::string &text);
-
-/**
- * Writes the events as JSONL: one object per line. When @p run is
- * non-empty every line carries a "run" field, so streams from several
- * runs can be concatenated and still attributed.
- */
-void writeJsonl(std::ostream &os, const Timeline &timeline,
-                const std::string &run = "");
 
 /** One run in a Chrome trace: its label and its timeline. */
 using TraceRun = std::pair<std::string, const Timeline *>;

@@ -37,8 +37,8 @@ cfg()
 
 /** One serial run on the calling thread. */
 RunResult
-runOne(const WorkloadProfile &p, const GpuConfig &c, OrgKind kind,
-       std::uint64_t seed)
+simulate(const WorkloadProfile &p, const GpuConfig &c, OrgKind kind,
+         std::uint64_t seed)
 {
     return ExperimentEngine::runJob({p, c, kind, seed}).result;
 }
@@ -50,8 +50,8 @@ class Preference : public ::testing::TestWithParam<const char *>
 TEST_P(Preference, SmSidePreferredBenchmarksPreferSmSide)
 {
     const auto p = shrunk(GetParam(), 384);
-    const auto mem = runOne(p, cfg(), OrgKind::MemorySide, 1);
-    const auto sm = runOne(p, cfg(), OrgKind::SmSide, 1);
+    const auto mem = simulate(p, cfg(), OrgKind::MemorySide, 1);
+    const auto sm = simulate(p, cfg(), OrgKind::SmSide, 1);
     EXPECT_GT(speedup(mem, sm), 1.05)
         << GetParam() << " should prefer the SM-side LLC";
 }
@@ -66,8 +66,8 @@ class MemPreference : public ::testing::TestWithParam<const char *>
 TEST_P(MemPreference, MemorySidePreferredBenchmarksPreferMemorySide)
 {
     const auto p = shrunk(GetParam(), 256);
-    const auto mem = runOne(p, cfg(), OrgKind::MemorySide, 1);
-    const auto sm = runOne(p, cfg(), OrgKind::SmSide, 1);
+    const auto mem = simulate(p, cfg(), OrgKind::MemorySide, 1);
+    const auto sm = simulate(p, cfg(), OrgKind::SmSide, 1);
     EXPECT_LT(speedup(mem, sm), 0.95)
         << GetParam() << " should prefer the memory-side LLC";
 }
@@ -85,9 +85,9 @@ TEST_P(SacTracks, SacIsNeverMuchWorseThanTheBestFixedOrg)
     // Kernels must be long enough to amortize the profiling window,
     // as in the real suite (the window is a fixed request count).
     const auto p = shrunk(GetParam(), 768);
-    const auto mem = runOne(p, cfg(), OrgKind::MemorySide, 1);
-    const auto sm = runOne(p, cfg(), OrgKind::SmSide, 1);
-    const auto sac = runOne(p, cfg(), OrgKind::Sac, 1);
+    const auto mem = simulate(p, cfg(), OrgKind::MemorySide, 1);
+    const auto sm = simulate(p, cfg(), OrgKind::SmSide, 1);
+    const auto sac = simulate(p, cfg(), OrgKind::Sac, 1);
     const double best = std::max(speedup(mem, sm), 1.0);
     const double got = speedup(mem, sac);
     // Within 30% of the best of the two extremes (profiling and
@@ -104,8 +104,8 @@ TEST(Behavior, SmSideRaisesMissRateButMayRaiseBandwidth)
     // preferred workloads the SM-side LLC misses MORE yet performs
     // better, because the effective LLC bandwidth is higher.
     const auto p = shrunk("RN", 384);
-    const auto mem = runOne(p, cfg(), OrgKind::MemorySide, 1);
-    const auto sm = runOne(p, cfg(), OrgKind::SmSide, 1);
+    const auto mem = simulate(p, cfg(), OrgKind::MemorySide, 1);
+    const auto sm = simulate(p, cfg(), OrgKind::SmSide, 1);
     EXPECT_GT(sm.llcMissRate(), mem.llcMissRate());
     EXPECT_GT(sm.effLlcBw, mem.effLlcBw);
     EXPECT_LT(sm.cycles, mem.cycles);
@@ -115,8 +115,8 @@ TEST(Behavior, EffectiveBandwidthCorrelatesWithPerformance)
 {
     // Section 5.2: speedup correlates with effective LLC bandwidth.
     const auto p = shrunk("SN", 384);
-    const auto mem = runOne(p, cfg(), OrgKind::MemorySide, 1);
-    const auto sm = runOne(p, cfg(), OrgKind::SmSide, 1);
+    const auto mem = simulate(p, cfg(), OrgKind::MemorySide, 1);
+    const auto sm = simulate(p, cfg(), OrgKind::SmSide, 1);
     const bool sm_faster = sm.cycles < mem.cycles;
     const bool sm_more_bw = sm.effLlcBw > mem.effLlcBw;
     EXPECT_EQ(sm_faster, sm_more_bw);
@@ -125,7 +125,7 @@ TEST(Behavior, EffectiveBandwidthCorrelatesWithPerformance)
 TEST(Behavior, SacChoosesSmSideForSmPreferred)
 {
     const auto p = shrunk("RN", 384);
-    const auto sac = runOne(p, cfg(), OrgKind::Sac, 1);
+    const auto sac = simulate(p, cfg(), OrgKind::Sac, 1);
     ASSERT_FALSE(sac.sacDecisions.empty());
     EXPECT_EQ(sac.sacDecisions[0].chosen, LlcMode::SmSide);
 }
@@ -133,7 +133,7 @@ TEST(Behavior, SacChoosesSmSideForSmPreferred)
 TEST(Behavior, SacChoosesMemorySideForMemPreferred)
 {
     const auto p = shrunk("GEMM", 256);
-    const auto sac = runOne(p, cfg(), OrgKind::Sac, 1);
+    const auto sac = simulate(p, cfg(), OrgKind::Sac, 1);
     ASSERT_FALSE(sac.sacDecisions.empty());
     EXPECT_EQ(sac.sacDecisions[0].chosen, LlcMode::MemorySide);
     EXPECT_EQ(sac.reconfigurations, 0);
@@ -148,10 +148,10 @@ TEST(Behavior, InterChipBandwidthShrinksSacAdvantage)
     low.interChipBw = 48.0;
     auto high = cfg();
     high.interChipBw = 384.0;
-    const auto mem_low = runOne(p, low, OrgKind::MemorySide, 1);
-    const auto sac_low = runOne(p, low, OrgKind::Sac, 1);
-    const auto mem_high = runOne(p, high, OrgKind::MemorySide, 1);
-    const auto sac_high = runOne(p, high, OrgKind::Sac, 1);
+    const auto mem_low = simulate(p, low, OrgKind::MemorySide, 1);
+    const auto sac_low = simulate(p, low, OrgKind::Sac, 1);
+    const auto mem_high = simulate(p, high, OrgKind::MemorySide, 1);
+    const auto sac_high = simulate(p, high, OrgKind::Sac, 1);
     EXPECT_GT(speedup(mem_low, sac_low), speedup(mem_high, sac_high));
 }
 
@@ -160,8 +160,8 @@ TEST(Behavior, SmallerInputFlipsMemPreferredTowardSmSide)
     // Fig. 13: shrinking the input makes the shared working set fit,
     // so even a memory-side-preferred benchmark turns SM-side.
     auto p = shrunk("GEMM", 256).withInputScale(1.0 / 16.0);
-    const auto mem = runOne(p, cfg(), OrgKind::MemorySide, 1);
-    const auto sm = runOne(p, cfg(), OrgKind::SmSide, 1);
+    const auto mem = simulate(p, cfg(), OrgKind::MemorySide, 1);
+    const auto sm = simulate(p, cfg(), OrgKind::SmSide, 1);
     EXPECT_GT(speedup(mem, sm), 1.0);
 }
 

@@ -72,7 +72,7 @@ ticks(LlcSlice &slice, SectorEnv &env, Cycle from, Cycle to)
 TEST(SectoredSlice, SectorMissFetchesOnlyThatSector)
 {
     SectorEnv env;
-    LlcSlice slice(cfg(), 0, 0);
+    LlcSlice slice(cfg(), 0);
     slice.inQueue().push(read(0x1000, 1), 0);
     ticks(slice, env, 0, 3);
     ASSERT_EQ(env.toMem.size(), 1u);
@@ -99,7 +99,7 @@ TEST(SectoredSlice, SectorMissFetchesOnlyThatSector)
 TEST(SectoredSlice, SectorFillCompletesWithoutEviction)
 {
     SectorEnv env;
-    LlcSlice slice(cfg(), 0, 0);
+    LlcSlice slice(cfg(), 0);
     // Bring in two sectors of the same line back to back.
     for (unsigned s : {0u, 2u}) {
         slice.inQueue().push(read(0x2000, s), 0);
@@ -120,7 +120,7 @@ TEST(SectoredSlice, SectorFillCompletesWithoutEviction)
 TEST(SectoredSlice, DifferentSectorsHaveIndependentMshrs)
 {
     SectorEnv env;
-    LlcSlice slice(cfg(), 0, 0);
+    LlcSlice slice(cfg(), 0);
     slice.inQueue().push(read(0x3000, 0), 0);
     slice.inQueue().push(read(0x3000, 1), 0);
     ticks(slice, env, 0, 3);

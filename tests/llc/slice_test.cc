@@ -82,7 +82,7 @@ runTicks(LlcSlice &slice, MockEnv &env, Cycle from, Cycle to)
 TEST(LlcSlice, LocalMissFetchesFromLocalMemory)
 {
     MockEnv env;
-    LlcSlice slice(cfg(), 0, 0);
+    LlcSlice slice(cfg(), 0);
     slice.inQueue().push(localRead(0x1000, 0), 0);
     runTicks(slice, env, 0, 3);
     ASSERT_EQ(env.toMem.size(), 1u);
@@ -93,7 +93,7 @@ TEST(LlcSlice, LocalMissFetchesFromLocalMemory)
 TEST(LlcSlice, FillThenHitRespondsFromArray)
 {
     MockEnv env;
-    LlcSlice slice(cfg(), 0, 0);
+    LlcSlice slice(cfg(), 0);
     slice.inQueue().push(localRead(0x1000, 0), 0);
     runTicks(slice, env, 0, 3);
     // Memory answers.
@@ -116,7 +116,7 @@ TEST(LlcSlice, FillThenHitRespondsFromArray)
 TEST(LlcSlice, SmSideRemoteMissBypassesToHome)
 {
     MockEnv env;
-    LlcSlice slice(cfg(), 0, 0);
+    LlcSlice slice(cfg(), 0);
     Packet p = localRead(0x2000, /*home=*/2); // SM-side: serve locally
     slice.inQueue().push(p, 0);
     runTicks(slice, env, 0, 3);
@@ -129,7 +129,7 @@ TEST(LlcSlice, SmSideRemoteMissBypassesToHome)
 TEST(LlcSlice, PartitionedRemoteMissGoesToHomeLevel)
 {
     MockEnv env;
-    LlcSlice slice(cfg(), 0, 0);
+    LlcSlice slice(cfg(), 0);
     Packet p = localRead(0x2000, 2);
     p.allocPartition = partitionRemote;
     p.homeLookup = true;
@@ -144,7 +144,7 @@ TEST(LlcSlice, PartitionedRemoteMissGoesToHomeLevel)
 TEST(LlcSlice, HomeLevelRequestServedOnVcQueue)
 {
     MockEnv env;
-    LlcSlice slice(cfg(), 2, 0); // this is the home chip
+    LlcSlice slice(cfg(), 2); // this is the home chip
     Packet p = localRead(0x2000, 2);
     p.srcChip = 0;
     p.serveChip = 0; // requester-side slice is on chip 0
@@ -172,7 +172,7 @@ TEST(LlcSlice, HomeLevelRequestServedOnVcQueue)
 TEST(LlcSlice, BypassPacketsSkipTheArray)
 {
     MockEnv env;
-    LlcSlice slice(cfg(), 2, 0);
+    LlcSlice slice(cfg(), 2);
     Packet p = localRead(0x3000, 2);
     p.srcChip = 0;
     p.serveChip = 0;
@@ -188,7 +188,7 @@ TEST(LlcSlice, BypassPacketsSkipTheArray)
 TEST(LlcSlice, MshrCoalescesAndRespondsToAll)
 {
     MockEnv env;
-    LlcSlice slice(cfg(), 0, 0);
+    LlcSlice slice(cfg(), 0);
     for (int w = 0; w < 3; ++w) {
         Packet p = localRead(0x4000, 0);
         p.warp = w;
@@ -209,7 +209,7 @@ TEST(LlcSlice, MshrCoalescesAndRespondsToAll)
 TEST(LlcSlice, MshrFullStallsHeadOfLine)
 {
     MockEnv env;
-    LlcSlice slice(cfg(), 0, 0); // 4 MSHRs
+    LlcSlice slice(cfg(), 0); // 4 MSHRs
     for (int i = 0; i < 6; ++i)
         slice.inQueue().push(localRead(0x1000 + 0x80ull * i, 0), 0);
     runTicks(slice, env, 0, 5);
@@ -221,7 +221,7 @@ TEST(LlcSlice, MshrFullStallsHeadOfLine)
 TEST(LlcSlice, ResidentLineServedWhileMshrsFull)
 {
     MockEnv env;
-    LlcSlice slice(cfg(), 0, 0); // 4 MSHRs
+    LlcSlice slice(cfg(), 0); // 4 MSHRs
     slice.cache().insert(0x7000, 0, 0, false, partitionLocal);
     for (int i = 0; i < 4; ++i)
         slice.inQueue().push(localRead(0x1000 + 0x80ull * i, 0), 0);
@@ -241,7 +241,7 @@ TEST(LlcSlice, MemBackpressureQueuesMisses)
 {
     MockEnv env;
     env.memAccepts = false;
-    LlcSlice slice(cfg(), 0, 0);
+    LlcSlice slice(cfg(), 0);
     slice.inQueue().push(localRead(0x5000, 0), 0);
     runTicks(slice, env, 0, 3);
     EXPECT_TRUE(env.toMem.empty());
@@ -254,7 +254,7 @@ TEST(LlcSlice, MemBackpressureQueuesMisses)
 TEST(LlcSlice, WriteHitMarksDirtyAndAcks)
 {
     MockEnv env;
-    LlcSlice slice(cfg(), 0, 0);
+    LlcSlice slice(cfg(), 0);
     slice.cache().insert(0x6000, 0, 0, false, partitionLocal);
     Packet p = localRead(0x6000, 0);
     p.type = AccessType::Write;
@@ -275,7 +275,7 @@ TEST(LlcSlice, DirtyRemoteEvictionWritesBackAcrossChips)
     c.llcWays = 2;
     c.slicesPerChip = 4;
     MockEnv env;
-    LlcSlice slice(c, 0, 0);
+    LlcSlice slice(c, 0);
     // Insert dirty remote lines until something dirty is evicted.
     bool saw_remote_writeback = false;
     for (int i = 0; i < 64 && !saw_remote_writeback; ++i) {
@@ -305,7 +305,7 @@ TEST(LlcSlice, DirtyRemoteEvictionWritesBackAcrossChips)
 TEST(LlcSlice, ReplicaFillRegistersInDirectory)
 {
     MockEnv env;
-    LlcSlice slice(cfg(), 0, 0);
+    LlcSlice slice(cfg(), 0);
     Packet req = localRead(0x9000, /*home=*/1); // SM-side remote
     slice.inQueue().push(req, 0);
     runTicks(slice, env, 0, 2);

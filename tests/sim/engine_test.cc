@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <mutex>
 #include <set>
 
 #include "common/log.hh"
@@ -164,6 +166,65 @@ TEST(ExperimentEngine, BadJobConfigurationIsIsolated)
     // The raw single-job entry point still propagates, so callers
     // that want the exception keep it.
     EXPECT_THROW(ExperimentEngine::runJob(plan[1], 1), FatalError);
+}
+
+/** A JobCache that serves one stored record, matched by label. */
+class OneRecordCache : public JobCache
+{
+  public:
+    explicit OneRecordCache(RunRecord rec) : rec_(std::move(rec)) {}
+
+    std::optional<RunRecord>
+    lookup(const ExperimentJob &job) override
+    {
+        if (job.label == rec_.label)
+            return rec_;
+        return std::nullopt;
+    }
+
+    void store(const ExperimentJob &, const RunRecord &) override {}
+
+  private:
+    RunRecord rec_;
+};
+
+TEST(EngineInspector, SeesEverySimulatedOkJobOnce)
+{
+    // Four jobs: 0 and 2 simulate ok, 1 is served from the cache and
+    // 3 times out. The inspector must see exactly 0 and 2, once each,
+    // each with the System that produced that job's record.
+    ExperimentPlan plan;
+    plan.addOrgSweep(tinyProfile("RN"), tinyConfig(),
+                     {OrgKind::MemorySide, OrgKind::SmSide, OrgKind::Sac});
+    ExperimentJob timed_out = plan[0];
+    timed_out.label = "RN/timed-out";
+    timed_out.limits.maxCycles = 100;
+    plan.add(std::move(timed_out));
+    OneRecordCache cache(ExperimentEngine::runJob(plan[1], 1));
+
+    for (const unsigned threads : {1u, 4u}) {
+        ExperimentEngine engine(threads);
+        engine.setCache(&cache);
+        std::mutex mutex;
+        std::multimap<std::size_t, Cycle> seen;
+        engine.onSystem([&](std::size_t index, const System &system) {
+            std::lock_guard<std::mutex> lock(mutex);
+            seen.emplace(index, system.now());
+        });
+        const auto records = engine.run(plan);
+
+        ASSERT_EQ(records.size(), 4u);
+        EXPECT_EQ(records[1].source, RecordSource::Cache);
+        EXPECT_EQ(records[3].result.status, RunStatus::TimedOut);
+        ASSERT_EQ(seen.size(), 2u) << threads << " workers";
+        for (const std::size_t index : {0u, 2u}) {
+            ASSERT_EQ(seen.count(index), 1u) << "job " << index;
+            EXPECT_EQ(records[index].result.status, RunStatus::Ok);
+            EXPECT_EQ(seen.find(index)->second,
+                      records[index].result.cycles)
+                << "job " << index;
+        }
+    }
 }
 
 TEST(Runner, RunOrganizationsIsOrdered)

@@ -174,5 +174,39 @@ TEST(System, LoadLatencyIsPlausible)
     EXPECT_LT(r.avgLoadLatency, 100000.0);
 }
 
+/** Seed sweep: invariants hold for arbitrary seeds. */
+class SeedSweep : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(SeedSweep, InvariantsHoldAcrossSeeds)
+{
+    GpuConfig c = GpuConfig::scaled(8);
+    c.warpsPerCluster = 4;
+    WorkloadProfile p;
+    p.name = "sweep";
+    p.ctas = 32;
+    p.footprintMB = 2;
+    p.trueSharedMB = 0.5;
+    p.falseSharedMB = 0.5;
+    p.phases[0].accessesPerWarp = 48;
+    p.numKernels = 1;
+
+    SharingTraceGen gen(p, c, GetParam());
+    System sys(c, OrgKind::Sac, gen);
+    const auto r = sys.run({{0, "k", 48}});
+    const auto expected =
+        static_cast<std::uint64_t>(c.totalClusters()) *
+        static_cast<std::uint64_t>(c.warpsPerCluster) * 48;
+    EXPECT_EQ(r.accesses, expected);
+    EXPECT_LE(r.llcHits, r.llcRequests);
+    EXPECT_GE(r.effLlcBw, 0.0);
+    EXPECT_LE(r.llcRemoteFraction, 1.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep,
+                         ::testing::Values(1u, 7u, 42u, 1234567u,
+                                           0xdeadbeefu));
+
 } // namespace
 } // namespace sac

@@ -1,5 +1,5 @@
 /** @file Tests for the telemetry subsystem: the epoch sampler, event
- *  traces and the three export formats. */
+ *  traces and the two export formats. */
 
 #include <gtest/gtest.h>
 
@@ -146,7 +146,7 @@ TEST(Export, TimelineJsonRoundTripsByteForByte)
 {
     const Timeline tl = sampleTimeline();
     const std::string text = telemetry::toJson(tl);
-    const Timeline back = telemetry::timelineFromJson(text);
+    const Timeline back = telemetry::timelineFromValue(json::parse(text));
     EXPECT_EQ(telemetry::toJson(back), text);
 
     EXPECT_EQ(back.epoch, tl.epoch);
@@ -156,25 +156,6 @@ TEST(Export, TimelineJsonRoundTripsByteForByte)
     ASSERT_EQ(back.events.size(), tl.events.size());
     EXPECT_EQ(back.events[0].label, "k\"quoted\"");
     EXPECT_EQ(back.events[1].args, tl.events[1].args);
-}
-
-TEST(Export, JsonlEmitsOneParsableObjectPerEvent)
-{
-    const Timeline tl = sampleTimeline();
-    std::ostringstream os;
-    telemetry::writeJsonl(os, tl, "CFD/sac");
-
-    std::istringstream is(os.str());
-    std::string line;
-    std::size_t lines = 0;
-    while (std::getline(is, line)) {
-        const auto v = json::parse(line);
-        EXPECT_EQ(v.at("run").asString(), "CFD/sac");
-        EXPECT_NO_THROW(telemetry::eventKindFromName(
-            v.at("kind").asString()));
-        ++lines;
-    }
-    EXPECT_EQ(lines, tl.events.size());
 }
 
 // --- export: Chrome trace --------------------------------------------

@@ -8,8 +8,8 @@
  * through the ExperimentEngine (--jobs), results can be exported as a
  * sac.results.v3 JSON document (--json), and runs can be traced:
  * --timeline writes epoch-sampled timelines, --trace-events writes a
- * Chrome trace (load it at https://ui.perfetto.dev) or, with a
- * .jsonl path, a JSONL event stream.
+ * Chrome trace (load it at https://ui.perfetto.dev), and --stats
+ * prints every simulated job's full counter tree.
  *
  * Sweeps are fault tolerant: a failing job is reported with a status
  * and diagnostic instead of killing the sweep (exit code 2 flags it),
@@ -24,17 +24,15 @@
  *   sacsim --benchmark CFD --org all --jobs 4 --cache cache.d
  *   sacsim --benchmark CFD --org sac --timeline t.json --trace-events e.json
  *   sacsim --benchmark GEMM --org mem,sac --scale 4 --input-scale 0.125
- *   sacsim --benchmark RN --org sm --coherence hw --sectors 4 --stats
- *   sacsim --benchmark SN --org sac --record sn.trace
- *   sacsim --trace sn.trace --org mem --apw 256
+ *   sacsim --benchmark RN --org mem,sm --coherence hw --sectors 4 --stats
  */
 
 #include <charconv>
-#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <system_error>
@@ -42,14 +40,13 @@
 #include "common/json.hh"
 #include "common/log.hh"
 #include "service/result_cache.hh"
+#include "sim/engine.hh"
 #include "sim/plan.hh"
 #include "sim/report.hh"
 #include "sim/result_io.hh"
 #include "sim/system.hh"
 #include "telemetry/export.hh"
 #include "workload/suite.hh"
-#include "workload/trace_file.hh"
-#include "workload/tracegen.hh"
 
 namespace {
 
@@ -71,8 +68,6 @@ struct Options
     std::string jsonPath;
     bool stats = false;
     bool list = false;
-    std::string recordPath;
-    std::string tracePath;
     std::uint64_t apw = 0; // 0 = profile default
     std::string timelinePath;
     std::string traceEventsPath;
@@ -122,16 +117,13 @@ usage(int code)
         "                         samples (default 2048)\n"
         "  --apw N                accesses per warp per kernel "
         "override\n"
-        "  --record FILE          record the generated trace to FILE\n"
-        "  --trace FILE           replay FILE instead of a synthetic "
-        "workload\n"
-        "  --stats                dump the full per-chip stats tree\n"
+        "  --stats                dump each simulated job's per-chip\n"
+        "                         stats tree (not with --cache)\n"
         "  --timeline FILE        write epoch-sampled timelines "
         "(sac.timeline.v1 JSON)\n"
         "  --trace-events FILE    write simulation events as a Chrome "
         "trace\n"
-        "                         (Perfetto-loadable; a .jsonl path "
-        "writes JSONL)\n"
+        "                         (Perfetto-loadable)\n"
         "  --epoch N              telemetry sampling epoch in cycles\n"
         "                         (default 2048 when --timeline is "
         "given)\n"
@@ -230,10 +222,6 @@ parse(int argc, char **argv)
             o.occupancyInterval = number<Cycle>(arg, value());
         else if (arg == "--apw")
             o.apw = number<std::uint64_t>(arg, value());
-        else if (arg == "--record")
-            o.recordPath = value();
-        else if (arg == "--trace")
-            o.tracePath = value();
         else if (arg == "--stats")
             o.stats = true;
         else if (arg == "--timeline")
@@ -267,53 +255,6 @@ listSuite()
                   std::to_string(p.numKernels)});
     }
     t.print(std::cout);
-}
-
-/**
- * Serial path for the modes the engine cannot parallelize: trace
- * record/replay (a shared file is inherently ordered) and --stats
- * (needs the live System after the run).
- */
-RunResult
-runOne(const Options &o, const GpuConfig &cfg,
-       const WorkloadProfile &profile, OrgKind kind, bool dump_stats)
-{
-    std::unique_ptr<TraceSource> source;
-    std::unique_ptr<std::ofstream> record;
-    std::unique_ptr<SharingTraceGen> gen;
-
-    if (!o.tracePath.empty()) {
-        source = std::make_unique<TraceFileSource>(
-            TraceFileSource::fromFile(o.tracePath));
-    } else {
-        gen = std::make_unique<SharingTraceGen>(
-            profile.scaledData(dataScale(cfg)), cfg, o.seed);
-        if (!o.recordPath.empty()) {
-            record = std::make_unique<std::ofstream>(o.recordPath);
-            if (!*record)
-                fatal("cannot open '", o.recordPath, "' for writing");
-            source = std::make_unique<TraceRecorder>(*gen, *record);
-        }
-    }
-    TraceSource &trace = source ? *source : *gen;
-
-    System system(cfg, kind, trace);
-    const auto topts = telemetryOptions(o);
-    if (topts.enabled())
-        system.enableTelemetry(topts);
-    const auto result =
-        system.run(kernelsFor(profile.scaledData(dataScale(cfg))));
-    if (dump_stats)
-        system.dumpStats(std::cout);
-    return result;
-}
-
-/** True when the request needs the serial single-System path. */
-bool
-needsSerialPath(const Options &o, std::size_t num_orgs)
-{
-    return !o.tracePath.empty() || !o.recordPath.empty() ||
-           (o.stats && num_orgs == 1);
 }
 
 void
@@ -426,29 +367,19 @@ writeTimelines(const std::string &path,
 
 /**
  * --trace-events: a combined Chrome trace with one Perfetto process
- * per record, or a JSONL event stream when the path ends in .jsonl.
+ * per record.
  */
 void
 writeTraceEvents(const std::string &path,
                  const std::vector<RunRecord> &records)
 {
-    const bool jsonl = path.size() >= 6 &&
-                       path.compare(path.size() - 6, 6, ".jsonl") == 0;
     auto out = openOut(path);
-    if (jsonl) {
-        for (const auto &rec : records) {
-            if (rec.result.timeline)
-                telemetry::writeJsonl(out, *rec.result.timeline,
-                                      rec.label);
-        }
-    } else {
-        std::vector<telemetry::TraceRun> runs;
-        for (const auto &rec : records) {
-            if (rec.result.timeline)
-                runs.emplace_back(rec.label, &*rec.result.timeline);
-        }
-        telemetry::writeChromeTrace(out, runs);
+    std::vector<telemetry::TraceRun> runs;
+    for (const auto &rec : records) {
+        if (rec.result.timeline)
+            runs.emplace_back(rec.label, &*rec.result.timeline);
     }
+    telemetry::writeChromeTrace(out, runs);
     std::cerr << "wrote trace events to " << path << "\n";
 }
 
@@ -458,6 +389,10 @@ run(const Options &o)
     if (o.list) {
         listSuite();
         return 0;
+    }
+    if (o.stats && !o.cachePath.empty()) {
+        fatal("--stats cannot be combined with --cache: a cached result "
+              "has no simulated machine to dump");
     }
 
     if (o.coherence != "sw" && o.coherence != "hw")
@@ -476,13 +411,8 @@ run(const Options &o)
 
     std::optional<Scenario> scenario;
     if (!o.scenarioPath.empty()) {
-        // The engine path only: the serial single-System modes have no
-        // scenario plumbing. Per-stream inputScale/apw live in the
-        // scenario file, so the global knobs are rejected as ambiguous.
-        if (!o.tracePath.empty() || !o.recordPath.empty() || o.stats) {
-            fatal("--scenario cannot be combined with --trace, "
-                  "--record or --stats");
-        }
+        // Per-stream inputScale/apw live in the scenario file, so the
+        // global knobs are rejected as ambiguous.
         if (o.apw > 0) {
             fatal("--apw does not apply to scenarios; set \"apw\" on "
                   "each stream in ", o.scenarioPath);
@@ -507,13 +437,6 @@ run(const Options &o)
     }
 
     const std::vector<OrgKind> kinds = parseOrgList(o.org);
-    const telemetry::Options topts = telemetryOptions(o);
-    const bool serial = needsSerialPath(o, kinds.size());
-    if (serial && !o.cachePath.empty()) {
-        fatal("--cache requires the engine path; it cannot be "
-              "combined with --trace, --record or single-org "
-              "--stats");
-    }
 
     // --json opens its file before anything simulates, so an
     // unwritable path fails fast; the document is written once the
@@ -522,69 +445,67 @@ run(const Options &o)
     if (!o.jsonPath.empty() && o.jsonPath != "-")
         json_file = openOut(o.jsonPath);
 
-    std::vector<RunRecord> records;
-    if (serial) {
+    ExperimentPlan plan;
+    if (scenario) {
         for (const auto kind : kinds) {
-            const bool dump = o.stats && kinds.size() == 1;
-            const auto t0 = std::chrono::steady_clock::now();
-            RunRecord rec;
-            rec.jobIndex = records.size();
-            rec.label = profile.name + std::string("/") + toString(kind);
-            rec.benchmark = profile.name;
-            rec.seed = o.seed;
-            rec.result = runOne(o, cfg, profile, kind, dump);
-            rec.wallMs = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-            records.push_back(std::move(rec));
+            ExperimentJob job;
+            job.scenario = *scenario;
+            job.config = cfg;
+            job.org = kind;
+            job.seed = o.seed;
+            plan.add(std::move(job));
         }
     } else {
-        ExperimentPlan plan;
-        if (scenario) {
-            for (const auto kind : kinds) {
-                ExperimentJob job;
-                job.scenario = *scenario;
-                job.config = cfg;
-                job.org = kind;
-                job.seed = o.seed;
-                plan.add(std::move(job));
-            }
-        } else {
-            plan.addOrgSweep(profile, cfg, kinds, o.seed);
-        }
-        if (topts.enabled())
-            plan.enableTelemetry(topts);
-        RunLimits limits;
-        limits.maxCycles = o.maxCycles;
-        limits.maxWallMs = o.maxWallMs;
-        if (limits.any())
-            plan.setLimits(limits);
-        ExperimentEngine engine(o.jobs);
-        engine.onProgress([](const EngineProgress &p) {
-            std::cerr << "  [" << p.completed << "/" << p.total << "] "
-                      << p.job.label << "\n";
+        plan.addOrgSweep(profile, cfg, kinds, o.seed);
+    }
+    const telemetry::Options topts = telemetryOptions(o);
+    if (topts.enabled())
+        plan.enableTelemetry(topts);
+    RunLimits limits;
+    limits.maxCycles = o.maxCycles;
+    limits.maxWallMs = o.maxWallMs;
+    if (limits.any())
+        plan.setLimits(limits);
+    ExperimentEngine engine(o.jobs);
+    engine.onProgress([](const EngineProgress &p) {
+        std::cerr << "  [" << p.completed << "/" << p.total << "] "
+                  << p.job.label << "\n";
+    });
+
+    // --stats: each simulated job dumps its counters into its own
+    // slot on its worker; the blocks print in plan order below.
+    std::vector<std::string> stats(plan.size());
+    if (o.stats) {
+        engine.onSystem([&stats](std::size_t index, const System &system) {
+            std::ostringstream os;
+            system.dumpStats(os);
+            stats[index] = os.str();
         });
+    }
 
-        std::optional<service::ResultCache> cache;
-        if (!o.cachePath.empty()) {
-            cache.emplace(o.cachePath);
-            engine.setCache(&*cache);
-        }
+    std::optional<service::ResultCache> cache;
+    if (!o.cachePath.empty()) {
+        cache.emplace(o.cachePath);
+        engine.setCache(&*cache);
+    }
 
-        EngineTelemetry engine_tm;
-        records = engine.run(plan, &engine_tm);
-        if (engine_tm.workers > 1 || cache) {
-            std::cerr << "engine: " << engine_tm.workers << " worker(s), "
-                      << report::num(engine_tm.wallMs, 0) << " ms wall, "
-                      << report::percent(engine_tm.utilization())
-                      << " utilization";
-            if (cache) {
-                std::cerr << ", cache " << engine_tm.cacheHits
-                          << " hit(s) / " << engine_tm.cacheMisses
-                          << " miss(es)";
-            }
-            std::cerr << "\n";
+    EngineTelemetry engine_tm;
+    const std::vector<RunRecord> records = engine.run(plan, &engine_tm);
+    if (engine_tm.workers > 1 || cache) {
+        std::cerr << "engine: " << engine_tm.workers << " worker(s), "
+                  << report::num(engine_tm.wallMs, 0) << " ms wall, "
+                  << report::percent(engine_tm.utilization())
+                  << " utilization";
+        if (cache) {
+            std::cerr << ", cache " << engine_tm.cacheHits << " hit(s) / "
+                      << engine_tm.cacheMisses << " miss(es)";
         }
+        std::cerr << "\n";
+    }
+
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        if (!stats[i].empty())
+            std::cout << "# " << records[i].label << "\n" << stats[i];
     }
 
     if (!o.jsonPath.empty()) {
