@@ -134,7 +134,7 @@ struct GpuConfig
     // --- Measurement ------------------------------------------------------
     /**
      * Cycles between Fig. 9 LLC remote-occupancy samples. A run-loop
-     * control deadline (the occupancy RunService), so it trades
+     * control threshold the at-rest jump stops at, so it trades
      * llcRemoteFraction resolution against the length of the run
      * loop's at-rest jumps across idle launch gaps. Must be positive.
      */

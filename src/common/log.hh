@@ -7,9 +7,12 @@
  * warn()   — something works, but suspiciously.
  * inform() — plain status output.
  *
- * panic/fatal throw typed exceptions instead of aborting so that unit
- * tests can assert on misuse; the provided top-level handlers in the
- * binaries turn them into process exit.
+ * panic/fatal/invalid only throw typed exceptions, instead of aborting
+ * or printing, so that unit tests can assert on misuse and every error
+ * is reported exactly once, by whoever catches it: the binaries'
+ * top-level handlers (which turn it into process exit), the
+ * experiment engine (a failed record's diagnostic) or the daemon (an
+ * error event).
  */
 
 #ifndef SAC_COMMON_LOG_HH
@@ -82,24 +85,20 @@ bool quiet();
 
 } // namespace log_detail
 
-/** Reports an internal simulator bug and throws PanicError. */
+/** An internal simulator bug: throws PanicError. */
 template <typename... Args>
 [[noreturn]] void
 panic(Args &&...args)
 {
-    auto msg = log_detail::concat(std::forward<Args>(args)...);
-    log_detail::emit("panic", msg);
-    throw PanicError(msg);
+    throw PanicError(log_detail::concat(std::forward<Args>(args)...));
 }
 
-/** Reports an unrecoverable user/configuration error, throws FatalError. */
+/** An unrecoverable user/configuration error: throws FatalError. */
 template <typename... Args>
 [[noreturn]] void
 fatal(Args &&...args)
 {
-    auto msg = log_detail::concat(std::forward<Args>(args)...);
-    log_detail::emit("fatal", msg);
-    throw FatalError(msg);
+    throw FatalError(log_detail::concat(std::forward<Args>(args)...));
 }
 
 /**
@@ -110,12 +109,8 @@ template <typename... Args>
 [[noreturn]] void
 invalid(const std::string &context, Args &&...args)
 {
-    auto msg = log_detail::concat(std::forward<Args>(args)...);
-    if (!log_detail::quiet()) {
-        log_detail::emit("invalid",
-                         context.empty() ? msg : context + ": " + msg);
-    }
-    throw ValidationError(context, msg);
+    throw ValidationError(context,
+                          log_detail::concat(std::forward<Args>(args)...));
 }
 
 /** Warns about suspicious but non-fatal conditions. */

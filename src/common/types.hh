@@ -36,9 +36,9 @@ using ChannelId = int;
 constexpr ChipId invalidChip = -1;
 
 /**
- * Sentinel "no deadline": a run service with nothing time-based left
- * to do reports cycleNever from its nextDue(), and the minimum over
- * all services decides how far the run loop's at-rest jump may go.
+ * Sentinel "no deadline": a control threshold that cannot come due
+ * is cycleNever, and the earliest threshold decides how far the run
+ * loop's at-rest jump may go.
  */
 constexpr Cycle cycleNever = ~static_cast<Cycle>(0);
 

@@ -152,30 +152,14 @@ TenantSacService::arbitrate()
     host_.modeChangeFlush("reconfigure");
 }
 
-Cycle
-TenantSacService::nextDue(Cycle) const
-{
-    Cycle due = cycleNever;
-    for (const auto &t : tenants_) {
-        Cycle next = cycleNever;
-        if (t.open)
-            next = t.midTaken ? t.windowEnd : t.mid;
-        else if (t.running && params_.reprofileInterval > 0)
-            next = t.closedAt + params_.reprofileInterval;
-        if (next < due)
-            due = next;
-    }
-    return due;
-}
-
 void
-TenantSacService::poll(const TickInfo &tick)
+TenantSacService::tick(Cycle now)
 {
     for (std::size_t s = 0; s < tenants_.size(); ++s) {
         Tenant &t = tenants_[s];
         const int stream = static_cast<int>(s);
         if (t.open && !t.midTaken &&
-            (tick.now >= t.mid ||
+            (now >= t.mid ||
              t.prof.totalRequests() >= params_.profileMinRequests / 2)) {
             // Restart the hit-rate measurement past the cold-start
             // transient; the decision uses steady-ish rates.
@@ -186,13 +170,13 @@ TenantSacService::poll(const TickInfo &tick)
             t.midTaken = true;
         }
         if (t.open && t.midTaken &&
-            (tick.now >= t.windowEnd ||
+            (now >= t.windowEnd ||
              t.prof.totalRequests() >= params_.profileMinRequests)) {
-            close(stream, tick.now);
+            close(stream, now);
         }
         if (!t.open && t.running && params_.reprofileInterval > 0 &&
-            tick.now - t.closedAt >= params_.reprofileInterval) {
-            open(stream, tick.now);
+            now - t.closedAt >= params_.reprofileInterval) {
+            open(stream, now);
         }
     }
 }

@@ -46,7 +46,6 @@
 #include "llc/organization.hh"
 #include "sac/eab.hh"
 #include "sac/profiler.hh"
-#include "sim/run_service.hh"
 
 namespace sac {
 
@@ -100,7 +99,7 @@ class TenantHost
 };
 
 /** Per-tenant profiling windows + verdict arbitration. */
-class TenantSacService final : public RunService
+class TenantSacService
 {
   public:
     /** @p cfg must outlive the service (tenants are built from it). */
@@ -130,9 +129,14 @@ class TenantSacService final : public RunService
     void onL1Miss(int stream, ChipId src, ChipId home, int slice,
                   Addr line_addr, unsigned sector);
 
-    const char *name() const override { return "sac-window"; }
-    Cycle nextDue(Cycle now) const override;
-    void poll(const TickInfo &tick) override;
+    /**
+     * The per-cycle window check at post-tick clock @p now: takes each
+     * open window's midpoint snapshot, closes windows that reached
+     * their deadline or request count, and re-opens windows that are
+     * due a re-profile. Windows open only while their stream's kernel
+     * runs, so nothing here comes due while no kernel is resident.
+     */
+    void tick(Cycle now);
 
   private:
     struct Tenant

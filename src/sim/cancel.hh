@@ -6,8 +6,8 @@
  * that can stop a plan early: a client's deadline_ms, the daemon's
  * --max-plan-wall-ms cap, a client disconnecting mid-stream, and the
  * daemon's drain deadline on SIGTERM. Producers call cancel() or arm
- * a wall-clock deadline; consumers poll cancelled() at the run loop's
- * existing watchdog poll points (sim/watchdog.hh, CancelWatchdog) and
+ * a wall-clock deadline; consumers poll cancelled() in the run loop's
+ * control step (System::control, next to the other run limits) and
  * between jobs in the ExperimentEngine, so an observed cancellation
  * turns the remaining work into timed_out records instead of tearing
  * anything down.

@@ -65,7 +65,7 @@ harmonicMean(const std::vector<double> &values)
 bool
 cacheEligible(const ExperimentJob &job)
 {
-    return !job.telemetry.enabled() && !job.fault.enabled();
+    return !job.telemetry.enabled();
 }
 
 ExperimentEngine::ExperimentEngine(unsigned threads) : threads_(threads) {}
@@ -81,9 +81,6 @@ ExperimentEngine::runJob(const ExperimentJob &job, std::size_t index,
                          const CancelToken *cancel, const SystemFn &onSystem)
 {
     const auto t0 = std::chrono::steady_clock::now();
-
-    if (job.fault.kind == FaultSpec::Kind::Validation)
-        invalid(job.label, job.fault.message);
 
     GpuConfig cfg = job.config;
     cfg.seed = job.seed;
@@ -106,25 +103,6 @@ ExperimentEngine::runJob(const ExperimentJob &job, std::size_t index,
     system.setCancelToken(cancel);
     if (job.telemetry.enabled())
         system.enableTelemetry(job.telemetry);
-
-    // In-run faults fire at a simulated cycle, so the failure point
-    // is identical with the at-rest jump on or off and for any worker.
-    switch (job.fault.kind) {
-      case FaultSpec::Kind::Fatal:
-        system.setFaultHook(job.fault.atCycle,
-                            [msg = job.fault.message](System &) {
-                                throw FatalError(msg);
-                            });
-        break;
-      case FaultSpec::Kind::Panic:
-        system.setFaultHook(job.fault.atCycle,
-                            [msg = job.fault.message](System &) {
-                                throw PanicError(msg);
-                            });
-        break;
-      default:
-        break;
-    }
 
     RunRecord rec;
     rec.jobIndex = index;

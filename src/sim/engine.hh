@@ -40,8 +40,8 @@
  * simulated ok records are offered back for persistence as they are
  * delivered. Rerunning an interrupted plan against the same cache is
  * how a sweep resumes: only the jobs without a stored ok record
- * simulate. Jobs with telemetry or an injected fault bypass the cache
- * (see cacheEligible), so they re-simulate on every run.
+ * simulate. Jobs with telemetry bypass the cache (see cacheEligible),
+ * so they re-simulate on every run.
  */
 
 #ifndef SAC_SIM_ENGINE_HH
@@ -198,9 +198,9 @@ class JobCache
 /**
  * True when @p job may be served from / populate a JobCache: no
  * telemetry (a timeline changes the serialized record but not the
- * content hash) and no injected fault (failures are not
- * content-determined). Watchdog limits do not participate — a cached
- * ok record is served even if the job also carries deadlines.
+ * content hash). Watchdog limits do not participate — a cached ok
+ * record is served even if the job also carries deadlines, and only
+ * ok records are ever stored.
  */
 bool cacheEligible(const ExperimentJob &job);
 
@@ -261,7 +261,7 @@ class ExperimentEngine
      * nullptr) observed by every subsequent run(): jobs not yet
      * started when the token cancels are delivered as timed_out
      * records without simulating, and in-flight jobs observe the
-     * token at the run loop's watchdog poll points and finish as
+     * token in the run loop's control step and finish as
      * timed_out too. Cache hits still serve (they cost no
      * simulation), records already delivered are untouched,
      * and onDone still fires — a cancelled sweep completes, it just
@@ -297,7 +297,7 @@ class ExperimentEngine
      * Runs a single job on the calling thread. Unlike run(), this
      * propagates exceptions — it is the raw building block the
      * engine's isolation layer wraps. @p cancel, when non-null, is
-     * observed at the run's watchdog poll points (SimTimeoutError).
+     * observed in the run loop's control step (SimTimeoutError).
      * @p onSystem, when set, is called with (index, system) once
      * System::run returns.
      */

@@ -14,14 +14,6 @@ KernelScheduler::reset(std::vector<KernelStreamState> streams)
     streams_ = std::move(streams);
     tickKernel_ = 0;
     resident_ = 0;
-    sys_.livelockDog_->idle();
-}
-
-void
-KernelScheduler::start(Cycle now)
-{
-    (void)now;
-    settle();
 }
 
 bool
@@ -35,23 +27,14 @@ KernelScheduler::finished() const
 }
 
 Cycle
-KernelScheduler::nextDue(Cycle) const
+KernelScheduler::nextLaunch() const
 {
-    // Completion is detected by the per-iteration poll, and the clock
-    // never jumps while a kernel is resident. Only future first
-    // launches need a cycle deadline.
     Cycle due = cycleNever;
     for (const auto &s : streams_) {
         if (!s.started && s.launchAt < due)
             due = s.launchAt;
     }
     return due;
-}
-
-void
-KernelScheduler::poll(const TickInfo &)
-{
-    settle();
 }
 
 bool
@@ -85,8 +68,7 @@ KernelScheduler::finish(KernelStreamState &s)
 {
     const int kernel_index = s.kernels[s.next - 1].index;
     s.running = false;
-    if (--resident_ == 0)
-        sys_.livelockDog_->idle();
+    --resident_;
     sys_.finishStreamKernel(s.stream, kernel_index, s.clusters, s.kernelStart);
     if (s.exhausted()) {
         s.complete = true;

@@ -1,24 +1,22 @@
 /**
  * @file
- * Kernel-flow scheduling as a RunService.
+ * Kernel-flow scheduling: launching each stream's next kernel,
+ * detecting per-stream completion, and dispatching the follow-on
+ * kernel at the completion cycle. Every run is a set of streams: each
+ * owns a cluster range and progresses through its kernel sequence
+ * independently. A single-kernel run is the one-stream case, whose
+ * range is every cluster of every chip.
  *
- * The KernelScheduler owns what System::run used to inline: launching
- * each stream's next kernel, detecting per-stream completion, and
- * dispatching the follow-on kernel at the completion cycle. Every run
- * is a set of streams: each owns a cluster range and progresses
- * through its kernel sequence independently. A single-kernel run is
- * the one-stream case, whose range is every cluster of every chip.
- *
- * It registers under RunPhase::KernelFlow — the last phase — so at a
- * completion cycle every other service polls before the finish/launch
- * runs. System::finishStreamKernel decides what a boundary costs:
+ * settle() is the last check of System::control(), so at a completion
+ * cycle every other check runs before the finish/launch does.
+ * System::finishStreamKernel decides what a boundary costs:
  * when the finishing stream owns every cluster, the software-coherence
  * flush jumps the clock and SAC reverts without a charge; otherwise
  * only that stream's clusters stall.
  *
  * Between a stream's last finish and another's first launch no kernel
  * may be resident at all. The run loop asks anyResident() before it
- * considers the at-rest jump, and the livelock watchdog stays disarmed
+ * considers the at-rest jump, and the livelock cap does not count
  * through such a gap.
  */
 
@@ -32,7 +30,6 @@
 #include "common/types.hh"
 #include "gpu/cta_scheduler.hh"
 #include "gpu/kernel.hh"
-#include "sim/run_service.hh"
 
 namespace sac {
 
@@ -68,7 +65,7 @@ struct KernelStreamState
 };
 
 /** Drives kernel launch/completion for every stream of a run. */
-class KernelScheduler final : public RunService
+class KernelScheduler
 {
   public:
     explicit KernelScheduler(System &sys) : sys_(sys) {}
@@ -77,11 +74,17 @@ class KernelScheduler final : public RunService
     void reset(std::vector<KernelStreamState> streams);
 
     /**
-     * Launches everything due at @p now and settles instantly-done
-     * kernels (a kernel with zero accesses per warp retires all warps
-     * at launch) — the zero-advance behaviour of the old loop.
+     * One scheduling pass at the current cycle: launch due first
+     * kernels, finish completed ones (dispatching each stream's next
+     * kernel at the completion cycle), repeated until stable — a
+     * kernel with zero accesses per warp retires all warps at launch.
      */
-    void start(Cycle now);
+    void settle();
+
+    /** Earliest launch cycle of a stream not yet started, else
+     *  cycleNever: the one kernel-flow threshold of the at-rest jump
+     *  (completions need none, since no kernel is resident then). */
+    Cycle nextLaunch() const;
 
     /** True once every stream completed its kernel sequence. */
     bool finished() const;
@@ -89,7 +92,7 @@ class KernelScheduler final : public RunService
     /** True while some stream has a kernel resident. */
     bool anyResident() const { return resident_ > 0; }
 
-    /** Index of the most recently launched kernel (TickInfo::kernel). */
+    /** Index of the most recently launched kernel. */
     int currentKernelIndex() const { return tickKernel_; }
 
     const std::vector<KernelStreamState> &streams() const
@@ -97,17 +100,7 @@ class KernelScheduler final : public RunService
         return streams_;
     }
 
-    const char *name() const override { return "kernel-scheduler"; }
-    Cycle nextDue(Cycle now) const override;
-    void poll(const TickInfo &tick) override;
-
   private:
-    /**
-     * One scheduling pass: launch due first kernels, finish completed
-     * ones (dispatching each stream's next kernel at the completion
-     * cycle), repeated until stable within the current cycle.
-     */
-    void settle();
     void launch(KernelStreamState &s);
     void finish(KernelStreamState &s);
     bool streamDone(const KernelStreamState &s) const;

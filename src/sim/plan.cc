@@ -225,10 +225,6 @@ ExperimentPlan::add(ExperimentJob job)
         job.telemetry = telemetryDefault_;
     if (!job.limits.any())
         job.limits = limitsDefault_;
-    if (!job.fault.enabled()) {
-        if (const FaultSpec *spec = faults_.find(job.label))
-            job.fault = *spec;
-    }
     jobs_.push_back(std::move(job));
     return *this;
 }
@@ -275,17 +271,6 @@ ExperimentPlan::setLimits(const RunLimits &limits)
     for (auto &job : jobs_) {
         if (!job.limits.any())
             job.limits = limits;
-    }
-    return *this;
-}
-
-ExperimentPlan &
-ExperimentPlan::setFaultPlan(FaultPlan faults)
-{
-    faults_ = std::move(faults);
-    for (auto &job : jobs_) {
-        if (const FaultSpec *spec = faults_.find(job.label))
-            job.fault = *spec;
     }
     return *this;
 }

@@ -6,7 +6,7 @@
  *
  * An ExperimentPlan is a declarative list of independent simulation
  * jobs — (workload, config, organization, seed) tuples with a display
- * label — plus plan-wide defaults (telemetry, limits, fault plan).
+ * label — plus plan-wide defaults (telemetry, limits).
  * Nothing in here runs anything; a plan is data, and two equal plans
  * are interchangeable.
  *
@@ -16,7 +16,7 @@
  * see canonicalJobKey()). The result cache (service/result_cache.hh)
  * keys on this hash, so it deliberately excludes anything that cannot
  * change measurements: labels, telemetry options, the at-rest jump,
- * watchdog limits, fault specs. The hash is versioned by
+ * watchdog limits. The hash is versioned by
  * planSchemaVersion; bump it whenever the canonical key gains, loses
  * or reorders a field.
  */
@@ -31,7 +31,6 @@
 #include "common/config.hh"
 #include "gpu/kernel.hh"
 #include "llc/organization.hh"
-#include "sim/fault_injection.hh"
 #include "sim/watchdog.hh"
 #include "telemetry/timeline.hh"
 #include "workload/profile.hh"
@@ -89,9 +88,6 @@ struct ExperimentJob
      * the built-in livelock cap.
      */
     RunLimits limits;
-    /** Deterministic injected fault; defaulted from the plan's
-     *  FaultPlan by label. Kind::None = run clean. */
-    FaultSpec fault;
     /**
      * Multi-tenant scenario (last member, so existing aggregate
      * initializers stay valid). Empty streams (the default) means the
@@ -178,18 +174,10 @@ class ExperimentPlan
     ExperimentPlan &setLimits(const RunLimits &limits);
 
     /**
-     * Attaches a fault plan: each job whose label has an entry gets
-     * that FaultSpec (existing jobs re-matched, later adds matched in
-     * add()). Deterministic by construction — faults are keyed by
-     * label and fire at simulated cycles.
-     */
-    ExperimentPlan &setFaultPlan(FaultPlan faults);
-
-    /**
      * Order-sensitive content hash of the whole plan: the chained
      * per-job hashes under the current schema version. Two plans with
      * the same hash produce byte-identical result sets; execution
-     * policy (the at-rest jump, limits, fault plan) is excluded for
+     * policy (the at-rest jump, limits) is excluded for
      * the same reason it is excluded from the per-job key.
      */
     std::uint64_t contentHash() const;
@@ -203,7 +191,6 @@ class ExperimentPlan
     std::vector<ExperimentJob> jobs_;
     telemetry::Options telemetryDefault_;
     RunLimits limitsDefault_;
-    FaultPlan faults_;
 };
 
 } // namespace sac

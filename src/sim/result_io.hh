@@ -20,7 +20,7 @@
  * wall-clock fields (wallMs, queueMs, worker, source) are omitted by
  * default: a v3 document depends only on simulated state, so the same
  * plan produces byte-identical output for any worker count, across
- * interrupted-and-resumed runs, and with injected faults. Pass
+ * interrupted-and-resumed runs, and with failed jobs. Pass
  * WriteOptions{.timing = true} to keep them. "attempts" is frozen at
  * 1: a job runs once, and the field stays only so v3 bytes do not
  * change; the reader ignores it.

@@ -40,114 +40,11 @@ namespace {
 
 constexpr unsigned invalidateBytes = 16;
 
+/** The wall budget token's reason: checkCancel() tells a spent wall
+ *  budget from a cancelled parent by it. */
+const char *const wallBudgetReason = "wall-clock budget spent";
+
 } // namespace
-
-/**
- * One-shot deterministic fault injection (System::setFaultHook).
- * First in the poll order so a fault lands before any bookkeeping
- * runs at its cycle, and its armed cycle bounds the at-rest jump so
- * it fires cycle-exactly.
- */
-class System::FaultHookService final : public RunService
-{
-  public:
-    explicit FaultHookService(System &sys) : sys_(sys) {}
-
-    const char *name() const override { return "fault-hook"; }
-
-    Cycle nextDue(Cycle) const override { return sys_.faultAt_; }
-
-    void
-    poll(const TickInfo &tick) override
-    {
-        if (sys_.faultAt_ == cycleNever || tick.now < sys_.faultAt_)
-            return;
-        // Disarm before firing so a throwing hook cannot re-fire.
-        sys_.faultAt_ = cycleNever;
-        auto fn = std::move(sys_.faultFn_);
-        sys_.faultFn_ = nullptr;
-        if (fn)
-            fn(sys_);
-    }
-
-  private:
-    System &sys_;
-};
-
-/** Telemetry epoch sampling; registered only by enableTelemetry(). */
-class System::SamplerService final : public RunService
-{
-  public:
-    explicit SamplerService(System &sys) : sys_(sys) {}
-
-    const char *name() const override { return "telemetry-sampler"; }
-
-    Cycle nextDue(Cycle) const override { return sys_.sampler_->nextDue(); }
-
-    void
-    poll(const TickInfo &tick) override
-    {
-        if (sys_.sampler_->due(tick.now)) {
-            sys_.sampler_->sample(sys_.counterTotals(), tick.now,
-                                  tick.kernel, sys_.currentModeName());
-        }
-    }
-
-  private:
-    System &sys_;
-};
-
-/** Dynamic-LLC epoch repartitioning; registered when dynCtrl exists. */
-class System::DynamicEpochService final : public RunService
-{
-  public:
-    explicit DynamicEpochService(System &sys) : sys_(sys) {}
-
-    const char *name() const override { return "dynamic-epoch"; }
-
-    Cycle
-    nextDue(Cycle) const override
-    {
-        return sys_.lastEpoch + sys_.dynCtrl->epoch();
-    }
-
-    void
-    poll(const TickInfo &tick) override
-    {
-        if (tick.now - sys_.lastEpoch >= sys_.dynCtrl->epoch())
-            sys_.dynamicEpochUpdate();
-    }
-
-  private:
-    System &sys_;
-};
-
-/** Fig. 9 remote-occupancy sampling at cfg.occupancyInterval. */
-class System::OccupancyService final : public RunService
-{
-  public:
-    explicit OccupancyService(System &sys) : sys_(sys) {}
-
-    const char *name() const override { return "occupancy-sampler"; }
-
-    Cycle
-    nextDue(Cycle) const override
-    {
-        return sys_.lastOccupancySample + sys_.cfg_.occupancyInterval;
-    }
-
-    void
-    poll(const TickInfo &tick) override
-    {
-        if (tick.now - sys_.lastOccupancySample >=
-            sys_.cfg_.occupancyInterval) {
-            sys_.sampleOccupancy();
-        }
-    }
-
-  private:
-    System &sys_;
-};
 
 System::System(const GpuConfig &cfg, OrgKind kind, TraceSource &trace)
     : cfg_(cfg),
@@ -182,31 +79,8 @@ System::System(const GpuConfig &cfg, OrgKind kind, TraceSource &trace)
 
     result.organization = org->name();
 
-    // The run-loop schedule: every periodic concern registers here
-    // exactly once; run() polls the registry and takes the at-rest
-    // jump's target from it. The sampler joins in enableTelemetry() —
-    // phase ordering puts it in the right slot even though it
-    // registers last.
-    faultSvc_ = std::make_unique<FaultHookService>(*this);
-    services_.add(RunPhase::FaultHook, *faultSvc_);
-    if (sacOrg) {
+    if (sacOrg)
         sacSvc_ = std::make_unique<TenantSacService>(cfg_, *sacOrg, *this);
-        services_.add(RunPhase::SacWindow, *sacSvc_);
-    }
-    if (dynCtrl) {
-        epochSvc_ = std::make_unique<DynamicEpochService>(*this);
-        services_.add(RunPhase::DynamicEpoch, *epochSvc_);
-    }
-    occupancySvc_ = std::make_unique<OccupancyService>(*this);
-    services_.add(RunPhase::Occupancy, *occupancySvc_);
-
-    const DigestFn digest = [this] { return occupancyDigest(); };
-    livelockDog_ = std::make_unique<LivelockWatchdog>(limits_, digest);
-    cycleDog_ = std::make_unique<CycleDeadlineWatchdog>(limits_, digest);
-    cancelDog_ = std::make_unique<CancelWatchdog>(limits_, digest);
-    services_.add(RunPhase::Watchdog, *livelockDog_);
-    services_.add(RunPhase::Watchdog, *cycleDog_);
-    services_.add(RunPhase::Watchdog, *cancelDog_);
 }
 
 System::~System() = default;
@@ -219,8 +93,6 @@ System::enableTelemetry(const telemetry::Options &opts)
     if (opts.epoch > 0) {
         sampler_ = std::make_unique<telemetry::Sampler>(opts.epoch,
                                                         cfg_.interChipBw);
-        samplerSvc_ = std::make_unique<SamplerService>(*this);
-        services_.add(RunPhase::Telemetry, *samplerSvc_);
     }
     if (opts.events)
         eventTrace_ = std::make_unique<telemetry::EventTrace>();
@@ -251,13 +123,6 @@ std::string
 System::currentModeName() const
 {
     return sacOrg ? toString(sacOrg->mode()) : org->name();
-}
-
-void
-System::setFaultHook(Cycle at, std::function<void(System &)> fn)
-{
-    faultAt_ = at;
-    faultFn_ = std::move(fn);
 }
 
 std::string
@@ -536,8 +401,8 @@ System::launchStreamKernel(int stream, const KernelDescriptor &kernel,
         chip->beginKernel(clusters.first, clusters.count,
                           kernel.accessesPerWarp, clock);
     }
-    // The livelock deadline re-arms on any stream's launch.
-    livelockDog_->beginKernel(clock);
+    // The livelock cap re-bases on any stream's launch.
+    lastLaunch_ = clock;
 
     currentKernel = kernel.index;
     if (eventTrace_)
@@ -655,6 +520,102 @@ System::sampleOccupancy()
     lastOccupancySample = clock;
 }
 
+Cycle
+System::sampleDue() const
+{
+    return sampler_ ? sampler_->nextDue() : cycleNever;
+}
+
+Cycle
+System::epochDue() const
+{
+    return dynCtrl ? lastEpoch + dynCtrl->epoch() : cycleNever;
+}
+
+Cycle
+System::occupancyDue() const
+{
+    return lastOccupancySample + cfg_.occupancyInterval;
+}
+
+Cycle
+System::cycleLimitDue() const
+{
+    // The deadline is `clock > maxCycles`.
+    return limits_.maxCycles > 0 ? limits_.maxCycles + 1 : cycleNever;
+}
+
+Cycle
+System::nextDeadline() const
+{
+    const Cycle due = std::min({ks_.nextLaunch(), sampleDue(), epochDue(),
+                                occupancyDue(), cycleLimitDue()});
+    // The tick at due - 1 raises the clock to due.
+    return due == 0 || due == cycleNever ? due : due - 1;
+}
+
+void
+System::control(bool jumped)
+{
+    const int kernel = ks_.currentKernelIndex();
+    if (clock >= sampleDue())
+        sampler_->sample(counterTotals(), clock, kernel, currentModeName());
+    if (sacSvc_)
+        sacSvc_->tick(clock);
+    if (clock >= epochDue())
+        dynamicEpochUpdate();
+    if (clock >= occupancyDue())
+        sampleOccupancy();
+    if (ks_.anyResident() && clock - lastLaunch_ > limits_.livelockCap()) {
+        // Instead of dying silently at the cap, capture what every
+        // queue and MSHR file was holding so the post-mortem starts
+        // with data.
+        throw LivelockError(log_detail::concat(
+            "kernel ", kernel, " exceeded ", limits_.livelockCap(),
+            " cycles: likely livelock\n", occupancyDigest()));
+    }
+    if (clock >= cycleLimitDue()) {
+        throw SimTimeoutError(log_detail::concat(
+            "run exceeded the ", limits_.maxCycles,
+            "-cycle deadline in kernel ", kernel, "\n", occupancyDigest()));
+    }
+    checkCancel(jumped, kernel);
+    ks_.settle();
+}
+
+void
+System::startCancelWatch()
+{
+    cancelSteps_ = 0;
+    wallBudget_.reset();
+    observed_ = cancel_;
+    if (limits_.maxWallMs <= 0.0)
+        return;
+    wallBudget_ = std::make_unique<CancelToken>();
+    wallBudget_->linkParent(cancel_);
+    wallBudget_->setDeadlineAfterMs(limits_.maxWallMs, wallBudgetReason);
+    observed_ = wallBudget_.get();
+}
+
+void
+System::checkCancel(bool jumped, int kernel)
+{
+    if (!observed_)
+        return;
+    if (!jumped && ++cancelSteps_ % cancelCheckInterval != 0)
+        return;
+    if (!observed_->cancelled())
+        return;
+    const std::string why = observed_->reason();
+    if (wallBudget_ && why == wallBudgetReason) {
+        throw SimTimeoutError(log_detail::concat(
+            "run exceeded the wall-clock deadline (", limits_.maxWallMs,
+            " ms) in kernel ", kernel, "\n", occupancyDigest()));
+    }
+    throw SimTimeoutError(log_detail::concat("run cancelled in kernel ",
+                                             kernel, ": ", why));
+}
+
 void
 System::dumpStats(std::ostream &os) const
 {
@@ -757,39 +718,28 @@ System::runStreams(std::vector<KernelStreamState> streams)
         sacSvc_->reset(n);
     streamResults_.assign(streams.size(), StreamResult{});
 
-    if (!ks_) {
-        ks_ = std::make_unique<KernelScheduler>(*this);
-        services_.add(RunPhase::KernelFlow, *ks_);
-    }
-    ks_->reset(std::move(streams));
+    ks_.reset(std::move(streams));
+    startCancelWatch();
 
-    cancelDog_->start(cancel_);
-
-    // The loop body is the whole story: tick one cycle, then poll the
-    // service registry. Every control concern — fault injection,
-    // telemetry, the SAC window, the dynamic-LLC epoch, occupancy
-    // sampling, the watchdogs, and kernel flow itself — lives behind
-    // the registry. While no stream has a kernel resident and the
+    // The loop body is the whole story: tick one cycle, then run the
+    // control step. While no stream has a kernel resident and the
     // machine is at rest, a tick changes nothing but the clock, so
-    // the clock jumps to the earliest pre-tick service deadline: the
-    // polls it passes over would all have found nothing due.
-    ks_->start(clock);
-    TickInfo info;
-    while (!ks_->finished()) {
-        info.fastForwarded = false;
-        if (!ks_->anyResident() && fastForward_ && atRest()) {
-            const Cycle wake = services_.nextWake(clock);
+    // the clock jumps to the earliest pre-tick control deadline: the
+    // steps it passes over would all have found nothing due.
+    ks_.settle();
+    while (!ks_.finished()) {
+        bool jumped = false;
+        if (!ks_.anyResident() && fastForward_ && atRest()) {
+            const Cycle wake = nextDeadline();
             if (wake > clock && wake != cycleNever) {
                 ++ffStats_.skips;
                 ffStats_.skippedCycles += wake - clock;
                 clock = wake;
-                info.fastForwarded = true;
+                jumped = true;
             }
         }
         tick();
-        info.now = clock;
-        info.kernel = ks_->currentKernelIndex();
-        services_.poll(info);
+        control(jumped);
     }
 
     // --- final aggregation ------------------------------------------------
@@ -841,7 +791,7 @@ System::runStreams(std::vector<KernelStreamState> streams)
             // Close the partial tail epoch (flush stalls may have
             // advanced the clock past the last sample boundary).
             sampler_->finish(counterTotals(), clock,
-                             ks_->currentKernelIndex(), currentModeName());
+                             ks_.currentKernelIndex(), currentModeName());
             t.samples = sampler_->take();
         }
         if (eventTrace_)
@@ -854,7 +804,7 @@ System::runStreams(std::vector<KernelStreamState> streams)
         // cluster range, LLC counters from the per-slice stream
         // accounting, names and launch/finish cycles from the kernel
         // flow.
-        const auto &states = ks_->streams();
+        const auto &states = ks_.streams();
         for (std::size_t s = 0; s < streamResults_.size(); ++s) {
             StreamResult &sr = streamResults_[s];
             const auto &range = states[s].clusters;

@@ -8,21 +8,19 @@
  * run() with the kernel sequence. The returned RunResult carries the
  * measurements every bench/figure consumes.
  *
- * The run loop itself is thin: tick() one cycle, then poll the
- * RunServiceRegistry. Every periodic concern (telemetry sampling, the
- * SAC window, the dynamic-LLC epoch, occupancy sampling, fault
- * injection, the watchdogs, kernel flow) is a RunService registered
- * there once (sim/run_service.hh). One shortcut: while no stream has
- * a kernel resident and the machine is at rest, a tick would change
- * nothing but the clock, so the loop jumps the clock to the earliest
- * service deadline instead (docs/PERFORMANCE.md).
+ * The run loop itself is thin: tick() one cycle, then one control
+ * step runs every periodic check in a fixed order (telemetry
+ * sampling, the SAC windows, the dynamic-LLC epoch, occupancy
+ * sampling, the run limits, kernel flow). One shortcut: while no
+ * stream has a kernel resident and the machine is at rest, a tick
+ * would change nothing but the clock, so the loop jumps the clock to
+ * the earliest control threshold instead (docs/PERFORMANCE.md).
  */
 
 #ifndef SAC_SIM_SYSTEM_HH
 #define SAC_SIM_SYSTEM_HH
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -38,9 +36,9 @@
 #include "mem/page_table.hh"
 #include "noc/interchip.hh"
 #include "sac/tenant.hh"
+#include "sim/cancel.hh"
 #include "sim/chip.hh"
 #include "sim/kernel_scheduler.hh"
-#include "sim/run_service.hh"
 #include "sim/watchdog.hh"
 #include "telemetry/event_trace.hh"
 #include "telemetry/sampler.hh"
@@ -55,7 +53,7 @@ namespace sac {
 enum class RunStatus : std::uint8_t
 {
     Ok,        //!< ran to completion; measurements are valid
-    Failed,    //!< threw (bad config/trace, simulator panic, fault)
+    Failed,    //!< threw (bad config/trace, simulator panic)
     TimedOut,  //!< hit a per-job cycle or wall-clock deadline
     Livelocked //!< hit the livelock cap; diagnostic holds the digest
 };
@@ -188,19 +186,18 @@ class System : public ClusterEnv, public ChipHooks, public TenantHost
 
     /**
      * Installs watchdog deadlines for the coming run; call before
-     * run(). Cycle deadlines fire at the exact same simulated cycle
-     * with the at-rest jump on or off (their watchdog services are
-     * registry deadlines, which bound the jump), so aborted runs are
-     * as deterministic as completed ones. The wall-clock budget is
-     * armed at the top of each run as a CancelToken deadline whose
-     * parent is the token attached with setCancelToken().
+     * run(). The cycle deadline fires at the exact same simulated
+     * cycle with the at-rest jump on or off (the jump stops at it),
+     * so aborted runs are as deterministic as completed ones. The
+     * wall-clock budget is armed at the top of each run as a
+     * CancelToken deadline whose parent is the token attached with
+     * setCancelToken().
      */
     void setRunLimits(const RunLimits &limits) { limits_ = limits; }
 
     /**
      * Attaches a cooperative cancellation token (non-owning, may be
-     * nullptr); call before run(). The run loop observes it at the
-     * watchdog poll points (sim/watchdog.hh, CancelWatchdog) and
+     * nullptr); call before run(). The control step observes it and
      * aborts with SimTimeoutError once it reads cancelled — the same
      * path the wall-clock budget takes, so the ExperimentEngine
      * classifies the job as timed_out.
@@ -208,14 +205,14 @@ class System : public ClusterEnv, public ChipHooks, public TenantHost
     void setCancelToken(const CancelToken *token) { cancel_ = token; }
 
     /**
-     * Arms a deterministic fault: @p fn is called from the run loop
-     * the first time the clock reaches @p at (exact across an at-rest
-     * jump, which never passes a service deadline). The
-     * fault-injection harness uses this to throw at cycle N; fn may
-     * also mutate the system for chaos testing.
-     * One-shot: the hook disarms before it fires.
+     * Control steps between two reads of the cancellation token while
+     * the loop ticks cycle by cycle (one step == one cycle, so the
+     * stride bounds how stale the read is). A step that lands after
+     * an at-rest jump always reads it: a single jump can cover
+     * millions of cycles, and a strided read would let a deadline
+     * slip arbitrarily far.
      */
-    void setFaultHook(Cycle at, std::function<void(System &)> fn);
+    static constexpr std::uint64_t cancelCheckInterval = 1024;
 
     /**
      * Post-mortem digest of everything that can hold a request:
@@ -281,9 +278,6 @@ class System : public ClusterEnv, public ChipHooks, public TenantHost
     Chip &chip(ChipId c) { return *chips[static_cast<std::size_t>(c)]; }
     const GpuConfig &config() const { return cfg_; }
 
-    /** The run-loop service schedule (tests, diagnostics). */
-    const RunServiceRegistry &runServices() const { return services_; }
-
     /** Aggregate LLC requests/hits over all slices (current totals). */
     std::pair<std::uint64_t, std::uint64_t> llcTotals() const;
 
@@ -295,15 +289,40 @@ class System : public ClusterEnv, public ChipHooks, public TenantHost
     void dumpStats(std::ostream &os) const;
 
   private:
-    // RunService adapters over System-owned state (defined in
-    // system.cc; as member classes they see System's internals).
-    class FaultHookService;
-    class SamplerService;
-    class DynamicEpochService;
-    class OccupancyService;
-
-    /** The kernel-flow service drives launch/finish on the System. */
+    /** Kernel flow drives launch/finish on the System. */
     friend class KernelScheduler;
+
+    /**
+     * The run loop's control step, after every tick, in a fixed and
+     * byte-visible order: telemetry sample, SAC windows, dynamic-LLC
+     * epoch, occupancy sample, livelock cap, cycle deadline,
+     * cancellation and wall budget, kernel flow. Kernel flow goes
+     * last, so at a completion cycle every other check has run before
+     * the finish/launch mutates the machine. @p jumped says an at-rest
+     * jump preceded this tick.
+     */
+    void control(bool jumped);
+    /**
+     * Pre-tick target of the at-rest jump: one cycle before the
+     * earliest threshold below, so the check fires after the tick at
+     * exactly the cycle it would have without the jump; cycleNever
+     * when none is set. Only these thresholds can come due while no
+     * kernel is resident: SAC windows open and re-profile only while
+     * their stream's kernel runs, and the livelock cap counts only
+     * while some kernel is resident.
+     */
+    Cycle nextDeadline() const;
+    // Thresholds: the first post-tick clock at which each check fires
+    // (cycleNever when it cannot). control() and nextDeadline() both
+    // read them, so each deadline is defined once.
+    Cycle sampleDue() const;
+    Cycle epochDue() const;
+    Cycle occupancyDue() const;
+    Cycle cycleLimitDue() const;
+    /** Arms the per-run wall budget and the token the run observes. */
+    void startCancelWatch();
+    /** Throws SimTimeoutError once the observed token is cancelled. */
+    void checkCancel(bool jumped, int kernel);
 
     /**
      * True when tick() would change nothing but the clock: the
@@ -384,37 +403,30 @@ class System : public ClusterEnv, public ChipHooks, public TenantHost
     bool fastForward_ = true;
     FastForwardStats ffStats_;
 
-    // Watchdog limits (see RunLimits), the attached cancellation token
-    // and the fault-injection hook.
+    // Watchdog limits (see RunLimits) and the attached cancellation
+    // token.
     RunLimits limits_;
     const CancelToken *cancel_ = nullptr;
-    Cycle faultAt_ = cycleNever;
-    std::function<void(System &)> faultFn_;
+    /** Latest launch of any stream: the livelock cap counts from it. */
+    Cycle lastLaunch_ = 0;
+    /** The per-run wall budget token; null when maxWallMs is unset. */
+    std::unique_ptr<CancelToken> wallBudget_;
+    /** What checkCancel() reads: wallBudget_, else cancel_. */
+    const CancelToken *observed_ = nullptr;
+    /** Per-cycle control steps this run, for the strided token read. */
+    std::uint64_t cancelSteps_ = 0;
 
     // Telemetry (null unless enableTelemetry() was called).
     telemetry::Options telemetryOpts_;
     std::unique_ptr<telemetry::Sampler> sampler_;
     std::unique_ptr<telemetry::EventTrace> eventTrace_;
 
-    /**
-     * The single source of run-loop deadlines: every service below
-     * registers here once; run() polls the registry after every tick
-     * and takes the at-rest jump's target from it.
-     */
-    RunServiceRegistry services_;
-    std::unique_ptr<FaultHookService> faultSvc_;
-    std::unique_ptr<SamplerService> samplerSvc_;
     /** SAC control (per-tenant windows); created when kind == Sac. */
     std::unique_ptr<TenantSacService> sacSvc_;
-    /** Kernel-flow service; created on the first run, reset per run. */
-    std::unique_ptr<KernelScheduler> ks_;
+    /** Kernel flow; reset at the top of every run. */
+    KernelScheduler ks_{*this};
     /** Per-stream result accumulators of the current run. */
     std::vector<StreamResult> streamResults_;
-    std::unique_ptr<DynamicEpochService> epochSvc_;
-    std::unique_ptr<OccupancyService> occupancySvc_;
-    std::unique_ptr<LivelockWatchdog> livelockDog_;
-    std::unique_ptr<CycleDeadlineWatchdog> cycleDog_;
-    std::unique_ptr<CancelWatchdog> cancelDog_;
 
     RunResult result;
 };

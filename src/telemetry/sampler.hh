@@ -55,10 +55,8 @@ class Sampler
 
     Cycle epoch() const { return epoch_; }
 
-    /** True when the next epoch boundary has been reached. */
-    bool due(Cycle now) const { return now >= nextAt_; }
-
-    /** Cycle at which due() first becomes true (the service deadline). */
+    /** The next epoch boundary: the System samples once its clock
+     *  reaches it, and the at-rest jump stops there. */
     Cycle nextDue() const { return nextAt_; }
 
     /**

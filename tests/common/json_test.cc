@@ -16,15 +16,7 @@
 namespace sac {
 namespace {
 
-/** Silences the [invalid] console echo while each test runs. */
-class JsonHardening : public ::testing::Test
-{
-  protected:
-    void SetUp() override { log_detail::setQuiet(true); }
-    void TearDown() override { log_detail::setQuiet(false); }
-};
-
-TEST_F(JsonHardening, MalformedCorpusThrowsInsteadOfCrashing)
+TEST(JsonHardening, MalformedCorpusThrowsInsteadOfCrashing)
 {
     const std::vector<std::string> corpus = {
         "",
@@ -70,7 +62,7 @@ TEST_F(JsonHardening, MalformedCorpusThrowsInsteadOfCrashing)
     }
 }
 
-TEST_F(JsonHardening, DeepNestingFailsCleanly)
+TEST(JsonHardening, DeepNestingFailsCleanly)
 {
     // One level under the cap parses; past the cap is rejected with a
     // clear message instead of a stack overflow.
@@ -101,7 +93,7 @@ TEST_F(JsonHardening, DeepNestingFailsCleanly)
     }
 }
 
-TEST_F(JsonHardening, ErrorsCarryLineAndColumn)
+TEST(JsonHardening, ErrorsCarryLineAndColumn)
 {
     try {
         json::parse("{\"a\": 1,\n \"b\": oops}");
@@ -113,7 +105,7 @@ TEST_F(JsonHardening, ErrorsCarryLineAndColumn)
     }
 }
 
-TEST_F(JsonHardening, NumberConversionsRejectMismatches)
+TEST(JsonHardening, NumberConversionsRejectMismatches)
 {
     EXPECT_EQ(json::parse("42").asU64(), 42u);
     EXPECT_THROW(json::parse("-42").asU64(), FatalError);
@@ -122,7 +114,7 @@ TEST_F(JsonHardening, NumberConversionsRejectMismatches)
     EXPECT_THROW(json::parse("{}").at("missing"), FatalError);
 }
 
-TEST_F(JsonHardening, DoubleFormattingIsShortestRoundTrip)
+TEST(JsonHardening, DoubleFormattingIsShortestRoundTrip)
 {
     // Human-friendly values print exactly as written...
     EXPECT_EQ(json::number(2.3), "2.3");
@@ -143,7 +135,7 @@ TEST_F(JsonHardening, DoubleFormattingIsShortestRoundTrip)
     }
 }
 
-TEST_F(JsonHardening, GoodDocumentsStillParse)
+TEST(JsonHardening, GoodDocumentsStillParse)
 {
     const auto v = json::parse(
         "{\"s\":\"a\\u0041\\n\",\"n\":-1.5e3,\"b\":true,"

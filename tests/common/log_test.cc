@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/log.hh"
 
 namespace sac {
@@ -58,6 +60,17 @@ TEST(Log, AssertMessageNamesCondition)
         EXPECT_NE(std::string(e.what()).find("2 < 1"), std::string::npos);
         EXPECT_NE(std::string(e.what()).find("ordering"), std::string::npos);
     }
+}
+
+TEST(Log, ErrorsOnlyThrowAndLeaveStderrToTheCatcher)
+{
+    // Every catcher reports the message it catches, so printing it
+    // here as well would report each error twice.
+    testing::internal::CaptureStderr();
+    EXPECT_THROW(panic("bug"), PanicError);
+    EXPECT_THROW(fatal("bad config"), FatalError);
+    EXPECT_THROW(invalid("GpuConfig.x", "bad value"), ValidationError);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 }
 
 TEST(Log, QuietSuppressesNothingFatal)

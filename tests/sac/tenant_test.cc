@@ -118,9 +118,7 @@ localHeavyMisses(Miss miss)
 void
 poll(TenantSacService &svc, Cycle now)
 {
-    TickInfo tick;
-    tick.now = now;
-    svc.poll(tick);
+    svc.tick(now);
 }
 
 /** Fixture: one service over a SacOrg and a fake host. */
@@ -180,12 +178,10 @@ TEST(Controller, KernelStartOpensWindowMemorySide)
     EXPECT_EQ(c.host.flushes, (std::vector<std::string>{"re-profile"}));
     EXPECT_TRUE(c.host.reconfigs.empty());
     EXPECT_TRUE(c.svc.windowOpen(0));
-    EXPECT_EQ(c.svc.nextDue(50), 50 + window / 2);
     poll(c.svc, 50 + window / 2);
-    EXPECT_EQ(c.svc.nextDue(50 + window / 2), 50 + window);
+    EXPECT_TRUE(c.svc.windowOpen(0));
     poll(c.svc, 50 + window);
     EXPECT_FALSE(c.svc.windowOpen(0));
-    EXPECT_EQ(c.svc.nextDue(50 + window), cycleNever);
 }
 
 TEST(Controller, SmFriendlyProfileSwitchesMode)
@@ -269,7 +265,6 @@ TEST(Controller, ReprofilesAfterTheInterval)
     SacControl c(1, interval);
     c.runWindow(0, 0, /*sm_friendly=*/true);
     ASSERT_EQ(c.org.mode(), LlcMode::SmSide);
-    EXPECT_EQ(c.svc.nextDue(window), window + interval);
 
     poll(c.svc, window + interval - 1);
     EXPECT_FALSE(c.svc.windowOpen(0));
@@ -281,7 +276,6 @@ TEST(Controller, ReprofilesAfterTheInterval)
 
     // A finished kernel never re-profiles.
     c.svc.endStreamKernel(0, /*whole_machine=*/true);
-    EXPECT_EQ(c.svc.nextDue(window + interval), cycleNever);
     poll(c.svc, 10 * interval);
     EXPECT_FALSE(c.svc.windowOpen(0));
 }
@@ -344,7 +338,6 @@ TEST(TenantSac, ReprofilesPerTenant)
     SacControl c(2, interval);
     c.runWindow(0, 0, /*sm_friendly=*/false);
     c.runWindow(1, 200, /*sm_friendly=*/false);
-    EXPECT_EQ(c.svc.nextDue(300), window + interval);
 
     // Each tenant re-opens on its own close cycle plus the interval.
     poll(c.svc, window + interval);

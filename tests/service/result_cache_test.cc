@@ -29,7 +29,6 @@
 #include "common/log.hh"
 #include "service/result_cache.hh"
 #include "sim/engine.hh"
-#include "sim/fault_injection.hh"
 #include "sim/plan.hh"
 #include "sim/result_io.hh"
 #include "workload/suite.hh"
@@ -326,9 +325,22 @@ TEST(ResultCache, TelemetryAndFaultJobsBypassTheCache)
     telemetered.telemetry.epoch = 512;
     EXPECT_FALSE(cacheEligible(telemetered));
 
-    ExperimentJob faulted = plain;
-    faulted.fault = FaultSpec::fatalAt(100);
-    EXPECT_FALSE(cacheEligible(faulted));
+    // A failing job bypasses the store: a cycle deadline is execution
+    // policy, so the limited job keeps its key and stays eligible, but
+    // its timed_out record never reaches the cache.
+    ExperimentJob limited = plain;
+    limited.limits.maxCycles = 100;
+    EXPECT_TRUE(cacheEligible(limited));
+    EXPECT_EQ(contentHash(limited), contentHash(plain));
+    {
+        TempDir dir("sac_cache_bypass_limited");
+        ResultCache cache(dir.path);
+        ExperimentPlan plan;
+        plan.add(limited);
+        const auto records = runWithCache(plan, cache);
+        EXPECT_EQ(records[0].result.status, RunStatus::TimedOut);
+        EXPECT_EQ(cache.stats().stores, 0u);
+    }
 
     // A telemetry-enabled sweep never touches the cache in either
     // direction — a cached plain record must not be served where a
@@ -354,8 +366,8 @@ TEST(ResultCache, FailedRecordsAreNotCached)
     TempDir dir("sac_cache_failures");
     ResultCache cache(dir.path);
 
-    // The faulted job bypasses the cache entirely; a watchdog-limited
-    // job is eligible, but its timed-out record must not persist.
+    // A watchdog-limited job is eligible, but its timed-out record
+    // must not persist.
     ExperimentPlan plan;
     ExperimentJob job;
     job.profile = tinyProfile("RN", 4096);
@@ -389,16 +401,20 @@ TEST(ResultCache, InterruptedSweepResumesFromTheCache)
     const std::string reference =
         docOf(ExperimentEngine(1).run(threeOrgs()));
 
-    // The interrupted sweep: one job dies mid-run, so only the other
-    // two ok records reach the cache.
+    // The interrupted sweep: one job dies mid-run at its cycle
+    // deadline, so only the other two ok records reach the cache.
     TempDir dir("sac_cache_resume");
     {
-        ExperimentPlan plan = threeOrgs();
-        plan.setFaultPlan(FaultPlan().fail(
-            "RN/SM-side", FaultSpec::fatalAt(100)));
+        const ExperimentPlan full = threeOrgs();
+        ExperimentPlan plan;
+        for (ExperimentJob job : full.jobs()) {
+            if (job.org == OrgKind::SmSide)
+                job.limits.maxCycles = 100;
+            plan.add(std::move(job));
+        }
         ResultCache cache(dir.path);
         const auto records = runWithCache(plan, cache);
-        EXPECT_EQ(records[1].result.status, RunStatus::Failed);
+        EXPECT_EQ(records[1].result.status, RunStatus::TimedOut);
         EXPECT_EQ(cache.stats().stores, 2u);
     }
 

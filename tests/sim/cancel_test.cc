@@ -3,9 +3,10 @@
  * Tests for cooperative cancellation: CancelToken semantics (latching,
  * deadline tightening, parent chaining), engine behaviour for plans
  * cancelled before and during execution, the in-kernel interruption
- * path through CancelWatchdog, and the determinism contract — records
- * delivered before a cancellation are byte-identical to the same
- * prefix of an uncancelled run, for any worker count.
+ * path through System's control step, the wall-clock budget across
+ * at-rest jumps, and the determinism contract — records delivered
+ * before a cancellation are byte-identical to the same prefix of an
+ * uncancelled run, for any worker count.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +19,9 @@
 #include "sim/engine.hh"
 #include "sim/plan.hh"
 #include "sim/result_io.hh"
+#include "workload/scenario.hh"
 #include "workload/suite.hh"
+#include "workload/tracegen.hh"
 
 namespace sac {
 namespace {
@@ -144,7 +147,7 @@ TEST(EngineCancellation, PreCancelledPlanDeliversWithoutSimulating)
 TEST(EngineCancellation, DeadlineInterruptsARunningKernel)
 {
     // One long job (no other jobs to absorb the budget), a deadline
-    // far shorter than its runtime: the CancelWatchdog must observe
+    // far shorter than its runtime: the control step must observe
     // the token mid-run and stop the System from inside the kernel.
     ExperimentPlan plan;
     plan.add(tinyProfile("RN", 1u << 22), tinyConfig(), OrgKind::Sac);
@@ -257,6 +260,69 @@ TEST(EngineCancellation, EmittedPrefixIsByteIdenticalForAnyWorkerCount)
             EXPECT_EQ(cancelled, plan.size() - 1) << "workers=1";
         }
     }
+}
+
+// --- wall-clock budget across at-rest jumps ----------------------------
+
+TEST(WallClockWatchdog, DeadlineFiresUnderFastForwardRegression)
+{
+    // Regression: the wall-clock check used to sample steady_clock
+    // only every few thousand loop iterations. A run that spends most
+    // of its cycles in an idle launch gap completes in far fewer
+    // iterations (each at-rest jump can skip millions of cycles), so
+    // the deadline could never fire. RunLimits::maxWallMs now rides a
+    // per-run token that the control step reads after every jump and
+    // strides only over per-cycle steps.
+    const GpuConfig cfg = tinyConfig();
+    WorkloadProfile p = tinyProfile("CFD", 2);
+    Scenario scn;
+    scn.streams.push_back(StreamSpec{p, 200000, 1.0, 0});
+    scn = scn.scaledData(dataScale(cfg));
+
+    // First establish the regression precondition: this run takes
+    // fewer loop iterations than the cancellation stride. One
+    // iteration ticks one cycle; every remaining cycle is covered by
+    // a jump, so iterations == cycles - skippedCycles.
+    {
+        StreamTraceMux mux(scn, cfg, 1);
+        System probe(cfg, OrgKind::MemorySide, mux);
+        const RunResult res = probe.run(scn);
+        const auto ff = probe.fastForwardStats();
+        ASSERT_GT(ff.skips, 0u);
+        ASSERT_LT(res.cycles - ff.skippedCycles,
+                  System::cancelCheckInterval)
+            << "workload no longer idle-heavy enough to regress";
+    }
+
+    // With an already-expired wall budget the check must still fire,
+    // because jump iterations are checked unstrided.
+    StreamTraceMux mux(scn, cfg, 1);
+    System system(cfg, OrgKind::MemorySide, mux);
+    RunLimits limits;
+    limits.maxWallMs = 1e-6;
+    system.setRunLimits(limits);
+    try {
+        system.run(scn);
+        FAIL() << "the spent wall budget did not abort the run";
+    } catch (const SimTimeoutError &e) {
+        // The diagnostic names the budget and carries the digest.
+        const std::string what = e.what();
+        EXPECT_NE(what.find("wall-clock deadline (1e-06 ms)"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("occupancy digest"), std::string::npos) << what;
+    }
+}
+
+TEST(WallClockWatchdog, NoDeadlineMeansNoAbort)
+{
+    const GpuConfig cfg = tinyConfig();
+    const WorkloadProfile p =
+        tinyProfile("CFD", 48).scaledData(dataScale(cfg));
+    SharingTraceGen gen(p, cfg, 1);
+    System system(cfg, OrgKind::MemorySide, gen);
+    system.setFastForward(true);
+    EXPECT_NO_THROW(system.run(kernelsFor(p)));
 }
 
 } // namespace

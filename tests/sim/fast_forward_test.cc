@@ -3,7 +3,7 @@
  * Differential tests for the run loop's at-rest clock jump.
  *
  * While no stream has a kernel resident and the machine is at rest,
- * System::run jumps the clock to the next run-service deadline
+ * System::run jumps the clock to the next control deadline
  * instead of ticking an idle machine. The jump must be invisible: for
  * any organization and worker count, a run with it produces
  * byte-identical results — every counter, every SAC decision, every

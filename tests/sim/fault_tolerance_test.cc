@@ -1,7 +1,10 @@
 /**
  * @file
- * Fault-tolerance tests for the experiment engine: per-job isolation,
- * deterministic fault injection and watchdog deadlines. Resuming an
+ * Fault-tolerance tests for the experiment engine, on failures the
+ * program really produces: an invalid configuration, a throwing
+ * System inspector, the cycle deadline and the livelock cap. Each
+ * failing job is isolated from the rest of its sweep, and a sweep's
+ * document is byte-identical for any worker count. Resuming an
  * interrupted sweep through the result cache is covered in
  * tests/service/result_cache_test.cc.
  */
@@ -12,7 +15,6 @@
 
 #include "common/log.hh"
 #include "sim/engine.hh"
-#include "sim/fault_injection.hh"
 #include "sim/plan.hh"
 #include "sim/result_io.hh"
 #include "workload/scenario.hh"
@@ -58,53 +60,67 @@ docOf(const std::vector<RunRecord> &records)
     return result_io::toJson(records);
 }
 
+/** A job the engine rejects before building its System. */
+ExperimentJob
+invalidConfigJob()
+{
+    ExperimentJob job;
+    job.profile = tinyProfile("RN");
+    job.config = tinyConfig();
+    job.config.sectorsPerLine = 3;
+    job.org = OrgKind::Sac;
+    return job;
+}
+
 TEST(FaultTolerance, FaultedJobIsIsolatedFromTheRestOfTheSweep)
 {
     const auto clean = ExperimentEngine(1).run(threeOrgPlan());
 
-    ExperimentPlan plan = threeOrgPlan();
-    plan.setFaultPlan(FaultPlan().fail(
-        "RN/SM-side", FaultSpec::fatalAt(100, "disk on fire")));
-    const auto records = ExperimentEngine(2).run(plan);
+    // The System inspector is the last thing a job runs; if it
+    // throws, that job is recorded as failed. A user error on one
+    // job and a simulator bug on another.
+    ExperimentEngine engine(2);
+    engine.onSystem([](std::size_t index, const System &) {
+        if (index == 0)
+            panic("impossible state");
+        if (index == 1)
+            fatal("disk on fire");
+    });
+    const auto records = engine.run(threeOrgPlan());
 
     ASSERT_EQ(records.size(), 3u);
     EXPECT_EQ(records[1].result.status, RunStatus::Failed);
     EXPECT_EQ(records[1].result.diagnostic, "disk on fire");
     EXPECT_EQ(records[1].result.organization, "SM-side");
     EXPECT_EQ(records[1].result.cycles, 0u);
+    // Panics (simulator bugs) are contained the same way.
+    EXPECT_EQ(records[0].result.status, RunStatus::Failed);
+    EXPECT_EQ(records[0].result.diagnostic, "impossible state");
 
-    // The surviving jobs' measurements are byte-identical to a
-    // fault-free sweep's.
-    EXPECT_EQ(records[0].result.status, RunStatus::Ok);
+    // The surviving job's measurements are byte-identical to a
+    // failure-free sweep's.
     EXPECT_EQ(records[2].result.status, RunStatus::Ok);
-    EXPECT_EQ(result_io::toJson(records[0].result),
-              result_io::toJson(clean[0].result));
     EXPECT_EQ(result_io::toJson(records[2].result),
               result_io::toJson(clean[2].result));
-
-    // Panics (simulator bugs) are contained the same way.
-    ExperimentPlan panicking = threeOrgPlan();
-    panicking.setFaultPlan(FaultPlan().fail(
-        "RN/Memory-side", FaultSpec::panicAt(50, "impossible state")));
-    const auto panicked = ExperimentEngine(2).run(panicking);
-    EXPECT_EQ(panicked[0].result.status, RunStatus::Failed);
-    EXPECT_NE(panicked[0].result.diagnostic.find("impossible state"),
-              std::string::npos);
-    EXPECT_EQ(panicked[1].result.status, RunStatus::Ok);
 }
 
 TEST(FaultTolerance, ValidationFaultFailsBeforeSimulating)
 {
     ExperimentPlan plan = threeOrgPlan();
-    plan.setFaultPlan(FaultPlan().fail(
-        "RN/SAC", FaultSpec::validation("bad trace header")));
+    plan.add(invalidConfigJob());
+    const std::uint64_t runs = ExperimentEngine::simulatedSystemRuns();
     const auto records = ExperimentEngine(1).run(plan);
-    EXPECT_EQ(records[2].result.status, RunStatus::Failed);
-    EXPECT_NE(records[2].result.diagnostic.find("RN/SAC"),
-              std::string::npos);
-    EXPECT_NE(records[2].result.diagnostic.find("bad trace header"),
-              std::string::npos);
-    EXPECT_EQ(records[2].result.cycles, 0u);
+    ASSERT_EQ(records.size(), 4u);
+    EXPECT_EQ(records[3].result.status, RunStatus::Failed);
+    EXPECT_NE(records[3].result.diagnostic.find("GpuConfig.sectorsPerLine"),
+              std::string::npos)
+        << records[3].result.diagnostic;
+    EXPECT_EQ(records[3].result.organization, "SAC");
+    EXPECT_EQ(records[3].result.cycles, 0u);
+    // Only the three valid jobs built and ran a System.
+    EXPECT_EQ(ExperimentEngine::simulatedSystemRuns(), runs + 3);
+    for (std::size_t i = 0; i < 3; ++i)
+        EXPECT_EQ(records[i].result.status, RunStatus::Ok);
 }
 
 TEST(FaultTolerance, LivelockWatchdogReportsOccupancyDigest)
@@ -178,30 +194,47 @@ TEST(FaultTolerance, CycleDeadlineTimesOutDeterministically)
         EXPECT_EQ(rec.result.status, RunStatus::TimedOut);
         EXPECT_NE(rec.result.diagnostic.find("500"), std::string::npos);
     }
-    // Fast-forward on and off hit the deadline with the same message:
-    // the watchdog participates in the wake protocol.
+    // The jump on and off hit the deadline with the same message: the
+    // jump stops at the deadline.
     EXPECT_EQ(records[0].result.diagnostic, records[1].result.diagnostic);
 }
 
 TEST(FaultTolerance, FaultedSweepsAreByteIdenticalAcrossWorkerCounts)
 {
-    const auto faulted_plan = [] {
+    // Every status in one sweep: ok jobs, a job the inspector fails, a
+    // job with an invalid configuration, a cycle deadline and a
+    // livelock cap.
+    const auto mixed_plan = [] {
         ExperimentPlan plan = threeOrgPlan();
         plan.addOrgSweep(tinyProfile("GEMM"), tinyConfig(),
                          {OrgKind::MemorySide, OrgKind::Sac});
-        plan.setFaultPlan(
-            FaultPlan()
-                .fail("RN/SM-side", FaultSpec::fatalAt(200))
-                .fail("GEMM/Memory-side", FaultSpec::panicAt(100))
-                .fail("GEMM/SAC", FaultSpec::validation()));
+        plan.add(invalidConfigJob());
+        ExperimentJob job;
+        job.profile = tinyProfile("RN", 4096);
+        job.config = tinyConfig();
+        job.org = OrgKind::Sac;
+        job.limits.maxCycles = 500;
+        plan.add(job);
+        job.limits = RunLimits{.livelockCycles = 600};
+        plan.add(std::move(job));
         return plan;
     };
-    const std::string doc1 = docOf(ExperimentEngine(1).run(faulted_plan()));
-    const std::string doc2 = docOf(ExperimentEngine(2).run(faulted_plan()));
-    const std::string doc8 = docOf(ExperimentEngine(8).run(faulted_plan()));
-    EXPECT_EQ(doc1, doc2);
-    EXPECT_EQ(doc1, doc8);
-    EXPECT_NE(doc1.find("\"status\":\"failed\""), std::string::npos);
+    const auto doc = [&](unsigned workers) {
+        ExperimentEngine engine(workers);
+        engine.onSystem([](std::size_t index, const System &) {
+            if (index == 1)
+                fatal("inspector failed");
+        });
+        return docOf(engine.run(mixed_plan()));
+    };
+    const std::string doc1 = doc(1);
+    EXPECT_EQ(doc1, doc(2));
+    EXPECT_EQ(doc1, doc(8));
+    for (const char *status : {"ok", "failed", "timed_out", "livelocked"}) {
+        EXPECT_NE(doc1.find(std::string("\"status\":\"") + status + "\""),
+                  std::string::npos)
+            << status;
+    }
 }
 
 } // namespace

@@ -91,11 +91,6 @@ TEST(PlanHashTest, HashIgnoresExecutionPolicy)
     j = base;
     j.limits.maxCycles = 123456;
     EXPECT_EQ(contentHash(j), h0);
-
-    j = base;
-    j.fault.kind = FaultSpec::Kind::Fatal;
-    j.fault.atCycle = 10;
-    EXPECT_EQ(contentHash(j), h0);
 }
 
 TEST(PlanHashTest, PlanHashIsOrderSensitive)
@@ -123,7 +118,6 @@ TEST(PlanHashTest, PlanHashIgnoresPolicyKnobs)
     const std::uint64_t h0 = plan.contentHash();
 
     plan.setLimits(RunLimits{.maxCycles = 1000});
-    plan.setFaultPlan(FaultPlan().fail("CFD/SAC", FaultSpec::fatalAt(1)));
     EXPECT_EQ(plan.contentHash(), h0);
 }
 

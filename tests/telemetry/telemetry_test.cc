@@ -47,8 +47,7 @@ countersAt(std::uint64_t scale)
 TEST(Sampler, ProducesPerEpochDeltas)
 {
     Sampler s(256, 8.0);
-    EXPECT_FALSE(s.due(255));
-    EXPECT_TRUE(s.due(256));
+    EXPECT_EQ(s.nextDue(), 256u);
 
     s.sample(countersAt(1), 256, 0, "memory-side");
     s.sample(countersAt(3), 512, 0, "SM-side");
