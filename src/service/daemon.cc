@@ -17,44 +17,11 @@
 
 #include "common/log.hh"
 #include "service/protocol.hh"
-#include "sim/plan.hh"
+#include "sim/engine.hh"
 
 namespace sac::service {
 
 namespace {
-
-/** The wire end of the delivery path: one response line per record,
- *  provenance tallied for the done event. */
-class WireSink : public ResultSink
-{
-  public:
-    WireSink(const SweepRequest &request, const Daemon::EmitFn &emit)
-        : request_(request), emit_(emit)
-    {}
-
-    void
-    onRecord(const EngineProgress &event) override
-    {
-        switch (event.record.source) {
-          case RecordSource::Simulated: ++counts_.simulated; break;
-          case RecordSource::Cache: ++counts_.cacheHits; break;
-        }
-        emit_(recordEvent(request_, event));
-    }
-
-    void
-    onDone(const EngineDone &done) override
-    {
-        counts_.jobs = done.total;
-        counts_.cacheMisses = done.telemetry.cacheMisses;
-        emit_(doneEvent(request_, counts_));
-    }
-
-  private:
-    const SweepRequest &request_;
-    const Daemon::EmitFn &emit_;
-    SweepCounts counts_;
-};
 
 bool
 blankLine(const std::string &line)
@@ -145,32 +112,6 @@ class LineFramer
     bool oversize_ = false;
 };
 
-/**
- * Reads one bounded line from a stream (serveStream's framing). True
- * while the stream produced a line; bytes past the bound are read
- * and dropped, reported through @p oversize.
- */
-bool
-readBoundedLine(std::istream &in, std::string &line, std::size_t max,
-                bool &oversize)
-{
-    line.clear();
-    oversize = false;
-    char c;
-    while (in.get(c)) {
-        if (c == '\n')
-            return true;
-        if (line.size() >= max) {
-            oversize = true;
-            line.clear();
-            continue;
-        }
-        if (!oversize)
-            line += c;
-    }
-    return !line.empty() || oversize;
-}
-
 std::string
 oversizeMessage(std::size_t maxBytes)
 {
@@ -207,8 +148,7 @@ struct Daemon::SessionSlot
     CancelToken token;
 };
 
-Daemon::Daemon(DaemonOptions options)
-    : options_(std::move(options)), engine_(options_.jobs)
+Daemon::Daemon(DaemonOptions options) : options_(std::move(options))
 {
     if (!options_.cacheDir.empty()) {
         cache_.emplace(options_.cacheDir);
@@ -335,25 +275,37 @@ Daemon::handleRequest(const std::string &line, const EmitFn &emit,
     struct GateGuard
     {
         Daemon &daemon;
-        ~GateGuard()
-        {
-            daemon.engine_.clearSinks();
-            daemon.engine_.setCancelToken(nullptr);
-            daemon.gateRelease();
-        }
+        ~GateGuard() { daemon.gateRelease(); }
     } guard{*this};
 
     try {
-        engine_.clearSinks();
-        engine_.setCache(cache());
-        engine_.setCancelToken(&planToken);
-        WireSink sink(request, emit);
-        engine_.addSink(sink);
-        engine_.run(request.plan);
+        ExperimentEngine engine(options_.jobs);
+        engine.setCache(cache());
+        engine.setCancelToken(&planToken);
+        engine.onProgress([&](const EngineProgress &event) {
+            emit(recordEvent(request, event));
+        });
+        EngineTelemetry tm;
+        SweepCounts counts;
+        counts.jobs = engine.run(request.plan, &tm).size();
+        counts.simulated = counts.jobs - tm.cacheHits;
+        counts.cacheHits = tm.cacheHits;
+        counts.cacheMisses = tm.cacheMisses;
+        emit(doneEvent(request, counts));
     } catch (const std::exception &e) {
         emit(errorEvent(request.id, e.what(), false));
     }
     pruneCache();
+}
+
+void
+Daemon::dispatchLine(const EmitFn &emit, const CancelToken *session,
+                     const std::string &line, bool oversize)
+{
+    if (oversize)
+        emit(errorEvent("", oversizeMessage(options_.maxLineBytes)));
+    else
+        handleRequest(line, emit, session);
 }
 
 void
@@ -363,14 +315,14 @@ Daemon::serveStream(std::istream &in, std::ostream &out)
         out << line << '\n';
         out.flush();
     };
-    std::string line;
-    bool oversize = false;
-    while (readBoundedLine(in, line, options_.maxLineBytes, oversize)) {
-        if (oversize)
-            emit(errorEvent("", oversizeMessage(options_.maxLineBytes)));
-        else
-            handleRequest(line, emit);
-    }
+    const auto dispatch = [&](std::string &&line, bool oversize) {
+        dispatchLine(emit, nullptr, line, oversize);
+    };
+    LineFramer framer(options_.maxLineBytes);
+    char c;
+    while (in.get(c))
+        framer.feed(&c, 1, dispatch);
+    framer.finish(dispatch);
 }
 
 void
@@ -384,10 +336,7 @@ Daemon::session(SessionSlot &slot)
             slot.token.cancel("client disconnected mid-stream");
     };
     const auto dispatch = [&](std::string &&line, bool oversize) {
-        if (oversize)
-            emit(errorEvent("", oversizeMessage(options_.maxLineBytes)));
-        else
-            handleRequest(line, emit, &slot.token);
+        dispatchLine(emit, &slot.token, line, oversize);
     };
 
     LineFramer framer(options_.maxLineBytes);

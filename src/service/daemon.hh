@@ -1,13 +1,15 @@
 /**
  * @file
  * The sacsimd service core: accepts sac.sweep.v1 requests, runs each
- * plan on a shared fault-isolated ExperimentEngine backed by one
+ * plan on its own fault-isolated ExperimentEngine backed by the one
  * persistent ResultCache, and streams sac.sweep-result.v1 events back
- * as records are delivered.
+ * as records are delivered: a record event from the engine's
+ * onProgress callback per job, then a done event built from what
+ * run() returns.
  *
  * Concurrency model: serve() accepts up to --connections simultaneous
  * client sessions, each handled by its own thread. Sessions share the
- * one engine and the one cache; *plans* serialize through a FIFO
+ * one cache; *plans* serialize through a FIFO
  * admission gate (one plan running, a bounded queue of --plan-queue
  * waiters), so the daemon never runs more than --jobs simulation
  * workers no matter how many clients connect, and a plan's record
@@ -32,10 +34,11 @@
  * triggers the same sequence programmatically (tests use it).
  *
  * Transports: the unix socket loop (serve()) and any istream/ostream
- * pair (serveStream(), the testable single-session core). Both
- * funnel into handleRequest() and both frame input with a bounded
- * line reader (--max-line-bytes), so a hostile 10 MB request line is
- * answered with a clean error event instead of unbounded buffering.
+ * pair (serveStream(), the testable single-session core). Both frame
+ * input with the same bounded line framer (--max-line-bytes) and
+ * hand each line to the same dispatch, so a hostile 10 MB request
+ * line is answered with a clean error event instead of unbounded
+ * buffering, and every other line reaches handleRequest().
  *
  * Memoization contract: the daemon holds one ResultCache for its
  * whole lifetime, so a plan submitted twice — on the same or a later
@@ -57,7 +60,6 @@
 
 #include "service/result_cache.hh"
 #include "sim/cancel.hh"
-#include "sim/engine.hh"
 
 namespace sac::service {
 
@@ -157,6 +159,11 @@ class Daemon
     /** One client session, run on its own thread. */
     void session(SessionSlot &slot);
 
+    /** One framed input line, from either transport: an error event
+     *  when it overflowed maxLineBytes, else handleRequest(). */
+    void dispatchLine(const EmitFn &emit, const CancelToken *session,
+                      const std::string &line, bool oversize);
+
     /**
      * FIFO plan admission: blocks until this caller's turn, or
      * returns false immediately when the wait queue is full.
@@ -170,7 +177,6 @@ class Daemon
 
     DaemonOptions options_;
     std::optional<ResultCache> cache_;
-    ExperimentEngine engine_;
 
     /** Root of every session's cancellation chain; armed on drain. */
     CancelToken drainToken_;

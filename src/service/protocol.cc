@@ -1,12 +1,8 @@
 #include "service/protocol.hh"
 
-#include <cmath>
-
-#include "common/config.hh"
 #include "common/log.hh"
 #include "sim/result_io.hh"
 #include "workload/scenario.hh"
-#include "workload/suite.hh"
 
 namespace sac::service {
 
@@ -15,137 +11,34 @@ const char *const responseSchema = "sac.sweep-result.v1";
 
 namespace {
 
-/**
- * Range-checked numeric readers. The JSON layer parses saturating —
- * "1e999" becomes inf, a 30-digit integer becomes 2^64-1 — so the
- * protocol rejects anything outside each field's documented range
- * here, with the field name in the error, instead of letting a
- * nonsense magnitude reach GpuConfig.
- */
-std::uint64_t
-boundedU64(const json::Value &v, const char *name, std::uint64_t lo,
-           std::uint64_t hi)
+/** The JobSpec one "plan" element spells; addJobs() checks it. */
+JobSpec
+jobSpecFromJson(const json::Value &v)
 {
-    const std::uint64_t value = v.asU64();
-    if (value < lo || value > hi) {
-        invalid(name, "must be between ", lo, " and ", hi, ", got ",
-                v.text);
-    }
-    return value;
-}
-
-double
-boundedDouble(const json::Value &v, const char *name, double lo,
-              double hi)
-{
-    const double value = v.asDouble();
-    if (!std::isfinite(value) || value < lo || value > hi) {
-        invalid(name, "must be a finite number between ", lo, " and ",
-                hi, ", got ", v.text);
-    }
-    return value;
-}
-
-/** Builds the (config, profile) pair one job spec describes, exactly
- *  the way the sacsim CLI would. */
-void
-addJobSpec(ExperimentPlan &plan, const json::Value &spec)
-{
-    const bool has_scenario = spec.has("scenario");
-    if (!spec.has("benchmark") && !has_scenario) {
-        invalid("sweep request",
-                "job spec is missing \"benchmark\" (or \"scenario\")");
-    }
-    if (spec.has("benchmark") && has_scenario) {
-        invalid("sweep request",
-                "job spec has both \"benchmark\" and \"scenario\"; "
-                "scenario streams name their own benchmarks");
-    }
-
-    const int scale =
-        spec.has("scale")
-            ? static_cast<int>(boundedU64(spec.at("scale"), "scale", 1, 64))
-            : 4;
-    GpuConfig cfg = GpuConfig::scaled(scale);
-
-    const std::uint64_t seed =
-        spec.has("seed") ? spec.at("seed").asU64() : 1;
-    cfg.seed = seed;
-
-    if (spec.has("coherence")) {
-        const std::string c = spec.at("coherence").asString();
-        if (c != "sw" && c != "hw")
-            invalid(c, "coherence must be sw or hw");
-        cfg.coherence = c == "hw" ? CoherenceKind::Hardware
-                                  : CoherenceKind::Software;
-    }
-    if (spec.has("sectors")) {
-        cfg.sectorsPerLine = static_cast<unsigned>(
-            boundedU64(spec.at("sectors"), "sectors", 1, 4));
-    }
-    if (spec.has("interChipBw")) {
-        const double bw = boundedDouble(spec.at("interChipBw"),
-                                        "interChipBw", 0.0, 1e9);
-        if (bw > 0.0)
-            cfg.interChipBw = bw;
-    }
-    cfg.validate();
-
-    const std::string label =
-        spec.has("label") ? spec.at("label").asString() : "";
-    const std::string org =
-        spec.has("org") ? spec.at("org").asString() : "all";
-
-    if (has_scenario) {
-        // The streams array reuses the scenario-file shape and its
-        // bounds (stream count cap, per-field range checks); the
-        // profile-level knobs live inside each stream instead.
-        if (spec.has("inputScale") || spec.has("apw")) {
-            invalid("sweep request",
-                    "\"inputScale\"/\"apw\" belong inside scenario "
-                    "streams, not beside \"scenario\"");
-        }
-        const Scenario scenario =
-            scenarioFromStreamsValue(spec.at("scenario"));
-        const auto add_one = [&](OrgKind kind, std::string job_label) {
-            ExperimentJob job;
-            job.scenario = scenario;
-            job.config = cfg;
-            job.org = kind;
-            job.seed = seed;
-            job.label = std::move(job_label);
-            plan.add(std::move(job));
-        };
-        if (org == "all") {
-            for (const OrgKind kind : ExperimentPlan::allOrganizations())
-                add_one(kind, "");
-        } else {
-            add_one(orgKindFromName(org), label);
-        }
-        return;
-    }
-
-    WorkloadProfile profile =
-        findBenchmark(spec.at("benchmark").asString());
-    if (spec.has("inputScale")) {
-        profile = profile.withInputScale(boundedDouble(
-            spec.at("inputScale"), "inputScale", 1e-6, 1024.0));
-    }
-    if (spec.has("apw")) {
-        const std::uint64_t apw =
-            boundedU64(spec.at("apw"), "apw", 0, 1u << 30);
-        if (apw > 0) {
-            for (auto &phase : profile.phases)
-                phase.accessesPerWarp = apw;
-        }
-    }
-
-    if (org == "all") {
-        plan.addOrgSweep(profile, cfg, ExperimentPlan::allOrganizations(),
-                         seed);
-    } else {
-        plan.add(profile, cfg, orgKindFromName(org), seed, label);
-    }
+    JobSpec spec;
+    if (v.has("benchmark"))
+        spec.benchmark = v.at("benchmark").asString();
+    if (v.has("scenario"))
+        spec.scenario = scenarioFromStreamsValue(v.at("scenario"));
+    if (v.has("org"))
+        spec.org = v.at("org").asString();
+    if (v.has("seed"))
+        spec.seed = v.at("seed").asU64();
+    if (v.has("scale"))
+        spec.scale = v.at("scale").asU64();
+    if (v.has("inputScale"))
+        spec.inputScale = v.at("inputScale").asDouble();
+    if (v.has("coherence"))
+        spec.coherence = v.at("coherence").asString();
+    if (v.has("sectors"))
+        spec.sectors = v.at("sectors").asU64();
+    if (v.has("interChipBw"))
+        spec.interChipBw = v.at("interChipBw").asDouble();
+    if (v.has("apw"))
+        spec.apw = v.at("apw").asU64();
+    if (v.has("label"))
+        spec.label = v.at("label").asString();
+    return spec;
 }
 
 } // namespace
@@ -170,8 +63,10 @@ parseRequest(const std::string &line)
     if (doc.has("deadline_ms")) {
         // Cap at ~12 days; anything larger is either saturated input
         // or a value no deadline mechanism will ever see expire.
-        req.deadlineMs = boundedU64(doc.at("deadline_ms"), "deadline_ms",
-                                    1, 1000ull * 1000ull * 1000ull);
+        const json::Value &v = doc.at("deadline_ms");
+        req.deadlineMs = v.asU64();
+        if (req.deadlineMs < 1 || req.deadlineMs > 1'000'000'000)
+            invalid("deadline_ms", "must be 1 to 1e9 ms, got ", v.text);
     }
     if (!doc.has("plan"))
         invalid("sweep request", "missing \"plan\" array");
@@ -180,7 +75,7 @@ parseRequest(const std::string &line)
     if (plan.array.empty())
         invalid("sweep request", "\"plan\" is empty");
     for (const json::Value &spec : plan.array)
-        addJobSpec(req.plan, spec);
+        addJobs(req.plan, jobSpecFromJson(spec));
     return req;
 }
 

@@ -11,7 +11,9 @@
  *     "provenance": false,             // optional: per-record source
  *     "deadline_ms": 60000,            // optional wall-clock budget
  *     "plan": [ { "benchmark": "CFD",  // required, Table 4 name
- *                 "org": "sac",        // mem|sm|static|dynamic|sac|all
+ *                 "org": "mem,sac",    // optional, "all" or a comma
+ *                                      // list of mem|sm|static|
+ *                                      // dynamic|sac; default all
  *                 "seed": 1,           // optional, default 1
  *                 "scale": 4,          // optional topology divisor
  *                 "inputScale": 1.0,   // optional (Fig. 13 axis)
@@ -19,10 +21,13 @@
  *                 "sectors": 1,        // optional, 1|2|4
  *                 "interChipBw": 0.0,  // optional, 0 = default
  *                 "apw": 0,            // optional accesses/warp
- *                 "label": "..." } ] } // optional display label
+ *                 "label": "..." } ] } // optional, one-org specs only
  *
- * "org": "all" expands to the five organizations in presentation
- * order, exactly like sacsim --org all.
+ * Each plan element is a JobSpec (sim/plan.hh) and is read by the
+ * same addJobs() that reads sacsim's flags, so the defaults, bounds
+ * and org grammar are sacsim's: "org": "all" expands to the five
+ * organizations in presentation order, exactly like sacsim --org
+ * all, and "mem,sac" to two jobs in that order.
  *
  * A job spec may carry "scenario" INSTEAD of "benchmark": an array of
  * stream objects in the scenario-file shape (workload/scenario.hh) —
@@ -95,9 +100,9 @@ struct SweepRequest
  * Parses one request line. Throws ValidationError (with the offending
  * field in the context) on anything malformed — unknown schema,
  * missing benchmark, bad organization name, or an out-of-range
- * numeric (every numeric field is bounds-checked here, because the
- * JSON layer deliberately parses saturating: 1e999 arrives as inf
- * and a 30-digit integer as 2^64-1).
+ * numeric (addJobs() bounds every job-spec field, because the JSON
+ * layer deliberately parses saturating: 1e999 arrives as inf and a
+ * 30-digit integer as 2^64-1).
  */
 SweepRequest parseRequest(const std::string &line);
 

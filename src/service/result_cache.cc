@@ -39,6 +39,17 @@ hashName(const ExperimentJob &job)
     return hexHashName(contentHash(job));
 }
 
+/** Parses an entry's text; a JSON error means a torn or corrupt file. */
+json::Value
+parseEntry(const std::string &text)
+{
+    try {
+        return json::parse(text);
+    } catch (const std::exception &e) {
+        throw FatalError(std::string("torn or corrupt: ") + e.what());
+    }
+}
+
 /** True for "<hex>.json" entry files; temporaries ("*.tmp.*") and
  *  the lockfile never match. */
 bool
@@ -115,9 +126,10 @@ ResultCache::lookup(const ExperimentJob &job)
 
     // Tolerant read: anything unusable — a torn write from a crashed
     // process, a corrupted byte, a stale schema, a hash collision —
-    // is a miss; the job re-simulates and the store overwrites it.
+    // is named on stderr and is a miss; the job re-simulates and the
+    // store overwrites it.
     try {
-        const json::Value doc = json::parse(buf.str());
+        const json::Value doc = parseEntry(buf.str());
         if (!doc.has("schema") ||
             doc.at("schema").asString() != cacheSchema) {
             throw FatalError("wrong cache entry schema");
@@ -140,7 +152,9 @@ ResultCache::lookup(const ExperimentJob &job)
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.hits;
         return rec;
-    } catch (const std::exception &) {
+    } catch (const std::exception &e) {
+        warn("result cache: rejected '", path, "' (", e.what(),
+             "); re-simulating");
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.rejected;
         ++stats_.misses;

@@ -21,8 +21,9 @@
  * the same directory and rename()s it over the final name, so a
  * reader never sees a torn entry and concurrent writers of the same
  * key resolve to one winner (last rename wins — both wrote the same
- * bytes by construction). The reader is tolerant: an unreadable,
- * unparseable, wrong-schema or key-mismatched entry is counted and
+ * bytes by construction). The reader is tolerant: an unparseable,
+ * wrong-schema, stale-plan-schema or key-mismatched entry is named
+ * with its path and reason in a warning on stderr, counted and
  * treated as a miss; the next store overwrites it. Because the engine
  * stores each ok record as it is delivered, rerunning an interrupted
  * sweep on the same directory is how it resumes: stored jobs hit and
@@ -113,7 +114,9 @@ class ResultCache : public JobCache
     /**
      * The cached record for @p job, or nullopt. Served records are
      * byte-identical (canonical fields) to the run that stored them;
-     * the engine re-stamps jobIndex/label/source for this run.
+     * the engine re-stamps jobIndex/label/source for this run. An
+     * entry that exists but is rejected warns once, naming its path
+     * and why, before the miss is returned.
      */
     std::optional<RunRecord> lookup(const ExperimentJob &job) override;
 

@@ -178,52 +178,19 @@ runGuarded(const ExperimentJob &job, std::size_t index,
     return rec;
 }
 
-/** ProgressFn adapter so callbacks ride the one delivery path. */
-class CallbackSink : public ResultSink
-{
-  public:
-    explicit CallbackSink(const ProgressFn &fn) : fn_(fn) {}
-
-    void onRecord(const EngineProgress &event) override { fn_(event); }
-
-  private:
-    const ProgressFn &fn_;
-};
-
-/** Offers freshly simulated ok records to the attached JobCache. */
-class CachePopulateSink : public ResultSink
-{
-  public:
-    CachePopulateSink(JobCache &cache) : cache_(cache) {}
-
-    void
-    onRecord(const EngineProgress &event) override
-    {
-        const RunRecord &rec = event.record;
-        if (rec.source == RecordSource::Simulated &&
-            rec.result.status == RunStatus::Ok &&
-            cacheEligible(event.job)) {
-            cache_.store(event.job, rec);
-        }
-    }
-
-  private:
-    JobCache &cache_;
-};
-
 /**
  * Plan-order delivery: records are held until every earlier record
- * has been delivered, so the onRecord sequence is deterministic for
- * any worker count. All sink calls happen under one mutex — sinks
- * never see concurrent or out-of-order events.
+ * has been delivered, so the callback sequence is deterministic for
+ * any worker count. Delivery happens under one mutex, so the cache
+ * and the callback never see concurrent or out-of-order records.
  */
 class Emitter
 {
   public:
-    Emitter(const ExperimentPlan &plan, std::vector<RunRecord> &records,
-            const std::vector<ResultSink *> &sinks)
-        : plan_(plan), records_(records), sinks_(sinks),
-          done_(records.size(), 0)
+    Emitter(const ExperimentPlan &plan, const std::vector<RunRecord> &records,
+            JobCache *cache, const ProgressFn &progress)
+        : plan_(plan), records_(records), cache_(cache),
+          progress_(progress), done_(records.size(), 0)
     {
     }
 
@@ -234,27 +201,32 @@ class Emitter
         std::lock_guard<std::mutex> lock(mutex_);
         done_[index] = 1;
         while (next_ < done_.size() && done_[next_]) {
-            const EngineProgress event{next_ + 1, done_.size(),
-                                       plan_[next_], records_[next_]};
-            for (ResultSink *sink : sinks_)
-                sink->onRecord(event);
+            const ExperimentJob &job = plan_[next_];
+            const RunRecord &rec = records_[next_];
+            // Durability before observation: a fresh ok record is in
+            // the cache before the callback sees it.
+            if (cache_ && rec.source == RecordSource::Simulated &&
+                rec.result.status == RunStatus::Ok && cacheEligible(job)) {
+                cache_->store(job, rec);
+            }
+            if (progress_)
+                progress_(EngineProgress{next_ + 1, done_.size(), job, rec});
             ++next_;
         }
     }
 
     void
-    finish(const EngineDone &done)
+    finish() const
     {
         SAC_ASSERT(next_ == done_.size(),
                    "engine finished with undelivered records");
-        for (ResultSink *sink : sinks_)
-            sink->onDone(done);
     }
 
   private:
     const ExperimentPlan &plan_;
-    std::vector<RunRecord> &records_;
-    const std::vector<ResultSink *> &sinks_;
+    const std::vector<RunRecord> &records_;
+    JobCache *cache_;
+    const ProgressFn &progress_;
     std::vector<char> done_;
     std::size_t next_ = 0;
     std::mutex mutex_;
@@ -272,12 +244,6 @@ ExperimentEngine::run(const ExperimentPlan &plan,
     EngineTelemetry local;
     EngineTelemetry &tm = telemetry ? *telemetry : local;
     tm = EngineTelemetry{};
-
-    // Delivery order: the cache populator first (durability before
-    // observation), then explicit sinks, then the progress callback.
-    std::vector<ResultSink *> sinks;
-    std::optional<CachePopulateSink> cache_sink;
-    std::optional<CallbackSink> progress_sink;
 
     // Cache probe: a hit is served as-cached (byte-identical to the
     // run that populated it) under this plan's index and label. This
@@ -302,18 +268,9 @@ ExperimentEngine::run(const ExperimentPlan &plan,
                 ++tm.cacheMisses;
             }
         }
-        cache_sink.emplace(*cache_);
-        sinks.push_back(&*cache_sink);
     }
 
-    for (ResultSink *sink : sinks_)
-        sinks.push_back(sink);
-    if (progress_) {
-        progress_sink.emplace(progress_);
-        sinks.push_back(&*progress_sink);
-    }
-
-    Emitter emitter(plan, out, sinks);
+    Emitter emitter(plan, out, cache_, progress_);
 
     // The jobs left to simulate, in plan order.
     std::vector<std::size_t> pending;
@@ -377,7 +334,7 @@ ExperimentEngine::run(const ExperimentPlan &plan,
         tm.workerBusyMs[out[i].worker] += out[i].wallMs;
     }
     tm.wallMs = ms_since(clock_type::now());
-    emitter.finish(EngineDone{n, tm});
+    emitter.finish();
     return out;
 }
 

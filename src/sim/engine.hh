@@ -1,17 +1,17 @@
 /**
  * @file
- * The parallel experiment engine and its streaming delivery API.
+ * The parallel experiment engine and its streaming delivery hook.
  *
  * An ExperimentPlan (sim/plan.hh) is a declarative list of
  * independent simulation jobs. The ExperimentEngine executes a plan
  * on a pool of workers that claim jobs from one shared cursor, and
- * *streams* one RunRecord per job, in plan order, to any number of
- * attached ResultSinks — the result-cache populator, sacsim's
- * progress lines and the sacsimd wire protocol are all sinks on this
- * one delivery path. run() also returns the records in plan order,
- * which is what sacsim --json serializes. It is the library's one
- * entry point: sacsim, sacsimd, the benches and the examples all
- * drive it directly.
+ * *streams* one RunRecord per job, in plan order, to its one
+ * onProgress callback — sacsim's progress lines and the sacsimd wire
+ * protocol are both that callback. run() also returns the records in
+ * plan order, which is what sacsim --json serializes and what the
+ * daemon's done event counts. It is the library's one entry point:
+ * sacsim, sacsimd, the benches and the examples all drive it
+ * directly.
  *
  *   ExperimentPlan plan;
  *   plan.addOrgSweep(findBenchmark("CFD"), cfg);
@@ -22,9 +22,9 @@
  * (profile, config, org, seed) tuple — every job constructs a private
  * trace generator and System from its explicit seed, so results are
  * bit-identical to serial execution and independent of the thread
- * count. Sink delivery is serialized and happens in plan order (a
- * record is held until every earlier record has been delivered), so
- * the delivery sequence is deterministic for any worker count too.
+ * count. Delivery is serialized and happens in plan order (a record is
+ * held until every earlier record has been delivered), so the
+ * delivery sequence is deterministic for any worker count too.
  *
  * Fault tolerance: each job runs isolated. A job that throws — bad
  * configuration, watchdog deadline, livelock cap, simulator panic —
@@ -37,8 +37,8 @@
  * consults it before scheduling work — a job whose content hash
  * (sim/plan.hh, canonicalJobKey) is already cached is served from
  * the cache byte-identically instead of re-simulated, and freshly
- * simulated ok records are offered back for persistence as they are
- * delivered. Rerunning an interrupted plan against the same cache is
+ * simulated ok records are stored as they are delivered, before the
+ * callback sees them. Rerunning an interrupted plan against the same cache is
  * how a sweep resumes: only the jobs without a stored ok record
  * simulate. Jobs with telemetry bypass the cache (see cacheEligible),
  * so they re-simulate on every run.
@@ -142,37 +142,10 @@ struct EngineProgress
     const RunRecord &record;
 };
 
-/** End-of-plan payload: fired exactly once per run(). */
-struct EngineDone
-{
-    std::size_t total = 0;
-    const EngineTelemetry &telemetry;
-};
-
 using ProgressFn = std::function<void(const EngineProgress &)>;
 
 /** Inspector for a finished job's System: (plan index, system). */
 using SystemFn = std::function<void(std::size_t, const System &)>;
-
-/**
- * A consumer on the engine's delivery path. onRecord fires once per
- * job, serialized and in plan order regardless of worker count or
- * completion order; onDone fires once after the last record. Calls
- * arrive on worker threads — a sink that blocks delays delivery of
- * later records, never their computation.
- */
-class ResultSink
-{
-  public:
-    virtual ~ResultSink() = default;
-
-    /** One delivered record. EngineProgress::record.source says
-     *  whether it was simulated or served from cache. */
-    virtual void onRecord(const EngineProgress &event) = 0;
-
-    /** The plan is complete; telemetry totals are final. */
-    virtual void onDone(const EngineDone &done) { (void)done; }
-};
 
 /**
  * Engine-side contract for a persistent result cache, keyed on the
@@ -225,9 +198,14 @@ class ExperimentEngine
     explicit ExperimentEngine(unsigned threads = 0);
 
     /**
-     * Registers a progress callback: a convenience sink that only
-     * wants the onRecord stream. Same delivery guarantees as
-     * ResultSink — serialized, plan order.
+     * Registers the delivery callback. It fires once per job,
+     * serialized and in plan order regardless of worker count or
+     * completion order; EngineProgress::record.source says whether
+     * the record was simulated or served from cache, and a fresh ok
+     * record of a cache-eligible job is already stored in the
+     * attached cache when it fires. Calls arrive on worker threads:
+     * a callback that blocks delays delivery of later records, never
+     * their computation. run() returns after the last call.
      */
     void onProgress(ProgressFn fn) { progress_ = std::move(fn); }
 
@@ -241,13 +219,6 @@ class ExperimentEngine
      * that job is recorded as failed.
      */
     void onSystem(SystemFn fn) { onSystem_ = std::move(fn); }
-
-    /**
-     * Attaches a delivery sink (non-owning; must outlive run()).
-     * Sinks fire in attachment order, after the internal cache
-     * populator.
-     */
-    void addSink(ResultSink &sink) { sinks_.push_back(&sink); }
 
     /**
      * Attaches a persistent result cache (non-owning, may be
@@ -264,25 +235,15 @@ class ExperimentEngine
      * token in the run loop's control step and finish as
      * timed_out too. Cache hits still serve (they cost no
      * simulation), records already delivered are untouched,
-     * and onDone still fires — a cancelled sweep completes, it just
-     * stops computing.
+     * and every job is still delivered — a cancelled sweep completes,
+     * it just stops computing.
      */
     void setCancelToken(const CancelToken *token) { cancel_ = token; }
 
     /**
-     * Detaches every sink and the progress callback (the cache and
-     * cancel token stay). For owners that reuse one engine across
-     * plans with per-plan sinks, e.g. the sacsimd session loop.
-     */
-    void clearSinks()
-    {
-        sinks_.clear();
-        progress_ = nullptr;
-    }
-
-    /**
-     * Executes every job, streaming records to the attached sinks in
-     * plan order, and returns the records in plan order too. Jobs
+     * Executes every job, streaming records to the onProgress
+     * callback in plan order, and returns the records in plan order
+     * too. Jobs
      * are isolated: a throwing job yields a record with a non-ok
      * RunResult::status and the error text in diagnostic; the sweep
      * always completes and the other jobs' results are untouched.
@@ -318,7 +279,6 @@ class ExperimentEngine
     unsigned threads_;
     ProgressFn progress_;
     SystemFn onSystem_;
-    std::vector<ResultSink *> sinks_;
     JobCache *cache_ = nullptr;
     const CancelToken *cancel_ = nullptr;
 };

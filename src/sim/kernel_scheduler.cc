@@ -12,7 +12,6 @@ KernelScheduler::reset(std::vector<KernelStreamState> streams)
     for (const auto &s : streams)
         SAC_ASSERT(!s.kernels.empty(), "stream without any kernel");
     streams_ = std::move(streams);
-    tickKernel_ = 0;
     resident_ = 0;
 }
 
@@ -60,7 +59,6 @@ KernelScheduler::launch(KernelStreamState &s)
     s.running = true;
     ++resident_;
     ++s.next;
-    tickKernel_ = kernel.index;
 }
 
 void

@@ -92,9 +92,6 @@ class KernelScheduler
     /** True while some stream has a kernel resident. */
     bool anyResident() const { return resident_ > 0; }
 
-    /** Index of the most recently launched kernel. */
-    int currentKernelIndex() const { return tickKernel_; }
-
     const std::vector<KernelStreamState> &streams() const
     {
         return streams_;
@@ -107,7 +104,6 @@ class KernelScheduler
 
     System &sys_;
     std::vector<KernelStreamState> streams_;
-    int tickKernel_ = 0;
     /** Streams with a kernel resident. */
     int resident_ = 0;
 };

@@ -1,11 +1,17 @@
 #include "sim/plan.hh"
 
 #include <cstdio>
+#include <type_traits>
 #include <utility>
+
+#include "common/log.hh"
+#include "workload/suite.hh"
 
 namespace sac {
 
-const char *const planSchemaVersion = "sac.plan.v1";
+const char *const planSchemaVersion = "sac.plan.v2";
+
+const std::uint64_t canaryDigest = 0xa5f60ecacf49b943ULL;
 
 double
 dataScale(const GpuConfig &cfg)
@@ -171,7 +177,11 @@ std::string
 canonicalJobKey(const ExperimentJob &job)
 {
     KeyWriter w;
+    char model[20];
+    std::snprintf(model, sizeof(model), "%016llx",
+                  static_cast<unsigned long long>(canaryDigest));
     w.field("schema", planSchemaVersion);
+    w.field("model", model);
     w.field("org", toString(job.org));
     w.field("seed", job.seed);
     writeConfig(w, job.config);
@@ -275,18 +285,101 @@ ExperimentPlan::setLimits(const RunLimits &limits)
     return *this;
 }
 
-std::uint64_t
-ExperimentPlan::contentHash() const
+namespace {
+
+/** "all" or a comma list of organization names, e.g. "mem,sac". */
+std::vector<OrgKind>
+orgList(const std::string &spec, const std::string &field)
 {
-    // Chain per-job hashes in plan order, seeded with the schema
-    // version so a key-layout bump changes every plan hash too.
-    std::uint64_t h = fnv1a(fnvOffset, planSchemaVersion,
-                            std::string(planSchemaVersion).size());
-    for (const auto &job : jobs_) {
-        const std::uint64_t jh = sac::contentHash(job);
-        h = fnv1a(h, &jh, sizeof(jh));
+    if (spec == "all")
+        return ExperimentPlan::allOrganizations();
+    std::vector<OrgKind> kinds;
+    std::size_t start = 0;
+    for (;;) {
+        const std::size_t comma = spec.find(',', start);
+        const std::string item = spec.substr(start, comma - start);
+        if (item.empty())
+            invalid(field, "empty entry in organization list '", spec, "'");
+        kinds.push_back(orgKindFromName(item));
+        if (comma == std::string::npos)
+            return kinds;
+        start = comma + 1;
     }
-    return h;
+}
+
+/**
+ * @p value when it lies in [@p lo, @p hi], else a ValidationError
+ * naming @p field. NaN lies nowhere, and neither does inf here: the
+ * front ends read numbers saturating (a JSON 1e999 arrives as inf, a
+ * 30-digit integer as 2^64-1, and "inf" is a valid double flag).
+ */
+template <typename T>
+T
+bounded(const std::string &field, T value, std::type_identity_t<T> lo,
+        std::type_identity_t<T> hi)
+{
+    if (!(value >= lo && value <= hi))
+        invalid(field, "must be between ", lo, " and ", hi, ", got ", value);
+    return value;
+}
+
+} // namespace
+
+void
+addJobs(ExperimentPlan &plan, const JobSpec &spec, const SpecFieldNames &names)
+{
+    const auto name = [&names](const char *key) {
+        return names ? names(key) : std::string(key);
+    };
+
+    if (spec.benchmark && spec.scenario)
+        invalid(name("benchmark"), "cannot be combined with a scenario");
+    if (!spec.benchmark && !spec.scenario)
+        invalid("job spec", "missing ", name("benchmark"), " (or a scenario)");
+    if (spec.scenario && (spec.inputScale || spec.apw)) {
+        invalid(name(spec.inputScale ? "inputScale" : "apw"),
+                "does not apply to a scenario; each stream sets its own");
+    }
+
+    const auto scale = bounded(name("scale"), spec.scale, 1, 64);
+    GpuConfig cfg = GpuConfig::scaled(static_cast<int>(scale));
+    cfg.seed = spec.seed;
+    if (spec.coherence != "sw" && spec.coherence != "hw")
+        invalid(name("coherence"), "must be sw or hw, got ", spec.coherence);
+    cfg.coherence = spec.coherence == "hw" ? CoherenceKind::Hardware
+                                           : CoherenceKind::Software;
+    if (spec.sectors != 1 && spec.sectors != 2 && spec.sectors != 4)
+        invalid(name("sectors"), "must be 1, 2 or 4, got ", spec.sectors);
+    cfg.sectorsPerLine = static_cast<unsigned>(spec.sectors);
+    if (bounded(name("interChipBw"), spec.interChipBw, 0.0, 1e9) > 0.0)
+        cfg.interChipBw = spec.interChipBw;
+    cfg.validate();
+
+    ExperimentJob job;
+    job.config = cfg;
+    job.seed = spec.seed;
+    if (spec.scenario) {
+        job.scenario = *spec.scenario;
+    } else {
+        job.profile = findBenchmark(*spec.benchmark);
+        if (spec.inputScale) {
+            const double factor =
+                bounded(name("inputScale"), *spec.inputScale, 1e-6, 1024.0);
+            job.profile = job.profile.withInputScale(factor);
+        }
+        if (spec.apw && bounded(name("apw"), *spec.apw, 0, 1 << 30) > 0) {
+            for (auto &phase : job.profile.phases)
+                phase.accessesPerWarp = *spec.apw;
+        }
+    }
+
+    const std::vector<OrgKind> orgs = orgList(spec.org, name("org"));
+    if (orgs.size() == 1)
+        job.label = spec.label;
+    for (const OrgKind org : orgs) {
+        job.org = org;
+        plan.add(job);
+    }
 }
 
 } // namespace sac

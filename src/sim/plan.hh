@@ -12,19 +12,25 @@
  *
  * That property is load-bearing: every job has a *stable canonical
  * content hash* over exactly the fields that determine its simulated
- * results (config, workload, seed, organization, schema version —
- * see canonicalJobKey()). The result cache (service/result_cache.hh)
- * keys on this hash, so it deliberately excludes anything that cannot
- * change measurements: labels, telemetry options, the at-rest jump,
- * watchdog limits. The hash is versioned by
- * planSchemaVersion; bump it whenever the canonical key gains, loses
- * or reorders a field.
+ * results (config, workload, seed, organization, schema version and
+ * model fingerprint — see canonicalJobKey()). The result cache
+ * (service/result_cache.hh) keys on this hash, so it deliberately
+ * excludes anything that cannot change measurements: labels,
+ * telemetry options, the at-rest jump, watchdog limits. The hash is
+ * versioned by planSchemaVersion; bump it whenever the canonical key
+ * gains, loses or reorders a field.
+ *
+ * The front ends describe jobs as JobSpec values (sacsim's flags, one
+ * element of a sac.sweep.v1 request); addJobs() is the one reader
+ * that turns a spec into jobs, so both accept exactly the same specs.
  */
 
 #ifndef SAC_SIM_PLAN_HH
 #define SAC_SIM_PLAN_HH
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,6 +50,15 @@ namespace sac {
  * under a different key layout.
  */
 extern const char *const planSchemaVersion;
+
+/**
+ * The model fingerprint: FNV-1a of the model canary's results document
+ * (tests/sim/model_canary_test.cc, which fails until this constant
+ * matches). Every canonical key carries it, so a change that moves
+ * simulated results, and therefore this constant, misses every result
+ * cached before it. A change that no canary job reaches is not caught.
+ */
+extern const std::uint64_t canaryDigest;
 
 /**
  * Data-scale divisor matching @p cfg (paper LLC / cfg LLC): scaled
@@ -109,8 +124,9 @@ struct ExperimentJob
 
 /**
  * The canonical serialization of everything that determines @p job's
- * simulated results: schema version, organization, seed, every
- * GpuConfig field and the full workload profile (phases included).
+ * simulated results: schema version, model fingerprint, organization,
+ * seed, every GpuConfig field and the full workload profile (phases
+ * included).
  * Scenario jobs append every stream's spec and profile after the
  * base fields; the scenario section is emitted ONLY when the job has
  * one, so every pre-scenario key — and thus every cached result —
@@ -173,15 +189,6 @@ class ExperimentPlan
      */
     ExperimentPlan &setLimits(const RunLimits &limits);
 
-    /**
-     * Order-sensitive content hash of the whole plan: the chained
-     * per-job hashes under the current schema version. Two plans with
-     * the same hash produce byte-identical result sets; execution
-     * policy (the at-rest jump, limits) is excluded for
-     * the same reason it is excluded from the per-job key.
-     */
-    std::uint64_t contentHash() const;
-
     const std::vector<ExperimentJob> &jobs() const { return jobs_; }
     std::size_t size() const { return jobs_.size(); }
     bool empty() const { return jobs_.empty(); }
@@ -192,6 +199,57 @@ class ExperimentPlan
     telemetry::Options telemetryDefault_;
     RunLimits limitsDefault_;
 };
+
+/**
+ * One sweep entry as a front end describes it: sacsim fills it from
+ * its flags, sacsimd from one element of a sac.sweep.v1 "plan" array.
+ * An unset optional takes addJobs()'s default.
+ */
+struct JobSpec
+{
+    /** Table 4 name; exactly one of benchmark and scenario is set. */
+    std::optional<std::string> benchmark;
+    /** Co-resident streams, each naming its own benchmark. */
+    std::optional<Scenario> scenario;
+    /** "all" (the five organizations) or a comma list of
+     *  mem|sm|static|dynamic|sac, e.g. "mem,sac". */
+    std::string org = "all";
+    std::uint64_t seed = 1;
+    /** Topology divisor, 1..64 and a divisor of the topology
+     *  (GpuConfig::scaled); 1 = the paper machine. */
+    std::uint64_t scale = 4;
+    /** Data-set multiplier (Fig. 13 axis), 1e-6..1024; not beside a
+     *  scenario, whose streams set their own. */
+    std::optional<double> inputScale;
+    /** "sw" or "hw". */
+    std::string coherence = "sw";
+    /** Sectors per line: 1, 2 or 4. */
+    std::uint64_t sectors = 1;
+    /** Per-chip inter-chip bandwidth, 0..1e9; 0 keeps the config's. */
+    double interChipBw = 0.0;
+    /** Accesses per warp per kernel, 0..2^30 (0 keeps the profile's);
+     *  not beside a scenario. */
+    std::optional<std::uint64_t> apw;
+    /** Label of the job when the spec names one organization;
+     *  otherwise every job keeps its "<name>/<org>" default. */
+    std::string label;
+};
+
+/**
+ * How a front end spells a JobSpec field in its errors, given the
+ * field's sac.sweep.v1 key (e.g. sacsim maps "inputScale" to
+ * "--input-scale"). Empty means the key itself.
+ */
+using SpecFieldNames = std::function<std::string(const std::string &key)>;
+
+/**
+ * The one job-spec reader: checks every field of @p spec against its
+ * bounds, then appends one job per organization to @p plan. Throws
+ * ValidationError, with the field as @p names spells it in the
+ * context, on anything out of range.
+ */
+void addJobs(ExperimentPlan &plan, const JobSpec &spec,
+             const SpecFieldNames &names = {});
 
 } // namespace sac
 

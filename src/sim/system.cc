@@ -557,7 +557,7 @@ System::nextDeadline() const
 void
 System::control(bool jumped)
 {
-    const int kernel = ks_.currentKernelIndex();
+    const int kernel = currentKernel;
     if (clock >= sampleDue())
         sampler_->sample(counterTotals(), clock, kernel, currentModeName());
     if (sacSvc_)
@@ -718,6 +718,7 @@ System::runStreams(std::vector<KernelStreamState> streams)
         sacSvc_->reset(n);
     streamResults_.assign(streams.size(), StreamResult{});
 
+    currentKernel = 0;
     ks_.reset(std::move(streams));
     startCancelWatch();
 
@@ -791,7 +792,7 @@ System::runStreams(std::vector<KernelStreamState> streams)
             // Close the partial tail epoch (flush stalls may have
             // advanced the clock past the last sample boundary).
             sampler_->finish(counterTotals(), clock,
-                             ks_.currentKernelIndex(), currentModeName());
+                             currentKernel, currentModeName());
             t.samples = sampler_->take();
         }
         if (eventTrace_)

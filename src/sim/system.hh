@@ -384,6 +384,11 @@ class System : public ClusterEnv, public ChipHooks, public TenantHost
     InterChipNet icn;
 
     Cycle clock = 0;
+    /**
+     * Index of the most recently launched kernel of any stream; 0 at
+     * the start of each run. launchStreamKernel() sets it before
+     * SAC's launch hook runs, so a flush at launch already sees it.
+     */
     int currentKernel = 0;
 
     // Dynamic-LLC epoch bookkeeping.

@@ -129,6 +129,28 @@ TEST(SweepProtocol, RejectsMalformedRequests)
                  ValidationError); // unknown org
 }
 
+TEST(SweepProtocol, OrgListBuildsOneJobPerOrganizationLikeSacsim)
+{
+    // sacsim --org mem,sac and "org":"mem,sac" go through one reader.
+    const SweepRequest req = service::parseRequest(
+        "{\"schema\":\"sac.sweep.v1\",\"plan\":["
+        "{\"benchmark\":\"RN\",\"org\":\"mem,sac\",\"label\":\"x\"}]}");
+    ASSERT_EQ(req.plan.size(), 2u);
+    EXPECT_EQ(req.plan[0].org, OrgKind::MemorySide);
+    EXPECT_EQ(req.plan[1].org, OrgKind::Sac);
+    // A label names a one-organization spec's job; a list keeps the
+    // default labels.
+    EXPECT_EQ(req.plan[0].label, "RN/" + std::string(toString(
+                                             OrgKind::MemorySide)));
+    EXPECT_EQ(req.plan[1].label,
+              "RN/" + std::string(toString(OrgKind::Sac)));
+
+    EXPECT_THROW(service::parseRequest(
+                     "{\"schema\":\"sac.sweep.v1\",\"plan\":["
+                     "{\"benchmark\":\"RN\",\"org\":\"mem,,sac\"}]}"),
+                 ValidationError); // empty entry
+}
+
 TEST(SweepProtocol, ScenarioSpecBuildsMultiTenantJobs)
 {
     const SweepRequest req = service::parseRequest(

@@ -280,6 +280,49 @@ TEST(ResultCache, KeyMismatchedEntryIsRejectedNotServed)
     EXPECT_EQ(fresh.stats().rejected, 1u);
 }
 
+TEST(ResultCache, RejectedEntriesAreNamedOnStderr)
+{
+    // A rejected entry re-simulates, but never silently: each
+    // rejection names the entry's path and why on stderr first.
+    ExperimentJob job;
+    job.profile = tinyProfile("RN");
+    job.config = tinyConfig();
+    const RunRecord record = ExperimentEngine::runJob(job);
+
+    TempDir dir("sac_cache_named");
+    ResultCache cache(dir.path);
+    const std::string path = cache.entryPath(job);
+    const auto rejection = [&] {
+        ::testing::internal::CaptureStderr();
+        EXPECT_FALSE(cache.lookup(job));
+        return ::testing::internal::GetCapturedStderr();
+    };
+
+    cache.store(job, record);
+    truncateFile(path, 100);
+    const std::string torn = rejection();
+    EXPECT_NE(torn.find(path), std::string::npos) << torn;
+    EXPECT_NE(torn.find("torn or corrupt"), std::string::npos) << torn;
+
+    cache.store(job, record);
+    std::string text;
+    {
+        std::ifstream is(path);
+        text.assign(std::istreambuf_iterator<char>(is), {});
+    }
+    const std::string current =
+        std::string("\"plan\":\"") + planSchemaVersion + "\"";
+    text.replace(text.find(current), current.size(),
+                 "\"plan\":\"sac.plan.v0\"");
+    std::ofstream(path) << text;
+    const std::string stale = rejection();
+    EXPECT_NE(stale.find(path), std::string::npos) << stale;
+    EXPECT_NE(stale.find("stale plan schema"), std::string::npos) << stale;
+
+    EXPECT_EQ(cache.stats().rejected, 2u);
+    EXPECT_EQ(cache.stats().hits, 0u);
+}
+
 TEST(ResultCache, ConcurrentWritersDoNotCorruptEntries)
 {
     ExperimentJob job{tinyProfile("RN"), tinyConfig(), OrgKind::Sac};

@@ -12,9 +12,11 @@
  * order is byte-visible (a sample taken after a window close sees the
  * flush in another epoch), so swapping two of its checks fails here.
  *
- * A change that is meant to alter simulated results updates the
- * constant in the same change and says why; any other failure is a
- * regression.
+ * The digest is canaryDigest in sim/plan.cc, the model fingerprint
+ * every result-cache key carries. A change that is meant to alter
+ * simulated results updates that constant in the same change and says
+ * why, which also retires every result cached before it; any other
+ * failure is a regression.
  */
 
 #include <gtest/gtest.h>
@@ -33,9 +35,6 @@
 
 namespace sac {
 namespace {
-
-/** FNV-1a of the canary plan's sac.results document. */
-constexpr std::uint64_t canaryDigest = 0xa5f60ecacf49b943ULL;
 
 GpuConfig
 canaryConfig()
@@ -208,7 +207,8 @@ TEST(ModelCanary, ResultsDigestIsPinned)
         contentHashOfKey(result_io::toJson(records));
     EXPECT_EQ(hex(digest), hex(canaryDigest))
         << "the canary jobs' results changed; if that is intended, "
-           "update canaryDigest and say why in the change";
+           "update canaryDigest in sim/plan.cc and say why in the "
+           "change";
 }
 
 } // namespace

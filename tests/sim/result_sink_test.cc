@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the ResultSink delivery path: plan-ordered deterministic
- * delivery for any worker count, the results document of an empty
- * plan, and RecordSource serialization.
+ * Tests for the engine's delivery path (the onProgress callback):
+ * plan-ordered deterministic delivery for any worker count, the
+ * results document of an empty plan, and RecordSource serialization.
  */
 
 #include <gtest/gtest.h>
@@ -53,86 +53,36 @@ sixJobPlan()
     return plan;
 }
 
-/** Records the exact delivery sequence it observes. */
-class RecordingSink : public ResultSink
-{
-  public:
-    void
-    onRecord(const EngineProgress &event) override
-    {
-        const std::lock_guard<std::mutex> hold(mutex_);
-        indices.push_back(event.record.jobIndex);
-        completed.push_back(event.completed);
-        labels.push_back(event.job.label);
-    }
-
-    void
-    onDone(const EngineDone &done) override
-    {
-        const std::lock_guard<std::mutex> hold(mutex_);
-        doneCalls.push_back(done.total);
-    }
-
-    std::vector<std::size_t> indices;
-    std::vector<std::size_t> completed;
-    std::vector<std::string> labels;
-    std::vector<std::size_t> doneCalls;
-
-  private:
-    std::mutex mutex_;
-};
-
 TEST(ResultSink, DeliveryIsPlanOrderedForAnyWorkerCount)
 {
     const ExperimentPlan plan = sixJobPlan();
     for (const unsigned threads : {1u, 2u, 8u}) {
         ExperimentEngine engine(threads);
-        RecordingSink sink;
-        engine.addSink(sink);
-        engine.run(plan);
+        std::mutex mutex;
+        std::vector<std::size_t> indices;
+        std::vector<std::size_t> completed;
+        std::vector<std::string> labels;
+        engine.onProgress([&](const EngineProgress &event) {
+            const std::lock_guard<std::mutex> hold(mutex);
+            EXPECT_EQ(event.total, plan.size()) << threads;
+            indices.push_back(event.record.jobIndex);
+            completed.push_back(event.completed);
+            labels.push_back(event.job.label);
+        });
+        const auto records = engine.run(plan);
 
         // Identical delivery sequence regardless of completion order:
         // jobIndex 0..n-1, completed counting 1..n, labels matching,
-        // exactly one onDone after everything.
-        ASSERT_EQ(sink.indices.size(), plan.size()) << threads;
+        // every record delivered before run() returns it.
+        ASSERT_EQ(records.size(), plan.size()) << threads;
+        ASSERT_EQ(indices.size(), plan.size()) << threads;
         for (std::size_t i = 0; i < plan.size(); ++i) {
-            EXPECT_EQ(sink.indices[i], i) << threads;
-            EXPECT_EQ(sink.completed[i], i + 1) << threads;
-            EXPECT_EQ(sink.labels[i], plan[i].label) << threads;
+            EXPECT_EQ(indices[i], i) << threads;
+            EXPECT_EQ(completed[i], i + 1) << threads;
+            EXPECT_EQ(labels[i], plan[i].label) << threads;
+            EXPECT_EQ(records[i].jobIndex, i) << threads;
         }
-        ASSERT_EQ(sink.doneCalls.size(), 1u) << threads;
-        EXPECT_EQ(sink.doneCalls[0], plan.size()) << threads;
     }
-}
-
-TEST(ResultSink, MultipleSinksFireInAttachmentOrder)
-{
-    std::vector<int> order;
-    class TaggingSink : public ResultSink
-    {
-      public:
-        TaggingSink(std::vector<int> &order, int tag)
-            : order_(order), tag_(tag)
-        {}
-        void
-        onRecord(const EngineProgress &) override
-        {
-            order_.push_back(tag_);
-        }
-
-      private:
-        std::vector<int> &order_;
-        int tag_;
-    };
-
-    ExperimentPlan plan;
-    plan.add(tinyProfile("RN"), tinyConfig(), OrgKind::MemorySide);
-    TaggingSink first(order, 1), second(order, 2);
-    ExperimentEngine engine(2);
-    engine.addSink(first);
-    engine.addSink(second);
-    engine.run(plan);
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 TEST(JsonDocumentSink, EmptyPlanStillProducesACompleteDocument)

@@ -11,6 +11,11 @@
  * Chrome trace (load it at https://ui.perfetto.dev), and --stats
  * prints every simulated job's full counter tree.
  *
+ * The workload and machine flags fill a JobSpec that addJobs()
+ * (sim/plan.hh) reads, the same reader a sacsimd request's job specs
+ * go through, so both accept the same values; its errors name the
+ * flag.
+ *
  * Sweeps are fault tolerant: a failing job is reported with a status
  * and diagnostic instead of killing the sweep (exit code 2 flags it),
  * and per-job watchdogs bound runaway simulations (--max-cycles,
@@ -31,6 +36,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -54,21 +60,13 @@ using namespace sac;
 
 struct Options
 {
-    std::string benchmark = "CFD";
+    /** The workload and machine flags; addJobs() checks them. */
+    JobSpec spec;
     std::string scenarioPath;
-    std::string org = "all";
-    int scale = 4;
-    std::uint64_t seed = 1;
-    double inputScale = 1.0;
-    std::string coherence = "sw";
-    unsigned sectors = 1;
-    double interChipBw = 0.0;    // 0 = config default
-    Cycle occupancyInterval = 0; // 0 = config default (2048)
     unsigned jobs = 1;
     std::string jsonPath;
     bool stats = false;
     bool list = false;
-    std::uint64_t apw = 0; // 0 = profile default
     std::string timelinePath;
     std::string traceEventsPath;
     Cycle epoch = 0; // 0 = default (2048) when --timeline is given
@@ -97,10 +95,12 @@ usage(int code)
         "  --benchmark NAME       workload to run (default CFD)\n"
         "  --scenario FILE        run a multi-tenant scenario "
         "(sac.scenario.v1\n"
-        "                         JSON; replaces --benchmark, see "
-        "examples/)\n"
-        "  --org KINDS            comma-separated list of\n"
-        "                         mem|sm|static|dynamic|sac, or 'all'\n"
+        "                         JSON; replaces --benchmark, and each\n"
+        "                         stream sets its own input scale and\n"
+        "                         apw; see examples/)\n"
+        "  --org KINDS            'all' or a comma-separated list of\n"
+        "                         mem|sm|static|dynamic|sac, as in a\n"
+        "                         sacsimd job spec's \"org\"\n"
         "                         (default all; e.g. --org mem,sac)\n"
         "  --jobs N               run the sweep on N worker threads\n"
         "                         (0 = all hardware threads, default 1)\n"
@@ -108,15 +108,16 @@ usage(int code)
         "  --scale N              topology divisor: 1=paper machine "
         "(default 4)\n"
         "  --seed N               experiment seed (default 1)\n"
-        "  --input-scale F        multiply the data set (Fig. 13 axis)\n"
+        "  --input-scale F        multiply the data set, 1e-6..1024\n"
+        "                         (Fig. 13 axis)\n"
         "  --coherence sw|hw      LLC coherence (default sw)\n"
         "  --sectors N            sectors per line: 1|2|4 (default 1)\n"
         "  --interchip-bw GBPS    per-chip inter-chip bandwidth "
-        "override\n"
-        "  --occupancy-interval N cycles between Fig. 9 LLC occupancy\n"
-        "                         samples (default 2048)\n"
+        "override,\n"
+        "                         0..1e9 (0 = config default)\n"
         "  --apw N                accesses per warp per kernel "
-        "override\n"
+        "override,\n"
+        "                         0..2^30 (0 = profile default)\n"
         "  --stats                dump each simulated job's per-chip\n"
         "                         stats tree (not with --cache)\n"
         "  --timeline FILE        write epoch-sampled timelines "
@@ -137,28 +138,17 @@ usage(int code)
     std::exit(code);
 }
 
-/** "all" or a comma-separated subset, e.g. "mem,sac". */
-std::vector<OrgKind>
-parseOrgList(const std::string &spec)
+/** sacsim's flag for each job-spec field, named in addJobs() errors. */
+std::string
+flagOf(const std::string &key)
 {
-    if (spec == "all")
-        return ExperimentPlan::allOrganizations();
-    std::vector<OrgKind> kinds;
-    std::size_t start = 0;
-    while (start <= spec.size()) {
-        const std::size_t comma = spec.find(',', start);
-        const std::string item =
-            spec.substr(start, comma == std::string::npos
-                                   ? std::string::npos
-                                   : comma - start);
-        if (item.empty())
-            fatal("empty entry in --org list '", spec, "'");
-        kinds.push_back(orgKindFromName(item));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return kinds;
+    static const std::map<std::string, std::string> flags = {
+        {"benchmark", "--benchmark"},     {"scenario", "--scenario"},
+        {"org", "--org"},                 {"seed", "--seed"},
+        {"scale", "--scale"},             {"inputScale", "--input-scale"},
+        {"coherence", "--coherence"},     {"sectors", "--sectors"},
+        {"interChipBw", "--interchip-bw"}, {"apw", "--apw"}};
+    return flags.at(key);
 }
 
 /**
@@ -197,31 +187,29 @@ parse(int argc, char **argv)
         else if (arg == "--list")
             o.list = true;
         else if (arg == "--benchmark")
-            o.benchmark = value();
+            o.spec.benchmark = value();
         else if (arg == "--scenario")
             o.scenarioPath = value();
         else if (arg == "--org")
-            o.org = value();
+            o.spec.org = value();
         else if (arg == "--jobs")
             o.jobs = number<unsigned>(arg, value());
         else if (arg == "--json")
             o.jsonPath = value();
         else if (arg == "--scale")
-            o.scale = number<int>(arg, value());
+            o.spec.scale = number<std::uint64_t>(arg, value());
         else if (arg == "--seed")
-            o.seed = number<std::uint64_t>(arg, value());
+            o.spec.seed = number<std::uint64_t>(arg, value());
         else if (arg == "--input-scale")
-            o.inputScale = number<double>(arg, value());
+            o.spec.inputScale = number<double>(arg, value());
         else if (arg == "--coherence")
-            o.coherence = value();
+            o.spec.coherence = value();
         else if (arg == "--sectors")
-            o.sectors = number<unsigned>(arg, value());
+            o.spec.sectors = number<std::uint64_t>(arg, value());
         else if (arg == "--interchip-bw")
-            o.interChipBw = number<double>(arg, value());
-        else if (arg == "--occupancy-interval")
-            o.occupancyInterval = number<Cycle>(arg, value());
+            o.spec.interChipBw = number<double>(arg, value());
         else if (arg == "--apw")
-            o.apw = number<std::uint64_t>(arg, value());
+            o.spec.apw = number<std::uint64_t>(arg, value());
         else if (arg == "--stats")
             o.stats = true;
         else if (arg == "--timeline")
@@ -395,48 +383,24 @@ run(const Options &o)
               "has no simulated machine to dump");
     }
 
-    if (o.coherence != "sw" && o.coherence != "hw")
-        fatal("--coherence must be sw or hw, not '", o.coherence, "'");
-    GpuConfig cfg = GpuConfig::scaled(o.scale);
-    cfg.seed = o.seed;
-    cfg.coherence =
-        o.coherence == "hw" ? CoherenceKind::Hardware
-                            : CoherenceKind::Software;
-    cfg.sectorsPerLine = o.sectors;
-    if (o.interChipBw > 0.0)
-        cfg.interChipBw = o.interChipBw;
-    if (o.occupancyInterval > 0)
-        cfg.occupancyInterval = o.occupancyInterval;
-    cfg.validate();
+    JobSpec spec = o.spec;
+    if (!o.scenarioPath.empty())
+        spec.scenario = scenarioFromFile(o.scenarioPath);
+    else if (!spec.benchmark)
+        spec.benchmark = "CFD";
+    ExperimentPlan plan;
+    addJobs(plan, spec, flagOf);
 
-    std::optional<Scenario> scenario;
-    if (!o.scenarioPath.empty()) {
-        // Per-stream inputScale/apw live in the scenario file, so the
-        // global knobs are rejected as ambiguous.
-        if (o.apw > 0) {
-            fatal("--apw does not apply to scenarios; set \"apw\" on "
-                  "each stream in ", o.scenarioPath);
-        }
-        scenario = scenarioFromFile(o.scenarioPath);
-    }
-
-    WorkloadProfile profile = findBenchmark(o.benchmark);
-    profile = profile.withInputScale(o.inputScale);
-    if (o.apw > 0) {
-        for (auto &phase : profile.phases)
-            phase.accessesPerWarp = o.apw;
-    }
-
-    if (scenario) {
-        std::cout << "scenario " << scenario->name() << " ("
-                  << scenario->streams.size() << " stream(s)) on "
-                  << cfg.summary() << "\n\n";
+    const ExperimentJob &first = plan[0];
+    if (first.hasScenario()) {
+        std::cout << "scenario " << first.scenario.name() << " ("
+                  << first.scenario.streams.size() << " stream(s)) on "
+                  << first.config.summary() << "\n\n";
     } else {
-        std::cout << "workload " << profile.name << " (x" << o.inputScale
-                  << ") on " << cfg.summary() << "\n\n";
+        std::cout << "workload " << first.profile.name << " (x"
+                  << spec.inputScale.value_or(1.0) << ") on "
+                  << first.config.summary() << "\n\n";
     }
-
-    const std::vector<OrgKind> kinds = parseOrgList(o.org);
 
     // --json opens its file before anything simulates, so an
     // unwritable path fails fast; the document is written once the
@@ -445,19 +409,6 @@ run(const Options &o)
     if (!o.jsonPath.empty() && o.jsonPath != "-")
         json_file = openOut(o.jsonPath);
 
-    ExperimentPlan plan;
-    if (scenario) {
-        for (const auto kind : kinds) {
-            ExperimentJob job;
-            job.scenario = *scenario;
-            job.config = cfg;
-            job.org = kind;
-            job.seed = o.seed;
-            plan.add(std::move(job));
-        }
-    } else {
-        plan.addOrgSweep(profile, cfg, kinds, o.seed);
-    }
     const telemetry::Options topts = telemetryOptions(o);
     if (topts.enabled())
         plan.enableTelemetry(topts);

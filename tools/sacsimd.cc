@@ -4,8 +4,8 @@
  *
  * Listens on a local unix socket for sac.sweep.v1 plans (one
  * newline-delimited JSON request per line), serves up to
- * --connections client sessions at once, runs each plan on the shared
- * fault-isolated ExperimentEngine worker pool, and streams
+ * --connections client sessions at once, runs each plan on a
+ * fault-isolated ExperimentEngine of --jobs workers, and streams
  * sac.sweep-result.v1 record events back as jobs complete — in plan
  * order, flushed per line. With --cache DIR every completed job is
  * memoized in a persistent content-addressed store, so resubmitting a
