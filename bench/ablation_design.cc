@@ -96,10 +96,9 @@ dynamicEpochAblation()
 
 } // namespace
 
-int
-main()
+void
+sac::bench::ablationDesign()
 {
     crdGeometryAblation();
     dynamicEpochAblation();
-    return 0;
 }

@@ -1,12 +1,42 @@
 #include "bench/common.hh"
 
 #include <cstdlib>
+#include <mutex>
+#include <unordered_map>
 
 #include "sim/report.hh"
 
 namespace sac::bench {
 
 namespace {
+
+/**
+ * Every ok record this process simulated, keyed by the job's full
+ * canonical key. Kept in memory only: nothing to create or clean up,
+ * and nothing survives into a run of a changed model.
+ */
+class MemoryCache final : public JobCache
+{
+  public:
+    std::optional<RunRecord> lookup(const ExperimentJob &job) override
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = records_.find(canonicalJobKey(job));
+        if (it == records_.end())
+            return std::nullopt;
+        return it->second;
+    }
+
+    void store(const ExperimentJob &job, const RunRecord &record) override
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        records_.emplace(canonicalJobKey(job), record);
+    }
+
+  private:
+    std::mutex mutex_;
+    std::unordered_map<std::string, RunRecord> records_;
+};
 
 /** $SAC_JOBS if set, otherwise 0 (every hardware thread). */
 unsigned
@@ -25,11 +55,16 @@ benchJobs()
 std::vector<RunRecord>
 runPlan(const ExperimentPlan &plan)
 {
+    static MemoryCache cache;
     ExperimentEngine engine(benchJobs());
+    engine.setCache(&cache);
     engine.onProgress([](const EngineProgress &p) {
         std::cerr << "  [" << p.completed << "/" << p.total << "] "
                   << p.job.label << "  ("
-                  << report::num(p.record.wallMs, 0) << " ms)\n";
+                  << (p.record.source == RecordSource::Cache
+                          ? "cached"
+                          : report::num(p.record.wallMs, 0) + " ms")
+                  << ")\n";
     });
     auto records = engine.run(plan);
     bool failed = false;
@@ -47,22 +82,11 @@ runPlan(const ExperimentPlan &plan)
 
 std::vector<BenchResults>
 runMatrix(const std::vector<WorkloadProfile> &profiles, const GpuConfig &cfg,
-          double apw_scale, std::uint64_t seed,
           const std::vector<OrgKind> &orgs)
 {
     ExperimentPlan plan;
-    for (const auto &profile : profiles) {
-        WorkloadProfile p = profile;
-        if (apw_scale != 1.0) {
-            for (auto &phase : p.phases) {
-                phase.accessesPerWarp = std::max<std::uint64_t>(
-                    32, static_cast<std::uint64_t>(
-                            static_cast<double>(phase.accessesPerWarp) *
-                            apw_scale));
-            }
-        }
-        plan.addOrgSweep(p, cfg, orgs, seed);
-    }
+    for (const auto &profile : profiles)
+        plan.addOrgSweep(profile, cfg, orgs);
 
     const auto records = runPlan(plan);
 

@@ -1,17 +1,19 @@
 /**
  * @file
- * Shared machinery for the per-figure bench binaries.
+ * Shared machinery for the figure suite, bench/figures.
  *
- * Every bench prints the paper-style rows for its table/figure with
+ * Every figure prints the paper-style rows for its table/figure with
  * the paper-reported aggregate next to the measured one. Progress goes
  * to stderr so stdout stays a clean table.
  *
  * Sweeps execute through the parallel ExperimentEngine (runPlan); set
  * SAC_JOBS to pin the worker count (SAC_JOBS=1 forces serial
  * execution — the results are bit-identical either way, only the wall
- * time changes). A job that does not finish ok fails the bench: its
- * label, status and diagnostic go to stderr and the process exits 1,
- * so no figure is ever built from an empty result.
+ * time changes). Every engine shares one in-memory result cache, so a
+ * job an earlier figure already simulated is served from memory. A
+ * job that does not finish ok fails the suite: its label, status and
+ * diagnostic go to stderr and the process exits 1, so no figure is
+ * ever built from an empty result.
  */
 
 #ifndef SAC_BENCH_COMMON_HH
@@ -38,18 +40,13 @@ defaultConfig()
     return GpuConfig::scaled(4);
 }
 
-/** The five organizations in evaluation order. */
-inline const std::vector<OrgKind> &
-allOrgs()
-{
-    return ExperimentPlan::allOrganizations();
-}
-
 /**
  * Runs @p plan on $SAC_JOBS workers (default: every hardware thread)
  * with a stderr progress line per job and returns the records in plan
- * order. Exits 1 after printing "label: status: diagnostic" for every
- * record that is not ok.
+ * order. A job whose canonical key an earlier plan of this process
+ * already ran is served from memory instead of simulated. Exits 1
+ * after printing "label: status: diagnostic" for every record that
+ * is not ok.
  */
 std::vector<RunRecord> runPlan(const ExperimentPlan &plan);
 
@@ -67,13 +64,11 @@ struct BenchResults
 
 /**
  * Runs @p profiles under the given organizations (default: all five)
- * through the engine, logging progress to stderr. @p apw_scale
- * optionally shortens kernels for sweeps.
+ * through the engine, logging progress to stderr.
  */
 std::vector<BenchResults> runMatrix(
     const std::vector<WorkloadProfile> &profiles, const GpuConfig &cfg,
-    double apw_scale = 1.0, std::uint64_t seed = 1,
-    const std::vector<OrgKind> &orgs = allOrgs());
+    const std::vector<OrgKind> &orgs = ExperimentPlan::allOrganizations());
 
 /** Harmonic mean of each organization's speedups over @p results. */
 std::map<OrgKind, double> hmeanSpeedups(
@@ -86,6 +81,23 @@ std::vector<WorkloadProfile> pickBenchmarks(
 /** Prints "paper reports X, we measure Y" comparison lines. */
 void paperCompare(std::ostream &os, const std::string &what,
                   const std::string &paper, const std::string &measured);
+
+/**
+ * The figures, one per bench/<name>.cc, in the order bench/figures
+ * prints them. Each prints its table or figure to stdout.
+ */
+void table03Config();
+void table04Workloads();
+void fig01Motivation();
+void fig08Speedup();
+void fig09DataPlacement();
+void fig10BandwidthBreakdown();
+void fig11WorkingSet();
+void fig12TimeVarying();
+void fig13InputSensitivity();
+void fig14Sensitivity();
+void ablationDesign();
+void multiTenant();
 
 } // namespace sac::bench
 

@@ -9,8 +9,8 @@
  * SM-side LLC uniformly misses more, and SAC attains the highest
  * effective LLC bandwidth in both groups.
  *
- * For runtime this bench uses three representative benchmarks per
- * group; fig08_speedup covers all sixteen.
+ * This figure uses three representative benchmarks per group;
+ * fig08_speedup.cc covers all sixteen.
  */
 
 #include "bench/common.hh"
@@ -27,7 +27,7 @@ printGroup(const char *title, const std::vector<BenchResults> &results)
     report::Table t({"organization", "speedup (hmean)", "LLC miss rate",
                      "eff LLC BW (resp/cy)"});
     const auto hmean = bench::hmeanSpeedups(results);
-    for (const auto kind : bench::allOrgs()) {
+    for (const auto kind : ExperimentPlan::allOrganizations()) {
         double miss = 0.0;
         double bw = 0.0;
         for (const auto &r : results) {
@@ -42,8 +42,10 @@ printGroup(const char *title, const std::vector<BenchResults> &results)
     t.print(std::cout);
 }
 
+} // namespace
+
 void
-study()
+sac::bench::fig01Motivation()
 {
     const auto cfg = bench::defaultConfig();
     const auto sp = bench::pickBenchmarks({"RN", "SN", "CFD"});
@@ -73,13 +75,4 @@ study()
              sp_results[0].byOrg.at(OrgKind::MemorySide).llcMissRate()
          ? "yes"
          : "no"));
-}
-
-} // namespace
-
-int
-main()
-{
-    study();
-    return 0;
 }

@@ -11,12 +11,8 @@
 
 #include "bench/common.hh"
 
-namespace {
-
-using namespace sac;
-
 void
-study()
+sac::bench::fig08Speedup()
 {
     const auto cfg = bench::defaultConfig();
     std::cerr << "Fig.8: full 16-benchmark sweep (5 organizations "
@@ -82,13 +78,4 @@ study()
                         report::percent(best_vs_mem - 1.0));
     bench::paperCompare(std::cout, "SAC max vs SM-side", "+49%",
                         report::percent(best_vs_sm - 1.0));
-}
-
-} // namespace
-
-int
-main()
-{
-    study();
-    return 0;
 }

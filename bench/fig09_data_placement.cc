@@ -11,12 +11,8 @@
 
 #include "bench/common.hh"
 
-namespace {
-
-using namespace sac;
-
 void
-study()
+sac::bench::fig09DataPlacement()
 {
     const auto cfg = bench::defaultConfig();
     const auto picks = bench::pickBenchmarks(
@@ -69,13 +65,4 @@ study()
     bench::paperCompare(std::cout, "SAC remote fraction, MP group",
                         "~0% (local only)",
                         report::percent(sac_mp / nmp));
-}
-
-} // namespace
-
-int
-main()
-{
-    study();
-    return 0;
 }

@@ -11,12 +11,8 @@
 
 #include "bench/common.hh"
 
-namespace {
-
-using namespace sac;
-
 void
-study()
+sac::bench::fig10BandwidthBreakdown()
 {
     const auto cfg = bench::defaultConfig();
     const auto picks = bench::pickBenchmarks(
@@ -30,7 +26,7 @@ study()
     report::Table t({"benchmark", "organization", "local LLC",
                      "remote LLC", "local mem", "remote mem", "total"});
     for (const auto &r : results) {
-        for (const auto kind : bench::allOrgs()) {
+        for (const auto kind : ExperimentPlan::allOrganizations()) {
             const auto &res = r.byOrg.at(kind);
             t.addRow({r.profile.name, toString(kind),
                       report::num(res.bwLocalLlc),
@@ -75,13 +71,4 @@ study()
         std::cout, "speedup/effective-bandwidth correlation", "strong",
         std::to_string(correlated) + "/" + std::to_string(total) +
             " cases agree");
-}
-
-} // namespace
-
-int
-main()
-{
-    study();
-    return 0;
 }

@@ -14,12 +14,8 @@
 #include "sim/wss.hh"
 #include "workload/tracegen.hh"
 
-namespace {
-
-using namespace sac;
-
 void
-study()
+sac::bench::fig11WorkingSet()
 {
     const auto cfg = bench::defaultConfig();
     const double up = dataScale(cfg);
@@ -71,13 +67,4 @@ study()
               << " MB line over large windows;\nfor MP benchmarks it "
                  "crosses it (replication thrashes, Fig. 11's red "
                  "line).\n";
-}
-
-} // namespace
-
-int
-main()
-{
-    study();
-    return 0;
 }

@@ -99,10 +99,9 @@ windowAblation()
 
 } // namespace
 
-int
-main()
+void
+sac::bench::fig12TimeVarying()
 {
     study();
     windowAblation();
-    return 0;
 }

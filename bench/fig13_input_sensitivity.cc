@@ -20,8 +20,9 @@ using namespace sac;
 std::string
 scaleLabel(double s)
 {
-    return s >= 1.0 ? "x" + report::num(s, 0)
-                    : "/" + report::num(1.0 / s, 0);
+    std::string label = s >= 1.0 ? "x" : "/";
+    label += report::num(s >= 1.0 ? s : 1.0 / s, 0);
+    return label;
 }
 
 void
@@ -63,8 +64,10 @@ sweep(const char *name, const std::vector<double> &scales)
     t.print(std::cout);
 }
 
+} // namespace
+
 void
-study()
+sac::bench::fig13InputSensitivity()
 {
     report::banner(std::cout,
                    "Figure 13: input-set sensitivity (speedup vs. "
@@ -81,13 +84,4 @@ study()
                  "two organizations at every input scale, choosing\n"
                  "SM-side when the replicated shared working set fits "
                  "and memory-side when it does not.\n";
-}
-
-} // namespace
-
-int
-main()
-{
-    study();
-    return 0;
 }

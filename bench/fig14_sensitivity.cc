@@ -28,12 +28,11 @@ struct AxisPoint
 };
 
 AxisPoint
-evaluate(const GpuConfig &cfg, double apw_scale = 1.0)
+evaluate(const GpuConfig &cfg)
 {
     const auto picks = bench::pickBenchmarks({"RN", "GEMM"});
     const auto results = bench::runMatrix(
-        picks, cfg, apw_scale, 1,
-        {OrgKind::MemorySide, OrgKind::SmSide, OrgKind::Sac});
+        picks, cfg, {OrgKind::MemorySide, OrgKind::SmSide, OrgKind::Sac});
     const auto h = bench::hmeanSpeedups(results);
     return {h.at(OrgKind::SmSide), h.at(OrgKind::Sac)};
 }
@@ -51,8 +50,10 @@ axis(const char *title, report::Table &t,
     }
 }
 
+} // namespace
+
 void
-study()
+sac::bench::fig14Sensitivity()
 {
     report::banner(std::cout,
                    "Figure 14: SAC across the design space (hmean "
@@ -176,13 +177,4 @@ study()
                  "grows, increases\nwith LLC capacity and memory "
                  "bandwidth, increases with GPU count, survives "
                  "sectoring and page-size changes.\n";
-}
-
-} // namespace
-
-int
-main()
-{
-    study();
-    return 0;
 }

@@ -55,8 +55,10 @@ verdictList(const std::vector<SacDecision> &decisions)
     return out;
 }
 
+} // namespace
+
 void
-isolationVsCoResidency()
+sac::bench::multiTenant()
 {
     report::banner(std::cout,
                    "Multi-tenant: per-stream EAB verdicts, isolation "
@@ -111,13 +113,4 @@ isolationVsCoResidency()
         std::cout, "co-residency effect",
         "per-kernel SAC verdicts assume a sole tenant (paper Sec. 5)",
         "per-tenant windows re-decide under cluster partitioning");
-}
-
-} // namespace
-
-int
-main()
-{
-    isolationVsCoResidency();
-    return 0;
 }

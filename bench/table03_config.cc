@@ -6,12 +6,8 @@
 
 #include "bench/common.hh"
 
-namespace {
-
-using namespace sac;
-
 void
-printTable()
+sac::bench::table03Config()
 {
     const auto full = GpuConfig::paperBaseline();
     const auto scaled = bench::defaultConfig();
@@ -64,13 +60,4 @@ printTable()
     std::cout << "\nScaled instance divides resource counts, bandwidths "
                  "and data sets by 4,\npreserving every ratio the EAB "
                  "model compares (see DESIGN.md).\n";
-}
-
-} // namespace
-
-int
-main()
-{
-    printTable();
-    return 0;
 }

@@ -72,8 +72,10 @@ measure(const WorkloadProfile &profile, const GpuConfig &cfg,
     return m;
 }
 
+} // namespace
+
 void
-printTable()
+sac::bench::table04Workloads()
 {
     const auto cfg = bench::defaultConfig();
     report::banner(std::cout,
@@ -99,13 +101,4 @@ printTable()
                  "replayed (2M); huge-footprint\nbenchmarks (SRAD, NN, "
                  "...) only touch their hot sets plus a streamed tail, "
                  "as on\nthe real machine within a comparable window.\n";
-}
-
-} // namespace
-
-int
-main()
-{
-    printTable();
-    return 0;
 }

@@ -44,8 +44,8 @@ struct SacParams
      * larger estimator bias (hitSm from the CRD vs. measured hitMem)
      * than the authors' full-scale simulator — genuinely SM-side
      * preferred kernels show EAB margins of 1.25x and above, so the
-     * threshold only filters borderline noise. fig14_sensitivity
-     * sweeps this parameter.
+     * threshold only filters borderline noise. The Fig. 14 theta
+     * ablation (bench/fig14_sensitivity.cc) sweeps this parameter.
      */
     double theta = 0.12;
     /** CRD geometry: sampled sets and ways (paper: 8 x 16). */
@@ -110,7 +110,6 @@ struct GpuConfig
     // --- Latencies (cycles) --------------------------------------------
     Cycle l1Latency = 4;
     Cycle xbarLatency = 12;
-    Cycle llcLatency = 40;
     Cycle dramLatency = 160;
     Cycle interChipLatency = 80;
 
@@ -172,12 +171,13 @@ struct GpuConfig
 
     /**
      * Paper baseline with per-chip resource counts and bandwidths
-     * divided by @p divisor (1, 2, 4 or 8). The default experiment
-     * scale is 4.
+     * divided by @p divisor, which must divide its 32 clusters and 16
+     * slices per chip: 1, 2, 4, 8 or 16. The default experiment scale
+     * is 4.
      */
     static GpuConfig scaled(int divisor);
 
-    /** One-line summary, used by table03_config and the examples. */
+    /** One-line summary, printed by sacsim and the examples. */
     std::string summary() const;
 };
 

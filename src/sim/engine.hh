@@ -10,8 +10,8 @@
  * protocol are both that callback. run() also returns the records in
  * plan order, which is what sacsim --json serializes and what the
  * daemon's done event counts. It is the library's one entry point:
- * sacsim, sacsimd, the benches and the examples all drive it
- * directly.
+ * sacsim, sacsimd, the figure suite (bench/figures) and the examples
+ * all drive it directly.
  *
  *   ExperimentPlan plan;
  *   plan.addOrgSweep(findBenchmark("CFD"), cfg);
@@ -153,7 +153,8 @@ using SystemFn = std::function<void(std::size_t, const System &)>;
  * before scheduling a cache-eligible job and offers every freshly
  * simulated ok record to store(). Implementations must be safe to
  * call from worker threads; sac::service::ResultCache is the
- * content-addressed on-disk implementation.
+ * content-addressed on-disk implementation, and the figure suite
+ * keeps an in-memory one (bench/common.cc).
  */
 class JobCache
 {

@@ -9,7 +9,7 @@
 
 namespace sac {
 
-const char *const planSchemaVersion = "sac.plan.v2";
+const char *const planSchemaVersion = "sac.plan.v3";
 
 const std::uint64_t canaryDigest = 0xa5f60ecacf49b943ULL;
 
@@ -99,7 +99,6 @@ writeConfig(KeyWriter &w, const GpuConfig &cfg)
     w.field("interChipBw", cfg.interChipBw);
     w.field("l1Latency", cfg.l1Latency);
     w.field("xbarLatency", cfg.xbarLatency);
-    w.field("llcLatency", cfg.llcLatency);
     w.field("dramLatency", cfg.dramLatency);
     w.field("interChipLatency", cfg.interChipLatency);
     w.field("requestBytes", cfg.requestBytes);
@@ -287,6 +286,21 @@ ExperimentPlan::setLimits(const RunLimits &limits)
 
 namespace {
 
+/**
+ * @p lookup(@p value), a name lookup whose ValidationError names the
+ * value, with @p field put in front of that error.
+ */
+template <typename Lookup>
+auto
+naming(const std::string &field, Lookup lookup, const std::string &value)
+{
+    try {
+        return lookup(value);
+    } catch (const ValidationError &e) {
+        invalid(field, e.what());
+    }
+}
+
 /** "all" or a comma list of organization names, e.g. "mem,sac". */
 std::vector<OrgKind>
 orgList(const std::string &spec, const std::string &field)
@@ -300,7 +314,7 @@ orgList(const std::string &spec, const std::string &field)
         const std::string item = spec.substr(start, comma - start);
         if (item.empty())
             invalid(field, "empty entry in organization list '", spec, "'");
-        kinds.push_back(orgKindFromName(item));
+        kinds.push_back(naming(field, orgKindFromName, item));
         if (comma == std::string::npos)
             return kinds;
         start = comma + 1;
@@ -341,8 +355,11 @@ addJobs(ExperimentPlan &plan, const JobSpec &spec, const SpecFieldNames &names)
                 "does not apply to a scenario; each stream sets its own");
     }
 
-    const auto scale = bounded(name("scale"), spec.scale, 1, 64);
-    GpuConfig cfg = GpuConfig::scaled(static_cast<int>(scale));
+    // GpuConfig::scaled divides the paper machine's 32 clusters and 16
+    // slices per chip by the scale, so it must divide 16.
+    if (spec.scale == 0 || 16 % spec.scale != 0)
+        invalid(name("scale"), "must be 1, 2, 4, 8 or 16, got ", spec.scale);
+    GpuConfig cfg = GpuConfig::scaled(static_cast<int>(spec.scale));
     cfg.seed = spec.seed;
     if (spec.coherence != "sw" && spec.coherence != "hw")
         invalid(name("coherence"), "must be sw or hw, got ", spec.coherence);
@@ -361,7 +378,8 @@ addJobs(ExperimentPlan &plan, const JobSpec &spec, const SpecFieldNames &names)
     if (spec.scenario) {
         job.scenario = *spec.scenario;
     } else {
-        job.profile = findBenchmark(*spec.benchmark);
+        job.profile =
+            naming(name("benchmark"), findBenchmark, *spec.benchmark);
         if (spec.inputScale) {
             const double factor =
                 bounded(name("inputScale"), *spec.inputScale, 1e-6, 1024.0);

@@ -215,8 +215,9 @@ struct JobSpec
      *  mem|sm|static|dynamic|sac, e.g. "mem,sac". */
     std::string org = "all";
     std::uint64_t seed = 1;
-    /** Topology divisor, 1..64 and a divisor of the topology
-     *  (GpuConfig::scaled); 1 = the paper machine. */
+    /** Topology divisor (GpuConfig::scaled): 1, 2, 4, 8 or 16, the
+     *  divisors of the paper machine's 16 slices per chip; 1 = the
+     *  paper machine. */
     std::uint64_t scale = 4;
     /** Data-set multiplier (Fig. 13 axis), 1e-6..1024; not beside a
      *  scenario, whose streams set their own. */

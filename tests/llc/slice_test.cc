@@ -49,7 +49,6 @@ cfg()
 {
     GpuConfig c = GpuConfig::scaled(4);
     c.xbarLatency = 0;
-    c.llcLatency = 0;
     c.sliceMshrs = 4;
     return c;
 }

@@ -129,6 +129,21 @@ TEST(SweepProtocol, RejectsMalformedRequests)
                  ValidationError); // unknown org
 }
 
+TEST(SweepProtocol, NamesTheScaleOfAMachineItDoesNotDivide)
+{
+    // 32 divides the paper machine's 32 clusters per chip but not its
+    // 16 slices.
+    try {
+        service::parseRequest("{\"schema\":\"sac.sweep.v1\",\"plan\":[{"
+                              "\"benchmark\":\"RN\",\"scale\":32}]}");
+        FAIL() << "scale 32 accepted";
+    } catch (const ValidationError &e) {
+        EXPECT_EQ(e.context(), "scale");
+        EXPECT_NE(std::string(e.what()).find("1, 2, 4, 8 or 16"),
+                  std::string::npos);
+    }
+}
+
 TEST(SweepProtocol, OrgListBuildsOneJobPerOrganizationLikeSacsim)
 {
     // sacsim --org mem,sac and "org":"mem,sac" go through one reader.

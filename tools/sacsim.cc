@@ -105,8 +105,8 @@ usage(int code)
         "  --jobs N               run the sweep on N worker threads\n"
         "                         (0 = all hardware threads, default 1)\n"
         "  --json FILE            write results as JSON ('-' = stdout)\n"
-        "  --scale N              topology divisor: 1=paper machine "
-        "(default 4)\n"
+        "  --scale N              topology divisor 1|2|4|8|16; 1 = the\n"
+        "                         paper machine (default 4)\n"
         "  --seed N               experiment seed (default 1)\n"
         "  --input-scale F        multiply the data set, 1e-6..1024\n"
         "                         (Fig. 13 axis)\n"
