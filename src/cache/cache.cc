@@ -13,14 +13,16 @@ SetAssocCache::SetAssocCache(std::uint64_t bytes, int ways,
       lineShift(floorLog2(line_bytes)),
       sectorsPerLine(sectors_per_line),
       split(ways),
-      lines(numSets * static_cast<std::uint64_t>(ways)),
-      tagKeys_(lines.size(), 0),
-      lastUse_(lines.size(), 0)
+      blockLines(ceilDiv(static_cast<std::uint64_t>(ways) *
+                             (2 * sizeof(std::uint64_t) + sizeof(WayMeta)),
+                         sizeof(HostLine))),
+      blocks_(numSets * blockLines)
 {
     SAC_ASSERT(numSets > 0, "cache has zero sets");
     SAC_ASSERT(isPowerOfTwo(numSets), "set count must be a power of two");
-    SAC_ASSERT(sectorsPerLine >= 1 && sectorsPerLine <= 32,
-               "unsupported sector count");
+    SAC_ASSERT(sectorsPerLine == 1 || sectorsPerLine == 2 ||
+                   sectorsPerLine == 4,
+               "unsupported sector count ", sectorsPerLine);
 }
 
 std::uint64_t
@@ -35,18 +37,23 @@ SetAssocCache::setIndex(Addr line_addr) const
            (numSets - 1);
 }
 
-std::uint64_t
-SetAssocCache::findWay(Addr line_addr) const
+SetAssocCache::SetView
+SetAssocCache::view(std::uint64_t set)
 {
-    const std::uint64_t key = tagKey(line_addr >> lineShift);
-    const std::uint64_t row =
-        setIndex(line_addr) * static_cast<std::uint64_t>(numWays);
-    const std::uint64_t *keys = &tagKeys_[row];
+    auto *keys =
+        reinterpret_cast<std::uint64_t *>(blocks_[set * blockLines].bytes);
+    return {keys, keys + numWays,
+            reinterpret_cast<WayMeta *>(keys + 2 * numWays)};
+}
+
+int
+SetAssocCache::findWay(const SetView &set, std::uint64_t key) const
+{
     for (int w = 0; w < numWays; ++w) {
-        if (keys[w] == key)
-            return row + static_cast<std::uint64_t>(w);
+        if (set.keys[w] == key)
+            return w;
     }
-    return noWay;
+    return -1;
 }
 
 CacheAccessResult
@@ -54,30 +61,27 @@ SetAssocCache::access(Addr line_addr, unsigned sector, bool is_write)
 {
     SAC_ASSERT(sector < sectorsPerLine, "sector out of range");
     CacheAccessResult res;
-    const std::uint64_t i = findWay(line_addr);
-    if (i == noWay)
+    const SetView set = view(setIndex(line_addr));
+    const int w = findWay(set, tagKey(line_addr));
+    if (w < 0)
         return res;
-    lastUse_[i] = ++useClock;
-    if (!hasSector(i, sector)) {
+    set.stamps[w] = ++useClock;
+    if (!hasSector(set, w, sector)) {
         res.sectorMiss = true;
         return res;
     }
     res.hit = true;
-    if (is_write) {
-        CacheLine &line = lines[i];
-        if (!line.dirty)
-            ++dirtyCount_;
-        line.dirty = true;
-        line.sectorDirty |= 1u << sector;
-    }
+    if (is_write)
+        markDirty(set.meta[w], static_cast<std::uint8_t>(1u << sector));
     return res;
 }
 
 bool
 SetAssocCache::probe(Addr line_addr, unsigned sector) const
 {
-    const std::uint64_t i = findWay(line_addr);
-    return i != noWay && hasSector(i, sector);
+    const SetView set = view(setIndex(line_addr));
+    const int w = findWay(set, tagKey(line_addr));
+    return w >= 0 && hasSector(set, w, sector);
 }
 
 EvictResult
@@ -86,65 +90,60 @@ SetAssocCache::insert(Addr line_addr, unsigned sector, ChipId home,
 {
     SAC_ASSERT(partition == partitionLocal || partition == partitionRemote,
                "bad partition class ", partition);
-    EvictResult res;
-    const std::uint32_t bit = 1u << sector;
-
-    if (const std::uint64_t i = findWay(line_addr); i != noWay) {
-        // Sector fill into an already-present line.
-        CacheLine &line = lines[i];
-        line.sectorValid |= bit;
-        if (dirty) {
-            if (!line.dirty)
-                ++dirtyCount_;
-            line.dirty = true;
-            line.sectorDirty |= bit;
-        }
-        lastUse_[i] = ++useClock;
-        return res;
-    }
-
+    SAC_ASSERT(home >= invalidChip && home < maxChips, "home chip ", home,
+               " out of range");
+    // The evicted address is rebuilt from the tag key, so it must
+    // carry no offset bits.
+    SAC_ASSERT((line_addr & (lineBytes - 1)) == 0,
+               "unaligned line address ", line_addr);
+    const std::uint64_t key = tagKey(line_addr);
+    const SetView set = view(setIndex(line_addr));
+    const auto bit = static_cast<std::uint8_t>(1u << sector);
     const int first = partition == partitionLocal ? 0 : split;
-    const int count = partition == partitionLocal ? split : numWays - split;
-    SAC_ASSERT(count > 0, "allocation into an empty partition");
+    const int end = partition == partitionLocal ? split : numWays;
 
-    // LRU victim within the partition's ways: the first invalid way
-    // (key 0), else the first way with the oldest stamp.
-    const std::uint64_t row =
-        setIndex(line_addr) * static_cast<std::uint64_t>(numWays);
-    const std::uint64_t *keys = &tagKeys_[row];
-    const std::uint64_t *stamps = &lastUse_[row];
+    // One pass over the row. A tag match in any way completes the line
+    // in place. Otherwise the victim is the partition's first way with
+    // the oldest stamp: its first invalid way when it has one, since
+    // an invalid way's stamp is 0 and a valid way's at least 1.
     int victim = first;
-    for (int w = first; w < first + count; ++w) {
-        if (keys[w] == 0) {
-            victim = w;
-            break;
+    for (int w = 0; w < numWays; ++w) {
+        if (set.keys[w] == key) {
+            // Sector fill into an already-present line.
+            WayMeta &meta = set.meta[w];
+            meta.sectorValid |= bit;
+            if (dirty)
+                markDirty(meta, bit);
+            set.stamps[w] = ++useClock;
+            return {};
         }
-        if (stamps[w] < stamps[victim])
+        if (w >= first && w < end && set.stamps[w] < set.stamps[victim])
             victim = w;
     }
+    SAC_ASSERT(first < end, "allocation into an empty partition");
 
-    const std::uint64_t i = row + static_cast<std::uint64_t>(victim);
-    CacheLine &slot = lines[i];
-    if (keys[victim] != 0) {
+    EvictResult res;
+    WayMeta &meta = set.meta[victim];
+    if (set.keys[victim] != 0) {
         res.evicted = true;
-        res.dirty = slot.dirty;
-        res.lineAddr = slot.lineAddr;
-        res.home = slot.home;
-        countRemove(slot);
+        res.dirty = meta.dirty;
+        res.lineAddr = lineAddrOf(set.keys[victim]);
+        res.home = meta.home - 1;
+        countRemove(meta);
     }
-    slot.dirty = dirty;
-    slot.lineAddr = line_addr;
-    slot.home = home;
-    slot.sectorValid = sectorsPerLine == 1 ? 1u : bit;
-    slot.sectorDirty = dirty ? slot.sectorValid : 0u;
-    tagKeys_[i] = tagKey(line_addr >> lineShift);
-    lastUse_[i] = ++useClock;
-    countInsert(slot);
+    meta.home = static_cast<std::uint8_t>(homeSlot(home));
+    meta.dirty = dirty;
+    meta.sectorValid = sectorsPerLine == 1 ? std::uint8_t{1} : bit;
+    meta.sectorDirty = dirty ? meta.sectorValid : 0;
+    set.keys[victim] = key;
+    set.stamps[victim] = ++useClock;
+    countInsert(meta);
     return res;
 }
 
 void
-SetAssocCache::flushAll(const std::function<void(const CacheLine &)> &writeback)
+SetAssocCache::flushAll(
+    const std::function<void(const CacheLine &)> &writeback)
 {
     flushIf([](const CacheLine &) { return true; }, writeback);
 }
@@ -153,33 +152,54 @@ void
 SetAssocCache::flushIf(const std::function<bool(const CacheLine &)> &pred,
                        const std::function<void(const CacheLine &)> &writeback)
 {
-    for (std::uint64_t i = 0; i < lines.size(); ++i) {
-        const CacheLine &line = lines[i];
-        if (tagKeys_[i] == 0 || !pred(line))
-            continue;
-        if (line.dirty && writeback)
-            writeback(line);
-        removeWay(i);
+    for (std::uint64_t s = 0; s < numSets; ++s) {
+        const SetView set = view(s);
+        for (int w = 0; w < numWays; ++w) {
+            if (set.keys[w] == 0)
+                continue;
+            const WayMeta &meta = set.meta[w];
+            CacheLine line;
+            line.lineAddr = lineAddrOf(set.keys[w]);
+            line.home = meta.home - 1;
+            line.sectorValid = meta.sectorValid;
+            line.sectorDirty = meta.sectorDirty;
+            line.dirty = meta.dirty;
+            if (!pred(line))
+                continue;
+            if (line.dirty && writeback)
+                writeback(line);
+            removeWay(set, w);
+        }
     }
 }
 
 bool
 SetAssocCache::invalidate(Addr line_addr)
 {
-    const std::uint64_t i = findWay(line_addr);
-    if (i == noWay)
+    const SetView set = view(setIndex(line_addr));
+    const int w = findWay(set, tagKey(line_addr));
+    if (w < 0)
         return false;
-    removeWay(i);
+    removeWay(set, w);
     return true;
 }
 
 void
-SetAssocCache::removeWay(std::uint64_t i)
+SetAssocCache::markDirty(WayMeta &meta, std::uint8_t bit)
 {
-    countRemove(lines[i]);
-    lines[i] = CacheLine{};
-    tagKeys_[i] = 0;
-    lastUse_[i] = 0;
+    if (!meta.dirty)
+        ++dirtyCount_;
+    meta.dirty = true;
+    meta.sectorDirty |= bit;
+}
+
+void
+SetAssocCache::removeWay(const SetView &set, int w)
+{
+    countRemove(set.meta[w]);
+    set.meta[w] = WayMeta{};
+    set.keys[w] = 0;
+    set.stamps[w] = 0;
 }
 
 void
@@ -191,28 +211,24 @@ SetAssocCache::setWaySplit(int local_ways)
 }
 
 void
-SetAssocCache::countInsert(const CacheLine &line)
+SetAssocCache::countInsert(const WayMeta &meta)
 {
     ++validCount_;
-    if (line.dirty)
+    if (meta.dirty)
         ++dirtyCount_;
-    const std::size_t slot = static_cast<std::size_t>(line.home + 1);
-    if (slot >= homeCount_.size())
-        homeCount_.resize(slot + 1, 0);
-    ++homeCount_[slot];
+    ++homeCount_[meta.home];
 }
 
 void
-SetAssocCache::countRemove(const CacheLine &line)
+SetAssocCache::countRemove(const WayMeta &meta)
 {
     SAC_ASSERT(validCount_ > 0, "removing from an empty cache");
     --validCount_;
-    if (line.dirty)
+    if (meta.dirty)
         --dirtyCount_;
-    const std::size_t slot = static_cast<std::size_t>(line.home + 1);
-    SAC_ASSERT(slot < homeCount_.size() && homeCount_[slot] > 0,
-               "home count underflow for chip ", line.home);
-    --homeCount_[slot];
+    SAC_ASSERT(homeCount_[meta.home] > 0, "home count underflow for chip ",
+               meta.home - 1);
+    --homeCount_[meta.home];
 }
 
 } // namespace sac

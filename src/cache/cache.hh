@@ -17,6 +17,7 @@
 #ifndef SAC_CACHE_CACHE_HH
 #define SAC_CACHE_CACHE_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -30,9 +31,8 @@ constexpr int partitionLocal = 0;
 constexpr int partitionRemote = 1;
 
 /**
- * Cold metadata of one resident cache line: what a hit, a fill or an
- * eviction reads once the way is known. Validity, the probe key and
- * the LRU stamp live in SetAssocCache's packed per-way arrays instead.
+ * A resident line as flushIf() reports it. The array stores no such
+ * record: each is rebuilt from its way's tag key and metadata.
  */
 struct CacheLine
 {
@@ -45,8 +45,6 @@ struct CacheLine
     std::uint32_t sectorDirty = 0;
     bool dirty = false;
 };
-
-static_assert(sizeof(CacheLine) <= 24, "CacheLine outgrew 24 bytes");
 
 /** Outcome of a cache access. */
 struct CacheAccessResult
@@ -70,18 +68,23 @@ struct EvictResult
  * Tag array with LRU replacement, optional sectoring and a two-class
  * way partition.
  *
- * Struct-of-arrays layout: a probe scans one packed row of 8-byte tag
- * keys and victim selection scans that row plus the parallel row of
- * LRU stamps, so neither touches the CacheLine records.
+ * Each set is one block of whole 64-byte host lines: the ways' 8-byte
+ * tag keys, then their 8-byte LRU stamps, then 4 bytes of cold
+ * metadata per way (WayMeta). A probe reads the key row; a hit or a
+ * fill also writes a stamp and, for dirty or sectored state, a
+ * metadata record, all in the block the probe already brought in.
  */
 class SetAssocCache
 {
   public:
+    /** Largest chip count a line's home can name (GpuConfig's cap). */
+    static constexpr int maxChips = 16;
+
     /**
      * @param bytes total capacity
      * @param ways associativity
      * @param line_bytes line size
-     * @param sectors_per_line 1 for conventional caches
+     * @param sectors_per_line 1, 2 or 4; 1 for conventional caches
      */
     SetAssocCache(std::uint64_t bytes, int ways, unsigned line_bytes,
                   unsigned sectors_per_line = 1);
@@ -96,9 +99,10 @@ class SetAssocCache
     bool probe(Addr line_addr, unsigned sector) const;
 
     /**
-     * Installs (or completes the sector of) @p line_addr into
-     * partition @p partition, evicting a victim from that partition's
-     * ways if needed.
+     * Installs (or completes the sector of) line-aligned @p line_addr
+     * into partition @p partition, evicting a victim from that
+     * partition's ways if needed. A line already resident in any way
+     * is completed in place.
      *
      * @param home home chip recorded for writeback routing
      * @param dirty install in dirty state (write allocation)
@@ -110,7 +114,8 @@ class SetAssocCache
      * Invalidates every line, returning dirty lines through
      * @p writeback (if provided) before dropping them.
      */
-    void flushAll(const std::function<void(const CacheLine &)> &writeback = {});
+    void flushAll(
+        const std::function<void(const CacheLine &)> &writeback = {});
 
     /**
      * Invalidates lines matching @p pred (e.g., "home != this chip"),
@@ -143,51 +148,93 @@ class SetAssocCache
     /** Valid lines whose recorded home differs from @p chip. O(1). */
     std::uint64_t remoteLines(ChipId chip) const
     {
-        return validCount_ - homeCount(chip);
+        return validCount_ - homeCount_[homeSlot(chip)];
     }
 
     /** Set index for an address (exposed for the CRD's sampling). */
     std::uint64_t setIndex(Addr line_addr) const;
 
   private:
-    /** No way holds the line (findWay's miss result). */
-    static constexpr std::uint64_t noWay = ~std::uint64_t{0};
+    /** Cold per-way state, 4 bytes; read once the way is known. */
+    struct WayMeta
+    {
+        /** Home chip + 1 (0 = invalidChip), see homeSlot(). */
+        std::uint8_t home;
+        bool dirty;
+        /** Valid / dirty sector bitmasks (at most 4 sectors). */
+        std::uint8_t sectorValid;
+        std::uint8_t sectorDirty;
+    };
+    static_assert(sizeof(WayMeta) == 4, "WayMeta outgrew 4 bytes");
 
-    /** Flat index (set * ways + way) of @p line_addr, or noWay. */
-    std::uint64_t findWay(Addr line_addr) const;
+    /** One 64-byte host cache line of set storage. */
+    struct alignas(64) HostLine
+    {
+        unsigned char bytes[64];
+    };
 
     /**
-     * True when sector @p sector of the valid line at @p i is present.
-     * A conventional line is always whole (sectorValid == 1), so that
-     * case never reads the CacheLine record.
+     * Typed views of one set's block. Invariant: a way's key is 0
+     * exactly when it is invalid, and then its stamp is 0 too, while a
+     * valid way's stamp is at least 1.
+     */
+    struct SetView
+    {
+        /** Probe key per way, (tag << 1) | 1; 0 = invalid. */
+        std::uint64_t *keys;
+        /** LRU stamp per way (useClock at its last touch). */
+        std::uint64_t *stamps;
+        WayMeta *meta;
+    };
+
+    SetView view(std::uint64_t set);
+    SetView view(std::uint64_t set) const
+    {
+        return const_cast<SetAssocCache *>(this)->view(set);
+    }
+
+    /** Way of @p set holding key @p key, or -1. */
+    int findWay(const SetView &set, std::uint64_t key) const;
+
+    /**
+     * True when sector @p sector of the valid line in way @p w is
+     * present. A conventional line is always whole, so that case
+     * never reads the metadata.
      */
     bool
-    hasSector(std::uint64_t i, unsigned sector) const
+    hasSector(const SetView &set, int w, unsigned sector) const
     {
         if (sectorsPerLine == 1)
             return sector == 0;
-        return (lines[i].sectorValid & (1u << sector)) != 0;
+        return (set.meta[w].sectorValid & (1u << sector)) != 0;
     }
 
-    /** Drops the valid line at @p i (counters, key and record). */
-    void removeWay(std::uint64_t i);
+    /** Marks the line and its sector bit @p bit dirty. */
+    void markDirty(WayMeta &meta, std::uint8_t bit);
+
+    /** Drops the valid line in way @p w: counters, key, stamp, meta. */
+    void removeWay(const SetView &set, int w);
 
     /** Counter bookkeeping for a line entering the valid set. */
-    void countInsert(const CacheLine &line);
+    void countInsert(const WayMeta &meta);
     /** Counter bookkeeping for a valid line leaving the array. */
-    void countRemove(const CacheLine &line);
-    /** Resident-line count for one home chip (slot 0 = invalidChip). */
-    std::uint64_t homeCount(ChipId home) const
+    void countRemove(const WayMeta &meta);
+
+    /** Packed probe key for a line address: (tag << 1) | valid. */
+    std::uint64_t tagKey(Addr line_addr) const
     {
-        const std::size_t slot = static_cast<std::size_t>(home + 1);
-        return slot < homeCount_.size() ? homeCount_[slot] : 0;
+        return ((line_addr >> lineShift) << 1) | 1u;
+    }
+    /** Inverse of tagKey() for a line-aligned address. */
+    Addr lineAddrOf(std::uint64_t key) const
+    {
+        return (key >> 1) << lineShift;
     }
 
-    /** Packed probe key for one way: (tag << 1) | valid. */
-    static std::uint64_t
-    tagKey(Addr tag)
+    /** homeCount_ slot of @p home: home + 1, so invalidChip is 0. */
+    static std::size_t homeSlot(ChipId home)
     {
-        return (static_cast<std::uint64_t>(tag) << 1) | 1u;
+        return static_cast<std::size_t>(home + 1);
     }
 
     std::uint64_t numSets;
@@ -197,22 +244,14 @@ class SetAssocCache
     unsigned sectorsPerLine;
     int split; // ways [0, split) = class 0, [split, ways) = class 1
     std::uint64_t useClock = 0;
-    std::vector<CacheLine> lines; // numSets x numWays, row-major
-    /**
-     * Probe key per way, (tag << 1) | 1, packed 8 bytes each so a
-     * probe touches one or two host cache lines — findWay is the
-     * hottest loop in the simulator (every L1 and LLC access). 0 means
-     * the way is invalid, and is the only record of validity;
-     * maintained by every path that fills, retags or drops a way.
-     */
-    std::vector<std::uint64_t> tagKeys_; // numSets x numWays, row-major
-    /** LRU stamp per way (useClock at its last touch), beside tagKeys_. */
-    std::vector<std::uint64_t> lastUse_; // numSets x numWays, row-major
+    /** Host lines per set block. */
+    std::uint64_t blockLines;
+    /** numSets blocks of blockLines host lines each, zeroed = empty. */
+    std::vector<HostLine> blocks_;
     std::uint64_t validCount_ = 0;
     std::uint64_t dirtyCount_ = 0;
-    /** Valid lines per home chip, indexed by home + 1 (invalidChip
-     *  lands in slot 0); grown on demand. */
-    std::vector<std::uint64_t> homeCount_;
+    /** Valid lines per home chip, indexed by homeSlot(). */
+    std::array<std::uint64_t, maxChips + 1> homeCount_{};
 };
 
 } // namespace sac

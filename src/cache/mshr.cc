@@ -9,22 +9,37 @@ MshrFile::MshrFile(std::size_t entries) : cap(entries), table(entries)
     SAC_ASSERT(cap > 0, "MSHR file needs at least one entry");
 }
 
+std::uint32_t
+MshrFile::newNode(const Packet &pkt)
+{
+    std::uint32_t n = free_;
+    if (n == noNode) {
+        SAC_ASSERT(nodes_.size() < noNode, "MSHR target pool overflow");
+        n = static_cast<std::uint32_t>(nodes_.size());
+        nodes_.push_back({pkt, noNode});
+        return n;
+    }
+    free_ = nodes_[n].next;
+    nodes_[n] = {pkt, noNode};
+    return n;
+}
+
 MshrFile::Outcome
 MshrFile::allocate(const Packet &pkt)
 {
-    const auto k = key(pkt.lineAddr, pkt.sector);
-    if (auto *targets = table.find(k)) {
-        targets->push_back(pkt);
+    const std::uint64_t k = key(pkt.lineAddr, pkt.sector);
+    if (Targets *targets = table.find(k)) {
+        const std::uint32_t n = newNode(pkt);
+        nodes_[targets->tail].next = n;
+        targets->tail = n;
         return Outcome::Merged;
     }
     if (table.size() >= cap)
         return Outcome::Full;
     auto [targets, inserted] = table.emplace(k);
     SAC_ASSERT(inserted, "racing MSHR insert");
-    // The slot's vector is recycled (ProbeMap contract): clear it,
-    // keeping its capacity from earlier occupants.
-    targets->clear();
-    targets->push_back(pkt);
+    const std::uint32_t n = newNode(pkt);
+    *targets = {n, n};
     return Outcome::Primary;
 }
 
@@ -32,26 +47,6 @@ bool
 MshrFile::has(Addr line_addr, unsigned sector) const
 {
     return table.contains(key(line_addr, sector));
-}
-
-void
-MshrFile::complete(Addr line_addr, unsigned sector, std::vector<Packet> &out)
-{
-    const auto k = key(line_addr, sector);
-    auto *targets = table.find(k);
-    if (!targets)
-        return;
-    out.insert(out.end(), targets->begin(), targets->end());
-    table.erase(k);
-}
-
-void
-MshrFile::drainAll(std::vector<Packet> &out)
-{
-    table.forEach([&out](std::uint64_t, std::vector<Packet> &targets) {
-        out.insert(out.end(), targets.begin(), targets.end());
-    });
-    table.clear();
 }
 
 } // namespace sac

@@ -187,28 +187,28 @@ SmCluster::deliver(const Packet &resp, Cycle now)
     // wake every warp that coalesced onto this line.
     l1.insert(resp.lineAddr, resp.sector, resp.homeChip, false,
               partitionLocal);
-    fillTargets_.clear();
-    l1Mshrs.complete(resp.lineAddr, resp.sector, fillTargets_);
-    SAC_ASSERT(!fillTargets_.empty(), "fill with no waiting warps");
-    // complete() freed one MSHR entry: hand it to the longest-parked
-    // warp (its cached access may even hit the L1 or merge by now).
+    // The fill frees this line's MSHR entry: hand it to the
+    // longest-parked warp (its cached access may even hit the L1 or
+    // merge by now).
     resumeParked(mshrParked_, now);
-    for (const auto &t : fillTargets_) {
-        WarpCtx &warp = warps[static_cast<std::size_t>(t.warp)];
-        SAC_ASSERT(warp.inFlight > 0, "fill for a warp with no loads");
-        --warp.inFlight;
-        stats_.loadLatencySum += now - t.issued;
-        ++stats_.loadsCompleted;
-        if (warp.remaining == 0) {
-            if (warp.inFlight == 0 && !warp.retired) {
-                warp.retired = true;
-                ++retiredWarps;
+    const std::size_t targets = l1Mshrs.complete(
+        resp.lineAddr, resp.sector, [&](const Packet &t) {
+            WarpCtx &warp = warps[static_cast<std::size_t>(t.warp)];
+            SAC_ASSERT(warp.inFlight > 0, "fill for a warp with no loads");
+            --warp.inFlight;
+            stats_.loadLatencySum += now - t.issued;
+            ++stats_.loadsCompleted;
+            if (warp.remaining == 0) {
+                if (warp.inFlight == 0 && !warp.retired) {
+                    warp.retired = true;
+                    ++retiredWarps;
+                }
+            } else if (warp.blocked) {
+                warp.blocked = false;
+                sched.wake(t.warp, now + warp.pendingGap + 1);
             }
-        } else if (warp.blocked) {
-            warp.blocked = false;
-            sched.wake(t.warp, now + warp.pendingGap + 1);
-        }
-    }
+        });
+    SAC_ASSERT(targets > 0, "fill with no waiting warps");
 }
 
 bool

@@ -131,9 +131,6 @@ class SmCluster
     Ring<int> mshrParked_;
     Ring<int> writeParked_;
 
-    /** Scratch for l1Mshrs.complete() targets, reused across fills. */
-    std::vector<Packet> fillTargets_;
-
     int outstandingWrites = 0;
     int retiredWarps = 0;
     int stream_ = 0;

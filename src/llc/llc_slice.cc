@@ -278,13 +278,8 @@ LlcSlice::processFill(const Packet &pkt, Cycle now, SliceEnv &env)
     if (pkt.homeChip != chip_)
         env.directoryFill(pkt.lineAddr, chip_);
 
-    fillTargets_.clear();
-    if (home_level) {
-        homeMshrs.complete(pkt.lineAddr, pkt.sector, fillTargets_);
-    } else {
-        mshrs.complete(pkt.lineAddr, pkt.sector, fillTargets_);
-    }
-    for (auto &t : fillTargets_) {
+    MshrFile &file = home_level ? homeMshrs : mshrs;
+    file.complete(pkt.lineAddr, pkt.sector, [&](const Packet &t) {
         Packet resp = t;
         resp.kind = PacketKind::Response;
         resp.dataFromMem = pkt.dataFromMem;
@@ -295,7 +290,7 @@ LlcSlice::processFill(const Packet &pkt, Cycle now, SliceEnv &env)
             resp.homeFilled = true;
             resp.bytes = sectorBytes;
             env.sendToChip(t.serveChip, resp);
-            continue;
+            return;
         }
         resp.serveFilled = true;
         if (t.type == AccessType::Write) {
@@ -308,7 +303,7 @@ LlcSlice::processFill(const Packet &pkt, Cycle now, SliceEnv &env)
         resp.origin = classifyOrigin(resp.dataFromMem, resp.dataChip,
                                      t.srcChip);
         respond(std::move(resp), env);
-    }
+    });
 }
 
 void

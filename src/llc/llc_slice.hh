@@ -170,8 +170,6 @@ class LlcSlice
     Ring<Packet> fillQ;
     /** Primary misses waiting for memory-controller queue space. */
     Ring<Packet> missQ;
-    /** Scratch for MshrFile::complete() targets, reused across fills. */
-    std::vector<Packet> fillTargets_;
     MshrFile mshrs;
     /**
      * Dedicated MSHRs for home-level (atHome) misses. Separate from

@@ -60,6 +60,67 @@ isEntryName(const std::string &name)
            name.find(".tmp.") == std::string::npos;
 }
 
+/** The model fingerprint a canonical key carries, "" when none. */
+std::string
+keyModel(const std::string &key)
+{
+    const std::string field = ";model=";
+    const std::size_t at = key.find(field);
+    if (at == std::string::npos)
+        return {};
+    const std::size_t begin = at + field.size();
+    return key.substr(begin, key.find(';', begin) - begin);
+}
+
+/** canaryDigest as canonicalJobKey() prints it. */
+std::string
+currentModel()
+{
+    char buf[20];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(canaryDigest));
+    return buf;
+}
+
+/** What verify() makes of one entry file. */
+enum class EntryState { Current, Stale, Rejected };
+
+/**
+ * The same tolerance as lookup(), minus the job to compare against:
+ * instead, the filename must equal the hash of the canonical key the
+ * entry itself stores. An intact entry of another plan schema or
+ * model is stale: no lookup of this build can reach it.
+ */
+EntryState
+classifyEntry(const fs::path &path)
+{
+    try {
+        std::ifstream is(path);
+        if (!is)
+            throw FatalError("unreadable");
+        std::ostringstream buf;
+        buf << is.rdbuf();
+        const json::Value doc = json::parse(buf.str());
+        if (!doc.has("schema") ||
+            doc.at("schema").asString() != cacheSchema) {
+            throw FatalError("wrong cache entry schema");
+        }
+        if (!doc.has("plan") || !doc.has("key") || !doc.has("record"))
+            throw FatalError("missing field");
+        (void)result_io::recordFromValue(doc.at("record"));
+        const std::string key = doc.at("key").asString();
+        if (hexHashName(contentHashOfKey(key)) != path.filename().string())
+            throw FatalError("filename / key hash mismatch");
+        if (doc.at("plan").asString() != planSchemaVersion ||
+            keyModel(key) != currentModel()) {
+            return EntryState::Stale;
+        }
+        return EntryState::Current;
+    } catch (const std::exception &) {
+        return EntryState::Rejected;
+    }
+}
+
 /** True for store() temporaries left behind by a crashed writer. */
 bool
 isTmpName(const std::string &name)
@@ -240,10 +301,10 @@ ResultCache::prune()
 }
 
 ResultCache::PruneReport
-ResultCache::prune(const Budget &budget)
+ResultCache::prune(const Budget &budget, bool remove_stale)
 {
     PruneReport report;
-    if (!budget.any())
+    if (!budget.any() && !remove_stale)
         return report;
 
     // One pruner at a time, across processes. Skipping on contention
@@ -284,6 +345,11 @@ ResultCache::prune(const Budget &budget)
         }
         if (!isEntryName(name))
             continue;
+        if (remove_stale && classifyEntry(path) == EntryState::Stale) {
+            if (fs::remove(path, stat_ec))
+                ++report.staleEntries;
+            continue;
+        }
         const auto bytes = fs::file_size(path, stat_ec);
         if (stat_ec)
             continue;
@@ -346,31 +412,10 @@ ResultCache::verify() const
         if (!stat_ec)
             report.bytes += bytes;
 
-        // The same tolerance as lookup(), minus the job to compare
-        // against: instead, the filename must equal the hash of the
-        // canonical key the entry itself stores.
-        try {
-            std::ifstream is(path);
-            if (!is)
-                throw FatalError("unreadable");
-            std::ostringstream buf;
-            buf << is.rdbuf();
-            const json::Value doc = json::parse(buf.str());
-            if (!doc.has("schema") ||
-                doc.at("schema").asString() != cacheSchema) {
-                throw FatalError("wrong cache entry schema");
-            }
-            if (!doc.has("plan") || !doc.has("key") ||
-                !doc.has("record")) {
-                throw FatalError("missing field");
-            }
-            (void)result_io::recordFromValue(doc.at("record"));
-            if (hexHashName(contentHashOfKey(doc.at("key").asString())) !=
-                name) {
-                throw FatalError("filename / key hash mismatch");
-            }
-        } catch (const std::exception &) {
-            ++report.rejected;
+        switch (classifyEntry(path)) {
+          case EntryState::Current: break;
+          case EntryState::Stale: ++report.stale; break;
+          case EntryState::Rejected: ++report.rejected; break;
         }
     }
     return report;

@@ -93,6 +93,9 @@ class ResultCache : public JobCache
         std::uint64_t removedBytes = 0;
         /** Abandoned temporaries from crashed writers cleaned up. */
         std::uint64_t staleTmps = 0;
+        /** Stale entries removed (see VerifyReport::stale); these are
+         *  not in the scanned or removed counts. */
+        std::uint64_t staleEntries = 0;
     };
 
     /** Full-store integrity scan result (see verify()). */
@@ -103,6 +106,10 @@ class ResultCache : public JobCache
         /** Entries the tolerant reader would reject: unparseable,
          *  wrong schema, or filename != hash(stored key). */
         std::uint64_t rejected = 0;
+        /** Intact entries no job of this build can hit: stored under
+         *  another plan schema or model fingerprint (the key's
+         *  model=), so every lookup misses them. */
+        std::uint64_t stale = 0;
     };
 
     /**
@@ -142,15 +149,18 @@ class ResultCache : public JobCache
      * killed at any point: survivors are always complete entries.
      * Also sweeps temporaries abandoned by crashed writers. No-op
      * without a budget; prune(budget) overrides the configured one
-     * for maintenance tooling (sacsimd --prune-only).
+     * for maintenance tooling (sacsimd --prune-only), which also sets
+     * @p remove_stale: the pass then reads every entry and first
+     * removes the stale ones (see VerifyReport::stale), budget or not.
      */
     PruneReport prune();
-    PruneReport prune(const Budget &budget);
+    PruneReport prune(const Budget &budget, bool remove_stale = false);
 
     /**
      * Tolerant integrity scan of every entry on disk: parses each,
      * checks the schema and that the filename matches the hash of the
-     * stored canonical key. Counts — never throws, never repairs.
+     * stored canonical key, and counts intact entries of another plan
+     * schema or model as stale. Counts — never throws, never repairs.
      * The CI soak asserts rejected == 0 after concurrent sessions, a
      * mid-sweep SIGTERM and a SIGKILLed prune.
      */

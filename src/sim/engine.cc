@@ -65,7 +65,17 @@ harmonicMean(const std::vector<double> &values)
 bool
 cacheEligible(const ExperimentJob &job)
 {
-    return !job.telemetry.enabled();
+    if (job.telemetry.enabled())
+        return false;
+    // The key leaves out the knobs a job's organization never reads,
+    // but validate() checks them all: a job that fails validation must
+    // fail with a warm cache too, not be served its valid twin's record.
+    try {
+        job.config.validate();
+    } catch (const std::exception &) {
+        return false;
+    }
+    return true;
 }
 
 ExperimentEngine::ExperimentEngine(unsigned threads) : threads_(threads) {}

@@ -172,7 +172,9 @@ class JobCache
 /**
  * True when @p job may be served from / populate a JobCache: no
  * telemetry (a timeline changes the serialized record but not the
- * content hash). Watchdog limits do not participate — a cached ok
+ * content hash) and a config that validates (the content hash skips
+ * knobs the job's organization never reads, which validation still
+ * checks). Watchdog limits do not participate — a cached ok
  * record is served even if the job also carries deadlines, and only
  * ok records are ever stored.
  */

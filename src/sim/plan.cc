@@ -9,7 +9,7 @@
 
 namespace sac {
 
-const char *const planSchemaVersion = "sac.plan.v3";
+const char *const planSchemaVersion = "sac.plan.v4";
 
 const std::uint64_t canaryDigest = 0xa5f60ecacf49b943ULL;
 
@@ -79,7 +79,7 @@ class KeyWriter
 };
 
 void
-writeConfig(KeyWriter &w, const GpuConfig &cfg)
+writeConfig(KeyWriter &w, const GpuConfig &cfg, OrgKind org)
 {
     w.field("numChips", cfg.numChips);
     w.field("clustersPerChip", cfg.clustersPerChip);
@@ -109,16 +109,24 @@ writeConfig(KeyWriter &w, const GpuConfig &cfg)
     w.field("sliceMshrs", cfg.sliceMshrs);
     w.field("memQueueDepth", cfg.memQueueDepth);
     w.field("occupancyInterval", cfg.occupancyInterval);
-    w.field("sac.profileWindow", cfg.sac.profileWindow);
-    w.field("sac.profileMinRequests", cfg.sac.profileMinRequests);
-    w.field("sac.theta", cfg.sac.theta);
-    w.field("sac.crdSets", cfg.sac.crdSets);
-    w.field("sac.crdWays", cfg.sac.crdWays);
+    // Every job reads the drain latency (the kernel-boundary LLC
+    // flush); only the organization that owns a controller reads the
+    // rest of its knobs, so two jobs that differ only in another
+    // organization's knobs share a key and a cached result.
     w.field("sac.drainLatency", cfg.sac.drainLatency);
-    w.field("sac.reprofileInterval", cfg.sac.reprofileInterval);
-    w.field("dyn.epoch", cfg.dynamicLlc.epoch);
-    w.field("dyn.step", cfg.dynamicLlc.step);
-    w.field("dyn.minWays", cfg.dynamicLlc.minWays);
+    if (org == OrgKind::Sac) {
+        w.field("sac.profileWindow", cfg.sac.profileWindow);
+        w.field("sac.profileMinRequests", cfg.sac.profileMinRequests);
+        w.field("sac.theta", cfg.sac.theta);
+        w.field("sac.crdSets", cfg.sac.crdSets);
+        w.field("sac.crdWays", cfg.sac.crdWays);
+        w.field("sac.reprofileInterval", cfg.sac.reprofileInterval);
+    }
+    if (Organization::make(org)->dynamicPartitioning()) {
+        w.field("dyn.epoch", cfg.dynamicLlc.epoch);
+        w.field("dyn.step", cfg.dynamicLlc.step);
+        w.field("dyn.minWays", cfg.dynamicLlc.minWays);
+    }
     // cfg.seed is deliberately absent: runJob overwrites it with the
     // job seed, which the key already carries.
 }
@@ -183,7 +191,7 @@ canonicalJobKey(const ExperimentJob &job)
     w.field("model", model);
     w.field("org", toString(job.org));
     w.field("seed", job.seed);
-    writeConfig(w, job.config);
+    writeConfig(w, job.config, job.org);
     writeProfile(w, job.profile);
     // Scenario section: appended only when the job actually has one,
     // so every pre-scenario key (and cached result) is byte-unchanged.

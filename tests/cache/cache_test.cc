@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -19,17 +20,30 @@ smallCache(unsigned sectors = 1)
     return SetAssocCache(16 * 1024, 4, lineBytes, sectors);
 }
 
-/** The first @p n line addresses that map to set 0 of @p c. */
+/** The first @p n line addresses from @p base on that map to the set
+ *  of @p base in @p c. */
 std::vector<Addr>
-sameSet(const SetAssocCache &c, std::size_t n)
+sameSet(const SetAssocCache &c, std::size_t n, Addr base = 0)
 {
     std::vector<Addr> out;
-    const auto set0 = c.setIndex(0);
-    for (Addr a = 0; out.size() < n; a += lineBytes) {
-        if (c.setIndex(a) == set0)
+    const auto set = c.setIndex(base);
+    for (Addr a = base; out.size() < n; a += lineBytes) {
+        if (c.setIndex(a) == set)
             out.push_back(a);
     }
     return out;
+}
+
+/** Every resident line as flushIf() reports it; flushes the cache. */
+std::vector<CacheLine>
+drain(SetAssocCache &c)
+{
+    std::vector<CacheLine> lines;
+    c.flushIf([&](const CacheLine &l) {
+        lines.push_back(l);
+        return true;
+    });
+    return lines;
 }
 
 TEST(Cache, MissThenHit)
@@ -234,6 +248,102 @@ TEST(Cache, NeverExceedsCapacityProperty)
     }
     EXPECT_LE(c.validLines(), 16ull * 1024 / lineBytes);
     EXPECT_LE(c.dirtyLines(), c.validLines());
+}
+
+TEST(Cache, FillOfALineInTheOtherPartitionCompletesInPlace)
+{
+    auto c = smallCache(4);
+    c.setWaySplit(2); // class 0 -> ways [0,2), class 1 -> [2,4)
+    const auto a = sameSet(c, 3);
+    c.insert(a[0], 0, 1, false, partitionRemote);
+    // The local class fills the line's next sector: it completes the
+    // remote-class copy instead of allocating a second one.
+    const auto evict = c.insert(a[0], 1, 1, false, partitionLocal);
+    EXPECT_FALSE(evict.evicted);
+    EXPECT_EQ(c.validLines(), 1u);
+    EXPECT_TRUE(c.probe(a[0], 0));
+    EXPECT_TRUE(c.probe(a[0], 1));
+    // Both local ways are still free.
+    EXPECT_FALSE(c.insert(a[1], 0, 0, false, partitionLocal).evicted);
+    EXPECT_FALSE(c.insert(a[2], 0, 0, false, partitionLocal).evicted);
+    EXPECT_EQ(c.validLines(), 3u);
+    // One copy: invalidating it leaves nothing behind.
+    EXPECT_TRUE(c.invalidate(a[0]));
+    EXPECT_FALSE(c.probe(a[0], 0));
+    EXPECT_FALSE(c.invalidate(a[0]));
+    EXPECT_EQ(c.validLines(), 2u);
+}
+
+TEST(Cache, FullPartitionNeverTakesAFreeWayOutsideIt)
+{
+    auto c = smallCache();
+    c.setWaySplit(2); // class 0 -> ways [0,2), class 1 -> [2,4)
+    const auto a = sameSet(c, 3);
+    c.insert(a[0], 0, 0, false, partitionLocal);
+    c.insert(a[1], 0, 0, false, partitionLocal);
+    // Ways 2 and 3 are free, but the local class evicts its own LRU.
+    const auto evict = c.insert(a[2], 0, 0, false, partitionLocal);
+    ASSERT_TRUE(evict.evicted);
+    EXPECT_EQ(evict.lineAddr, a[0]);
+    EXPECT_EQ(c.validLines(), 2u);
+    EXPECT_FALSE(c.probe(a[0], 0));
+}
+
+TEST(Cache, HighAddressBitsSurviveEvictionAndFlush)
+{
+    // Evicted and flushed addresses are rebuilt from the tag key.
+    auto c = smallCache();
+    const auto a = sameSet(c, 5, 0xffffff0000000000ull);
+    for (std::size_t i = 0; i < 4; ++i)
+        c.insert(a[i], 0, 2, true, partitionLocal);
+    const auto evict = c.insert(a[4], 0, 3, true, partitionLocal);
+    ASSERT_TRUE(evict.evicted);
+    EXPECT_EQ(evict.lineAddr, a[0]);
+    EXPECT_EQ(evict.home, 2);
+    EXPECT_TRUE(evict.dirty);
+
+    std::vector<Addr> flushed;
+    for (const CacheLine &l : drain(c))
+        flushed.push_back(l.lineAddr);
+    std::sort(flushed.begin(), flushed.end());
+    EXPECT_EQ(flushed, (std::vector<Addr>{a[1], a[2], a[3], a[4]}));
+    EXPECT_EQ(c.validLines(), 0u);
+    EXPECT_EQ(c.dirtyLines(), 0u);
+}
+
+TEST(Cache, SectoredWriteHitAndDirtyFillSetDirtyMasks)
+{
+    auto c = smallCache(4);
+    c.insert(0x1000, 0, 1, false, partitionLocal);
+    c.insert(0x1000, 1, 1, false, partitionLocal);
+    EXPECT_EQ(c.dirtyLines(), 0u);
+    EXPECT_TRUE(c.access(0x1000, 1, /*is_write=*/true).hit);
+    EXPECT_EQ(c.dirtyLines(), 1u);
+    // A dirty fill of another sector of the same line adds its bit.
+    c.insert(0x1000, 3, 1, true, partitionLocal);
+    EXPECT_EQ(c.dirtyLines(), 1u);
+    // A dirty fill of a new line dirties only the filled sector.
+    c.insert(0x2000, 2, 0, true, partitionLocal);
+    EXPECT_EQ(c.dirtyLines(), 2u);
+    EXPECT_EQ(c.remoteLines(0), 1u);
+
+    auto lines = drain(c);
+    ASSERT_EQ(lines.size(), 2u);
+    std::sort(lines.begin(), lines.end(),
+              [](const CacheLine &x, const CacheLine &y) {
+                  return x.lineAddr < y.lineAddr;
+              });
+    EXPECT_EQ(lines[0].lineAddr, 0x1000u);
+    EXPECT_EQ(lines[0].home, 1);
+    EXPECT_TRUE(lines[0].dirty);
+    EXPECT_EQ(lines[0].sectorValid, 0b1011u);
+    EXPECT_EQ(lines[0].sectorDirty, 0b1010u);
+    EXPECT_EQ(lines[1].lineAddr, 0x2000u);
+    EXPECT_EQ(lines[1].home, 0);
+    EXPECT_TRUE(lines[1].dirty);
+    EXPECT_EQ(lines[1].sectorValid, 0b0100u);
+    EXPECT_EQ(lines[1].sectorDirty, 0b0100u);
+    EXPECT_EQ(c.dirtyLines(), 0u);
 }
 
 TEST(Cache, HotSetFitsAndStays)

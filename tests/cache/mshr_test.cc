@@ -19,12 +19,15 @@ pkt(Addr line, int warp, unsigned sector = 0)
     return p;
 }
 
-std::vector<Packet>
+/** The warps complete() visits for @p line / @p sector, in order. */
+std::vector<int>
 complete(MshrFile &m, Addr line, unsigned sector)
 {
-    std::vector<Packet> out;
-    m.complete(line, sector, out);
-    return out;
+    std::vector<int> warps;
+    const std::size_t count = m.complete(
+        line, sector, [&](const Packet &t) { warps.push_back(t.warp); });
+    EXPECT_EQ(count, warps.size());
+    return warps;
 }
 
 TEST(Mshr, FirstMissIsPrimary)
@@ -42,11 +45,7 @@ TEST(Mshr, SameLineMerges)
     EXPECT_EQ(m.allocate(pkt(0x100, 1)), MshrFile::Outcome::Merged);
     EXPECT_EQ(m.allocate(pkt(0x100, 2)), MshrFile::Outcome::Merged);
     EXPECT_EQ(m.inUse(), 1u);
-    const auto targets = complete(m, 0x100, 0);
-    ASSERT_EQ(targets.size(), 3u);
-    EXPECT_EQ(targets[0].warp, 0);
-    EXPECT_EQ(targets[1].warp, 1);
-    EXPECT_EQ(targets[2].warp, 2);
+    EXPECT_EQ(complete(m, 0x100, 0), (std::vector<int>{0, 1, 2}));
     EXPECT_EQ(m.inUse(), 0u);
 }
 
@@ -74,34 +73,58 @@ TEST(Mshr, SectorsAreIndependentEntries)
 TEST(Mshr, CompleteUnknownReturnsEmpty)
 {
     MshrFile m(2);
-    EXPECT_TRUE(complete(m, 0x500, 0).empty());
-}
-
-TEST(Mshr, DrainReturnsEverything)
-{
-    MshrFile m(4);
     m.allocate(pkt(0x100, 0));
-    m.allocate(pkt(0x100, 1));
-    m.allocate(pkt(0x200, 2));
-    std::vector<Packet> all;
-    m.drainAll(all);
-    EXPECT_EQ(all.size(), 3u);
-    EXPECT_EQ(m.inUse(), 0u);
+    int visits = 0;
+    EXPECT_EQ(m.complete(0x500, 0, [&](const Packet &) { ++visits; }), 0u);
+    // Same line, other sector: also no entry.
+    EXPECT_EQ(m.complete(0x100, 1, [&](const Packet &) { ++visits; }), 0u);
+    EXPECT_EQ(visits, 0);
+    EXPECT_EQ(m.inUse(), 1u);
 }
 
-TEST(Mshr, CompleteAppendsWithoutClearing)
+TEST(Mshr, CompleteVisitsInArrivalOrderAcrossMerges)
 {
-    // The out-buffer contract: complete() appends to whatever the
-    // caller already collected (scratch reuse across fills).
+    // Merges into two lines interleave; each completion visits only
+    // its own targets, oldest first.
     MshrFile m(4);
     m.allocate(pkt(0x100, 0));
     m.allocate(pkt(0x200, 1));
-    std::vector<Packet> out;
-    m.complete(0x100, 0, out);
-    m.complete(0x200, 0, out);
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_EQ(out[0].warp, 0);
-    EXPECT_EQ(out[1].warp, 1);
+    m.allocate(pkt(0x100, 2));
+    m.allocate(pkt(0x200, 3));
+    m.allocate(pkt(0x100, 4));
+    EXPECT_EQ(complete(m, 0x200, 0), (std::vector<int>{1, 3}));
+    // The freed nodes are reused by later merges, behind older ones.
+    m.allocate(pkt(0x100, 5));
+    m.allocate(pkt(0x100, 6));
+    EXPECT_EQ(complete(m, 0x100, 0), (std::vector<int>{0, 2, 4, 5, 6}));
+    EXPECT_EQ(m.inUse(), 0u);
+}
+
+TEST(Mshr, PooledNodesKeepInUseExact)
+{
+    // Many cycles with several entries outstanding, completed out of
+    // allocation order, so every entry is built from recycled nodes.
+    MshrFile m(4);
+    int warp = 0;
+    for (int round = 0; round < 200; ++round) {
+        const Addr base = 0x10000 + static_cast<Addr>(round) * 0x400;
+        std::vector<std::vector<int>> expect(3);
+        for (std::size_t i = 0; i < 3; ++i) {
+            for (std::size_t t = 0; t <= (round + i) % 4; ++t) {
+                expect[i].push_back(warp);
+                const auto outcome = m.allocate(pkt(base + i * 0x80, warp++));
+                ASSERT_EQ(outcome, t == 0 ? MshrFile::Outcome::Primary
+                                          : MshrFile::Outcome::Merged);
+            }
+            ASSERT_EQ(m.inUse(), i + 1);
+        }
+        for (const std::size_t i : {2, 0, 1}) {
+            const std::size_t before = m.inUse();
+            ASSERT_EQ(complete(m, base + i * 0x80, 0), expect[i]);
+            ASSERT_EQ(m.inUse(), before - 1);
+            ASSERT_FALSE(m.has(base + i * 0x80, 0));
+        }
+    }
 }
 
 TEST(Mshr, ReallocateAfterCompleteRecyclesEntries)
@@ -113,7 +136,7 @@ TEST(Mshr, ReallocateAfterCompleteRecyclesEntries)
         const Addr line = 0x1000 + base * 0x40;
         ASSERT_EQ(m.allocate(pkt(line, 0)), MshrFile::Outcome::Primary);
         ASSERT_EQ(m.allocate(pkt(line, 1)), MshrFile::Outcome::Merged);
-        ASSERT_EQ(complete(m, line, 0).size(), 2u);
+        ASSERT_EQ(complete(m, line, 0), (std::vector<int>{0, 1}));
         ASSERT_EQ(m.inUse(), 0u);
     }
 }

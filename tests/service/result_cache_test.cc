@@ -18,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -26,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/log.hh"
 #include "service/result_cache.hh"
 #include "sim/engine.hh"
@@ -211,6 +213,96 @@ TEST(ResultCache, ChangedConfigFieldMissesOnlyTheChangedJobs)
         EXPECT_EQ(rec.result.status, RunStatus::Ok);
     EXPECT_EQ(records[1].source, RecordSource::Simulated);
     EXPECT_EQ(records[0].source, RecordSource::Cache);
+}
+
+TEST(ResultCache, InvalidTwinOfACachedJobStillFails)
+{
+    // A memory-side job's key leaves out θ, so a twin with an invalid
+    // θ has the same key as a cached ok job; it must still fail
+    // validation instead of being served that record.
+    TempDir dir("sac_cache_invalid_twin");
+    ResultCache cache(dir.path);
+    ExperimentPlan plan;
+    plan.add(tinyProfile("RN"), tinyConfig(), OrgKind::MemorySide);
+    runWithCache(plan, cache);
+
+    GpuConfig bad = tinyConfig();
+    bad.sac.theta = -1.0;
+    ExperimentPlan twin;
+    twin.add(tinyProfile("RN"), bad, OrgKind::MemorySide);
+    ASSERT_EQ(contentHash(twin[0]), contentHash(plan[0]));
+    EngineTelemetry tm;
+    const auto records = runWithCache(twin, cache, 1, &tm);
+    EXPECT_EQ(tm.cacheHits, 0u);
+    EXPECT_EQ(records[0].source, RecordSource::Simulated);
+    EXPECT_EQ(records[0].result.status, RunStatus::Failed);
+    EXPECT_NE(records[0].result.diagnostic.find("sac.theta"),
+              std::string::npos)
+        << records[0].result.diagnostic;
+}
+
+/** @p text with every @p from replaced by @p to. */
+std::string
+replaceAll(std::string text, const std::string &from, const std::string &to)
+{
+    for (auto at = text.find(from); at != std::string::npos;
+         at = text.find(from, at + to.size())) {
+        text.replace(at, from.size(), to);
+    }
+    return text;
+}
+
+TEST(ResultCache, OldPlanSchemaAndModelEntriesAreStale)
+{
+    TempDir dir("sac_cache_stale");
+    ResultCache cache(dir.path);
+    ExperimentPlan plan;
+    plan.add(tinyProfile("RN"), tinyConfig(), OrgKind::MemorySide);
+    runWithCache(plan, cache);
+    std::ifstream is(cache.entryPath(plan[0]));
+    const std::string text{std::istreambuf_iterator<char>(is),
+                           std::istreambuf_iterator<char>()};
+
+    // Intact entries as an older build stored them: each under the
+    // name its own key hashes to, so only the schema or model is off.
+    const auto refile = [&](const std::string &doc) {
+        const std::string key = json::parse(doc).at("key").asString();
+        char name[24];
+        std::snprintf(name, sizeof(name), "%016llx.json",
+                      static_cast<unsigned long long>(
+                          contentHashOfKey(key)));
+        std::ofstream(dir.path + "/" + name) << doc;
+    };
+    char model[20];
+    std::snprintf(model, sizeof(model), "%016llx",
+                  static_cast<unsigned long long>(canaryDigest));
+    refile(replaceAll(text, planSchemaVersion, "sac.plan.v3"));
+    refile(replaceAll(text, model, "0123456789abcdef"));
+
+    auto report = cache.verify();
+    EXPECT_EQ(report.entries, 3u);
+    EXPECT_EQ(report.rejected, 0u);
+    EXPECT_EQ(report.stale, 2u);
+
+    // The daemon's pass after each plan stays a no-op without a
+    // budget; maintenance removes stale entries budget or not.
+    EXPECT_FALSE(cache.prune().ran);
+    EXPECT_FALSE(cache.prune(ResultCache::Budget{}).ran);
+    EXPECT_EQ(cache.verify().stale, 2u);
+    const auto pruned =
+        cache.prune(ResultCache::Budget{}, /*remove_stale=*/true);
+    EXPECT_TRUE(pruned.ran);
+    EXPECT_EQ(pruned.staleEntries, 2u);
+    EXPECT_EQ(pruned.scannedEntries, 1u);
+    EXPECT_EQ(pruned.removedEntries, 0u);
+    report = cache.verify();
+    EXPECT_EQ(report.entries, 1u);
+    EXPECT_EQ(report.stale, 0u);
+
+    // The current entry still serves.
+    EngineTelemetry tm;
+    runWithCache(plan, cache, 1, &tm);
+    EXPECT_EQ(tm.cacheHits, 1u);
 }
 
 TEST(ResultCache, TornCorruptAndWrongSchemaEntriesReSimulate)

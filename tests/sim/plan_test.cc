@@ -63,7 +63,7 @@ TEST(PlanHashTest, HashCoversResultDeterminingFields)
     EXPECT_NE(contentHash(j), h0);
 
     j = base;
-    j.config.sac.theta += 0.001;
+    j.config.sac.drainLatency += 1;
     EXPECT_NE(contentHash(j), h0);
 
     j = base;
@@ -73,6 +73,44 @@ TEST(PlanHashTest, HashCoversResultDeterminingFields)
     j = base;
     j.profile.numKernels += 1;
     EXPECT_NE(contentHash(j), h0);
+}
+
+TEST(PlanHashTest, KeyCarriesOnlyTheKnobsTheOrganizationReads)
+{
+    // Memory-side jobs never build a SAC controller or a dynamic
+    // partition controller, so their knobs cannot move its results.
+    const ExperimentJob mem = baseJob();
+    ExperimentJob j = mem;
+    j.config.sac.theta += 0.05;
+    EXPECT_EQ(canonicalJobKey(j), canonicalJobKey(mem));
+    j = mem;
+    j.config.sac.profileWindow *= 2;
+    j.config.sac.reprofileInterval += 1;
+    j.config.dynamicLlc.epoch *= 2;
+    EXPECT_EQ(contentHash(j), contentHash(mem));
+
+    // A SAC job reads every sac.* knob.
+    ExperimentJob sac = baseJob();
+    sac.org = OrgKind::Sac;
+    j = sac;
+    j.config.sac.theta += 0.05;
+    EXPECT_NE(canonicalJobKey(j), canonicalJobKey(sac));
+    j = sac;
+    j.config.sac.crdWays += 1;
+    EXPECT_NE(contentHash(j), contentHash(sac));
+    j = sac;
+    j.config.dynamicLlc.epoch *= 2;
+    EXPECT_EQ(contentHash(j), contentHash(sac));
+
+    // A Dynamic-LLC job reads the dyn.* knobs and no SAC one.
+    ExperimentJob dyn = baseJob();
+    dyn.org = OrgKind::DynamicLlc;
+    j = dyn;
+    j.config.dynamicLlc.epoch *= 2;
+    EXPECT_NE(contentHash(j), contentHash(dyn));
+    j = dyn;
+    j.config.sac.theta += 0.05;
+    EXPECT_EQ(contentHash(j), contentHash(dyn));
 }
 
 TEST(PlanHashTest, HashIgnoresExecutionPolicy)

@@ -73,10 +73,13 @@ usage(int code)
         "                         each plan (0 = unbounded, default)\n"
         "  --cache-max-entries N  prune the cache to N entries after\n"
         "                         each plan (0 = unbounded, default)\n"
-        "  --prune-only           prune the cache to budget, report,\n"
-        "                         and exit (maintenance mode)\n"
-        "  --verify-cache         integrity-scan the cache and exit\n"
-        "                         nonzero if any entry is rejected\n";
+        "  --prune-only           remove stale entries (an old plan\n"
+        "                         schema or model), prune the cache\n"
+        "                         to budget, report, and exit\n"
+        "                         (maintenance mode)\n"
+        "  --verify-cache         integrity-scan the cache, count\n"
+        "                         stale entries, and exit nonzero if\n"
+        "                         any entry is rejected\n";
     std::exit(code);
 }
 
@@ -88,17 +91,15 @@ pruneOnly(const service::DaemonOptions &options)
         return 1;
     }
     service::ResultCache cache(options.cacheDir);
-    const auto report = cache.prune(options.cacheBudget);
+    const auto report =
+        cache.prune(options.cacheBudget, /*remove_stale=*/true);
     if (!report.ran) {
-        std::cout << "prune skipped ("
-                  << (options.cacheBudget.any()
-                          ? "another pruner holds the lock"
-                          : "no budget configured")
-                  << ")\n";
+        std::cout << "prune skipped (another pruner holds the lock)\n";
         return 0;
     }
-    std::cout << "pruned " << report.removedEntries << " of "
-              << report.scannedEntries << " entries ("
+    std::cout << "removed " << report.staleEntries
+              << " stale entries, pruned " << report.removedEntries
+              << " of " << report.scannedEntries << " entries ("
               << report.removedBytes << " of " << report.scannedBytes
               << " bytes), swept " << report.staleTmps
               << " stale temporaries\n";
@@ -115,7 +116,8 @@ verifyCache(const service::DaemonOptions &options)
     service::ResultCache cache(options.cacheDir);
     const auto report = cache.verify();
     std::cout << report.entries << " entries, " << report.bytes
-              << " bytes, " << report.rejected << " rejected\n";
+              << " bytes, " << report.rejected << " rejected, "
+              << report.stale << " stale\n";
     return report.rejected == 0 ? 0 : 1;
 }
 
