@@ -134,10 +134,6 @@ class SetAssocCache
     int ways() const { return numWays; }
     std::uint64_t sets() const { return numSets; }
     unsigned sectors() const { return sectorsPerLine; }
-    std::uint64_t capacityBytes() const
-    {
-        return numSets * static_cast<std::uint64_t>(numWays) * lineBytes;
-    }
 
     /** Valid lines currently resident. O(1): counters are maintained
      *  incrementally at every insert/evict/invalidate/flush, so the

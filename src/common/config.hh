@@ -156,7 +156,6 @@ struct GpuConfig
     }
     unsigned linesPerPage() const { return pageBytes / lineBytes; }
     double dramBwPerChip() const { return dramChannelBw * channelsPerChip; }
-    double sliceBwPerChip() const { return sliceBw * slicesPerChip; }
     /** Intra-chip NoC bisection bandwidth (all slice ports together). */
     double intraBwPerChip() const { return xbarPortBw * slicesPerChip; }
 

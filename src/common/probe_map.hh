@@ -9,14 +9,6 @@
  * (linear probing, multiplicative hashing, backward-shift deletion),
  * so steady-state insert/erase cycles touch no allocator at all.
  *
- * Slot recycling contract: erase() and clear() leave the stored value
- * objects in place, and emplace() hands a *recycled* value back when
- * it lands on such a slot — the caller must reset it (e.g. clear() a
- * vector, which keeps its capacity; plain assignment for scalars).
- * This is what makes a map of std::vector payloads allocation-free in
- * steady state: erased vectors' capacities circulate through the
- * table instead of being freed.
- *
  * Keys are raw 64-bit values; any key is valid (occupancy lives in a
  * separate state array, not in a sentinel key).
  */
@@ -65,8 +57,7 @@ class ProbeMap
 
     /**
      * Finds or inserts @p k. Returns the value slot and whether the
-     * key was newly inserted; a newly inserted slot's value is
-     * recycled, not fresh — the caller resets it (see file comment).
+     * key was newly inserted; a new key's value is value-initialized.
      */
     std::pair<V *, bool>
     emplace(std::uint64_t k)
@@ -78,11 +69,12 @@ class ProbeMap
             return {&vals_[i], false};
         state_[i] = 1;
         keys_[i] = k;
+        vals_[i] = V{};
         ++size_;
         return {&vals_[i], true};
     }
 
-    /** Removes @p k; false when absent. The value object is recycled. */
+    /** Removes @p k; false when absent. */
     bool
     erase(std::uint64_t k)
     {
@@ -90,8 +82,7 @@ class ProbeMap
         if (!state_[free])
             return false;
         // Backward-shift deletion: walk the cluster after the hole and
-        // pull back every entry whose probe path crosses it, swapping
-        // values so the erased payload's storage stays in the table.
+        // pull back every entry whose probe path crosses it.
         std::size_t j = free;
         while (true) {
             j = (j + 1) & mask_;
@@ -100,7 +91,7 @@ class ProbeMap
             const std::size_t h = home(keys_[j]);
             if (((j - h) & mask_) >= ((j - free) & mask_)) {
                 keys_[free] = keys_[j];
-                std::swap(vals_[free], vals_[j]);
+                vals_[free] = std::move(vals_[j]);
                 free = j;
             }
         }
@@ -109,18 +100,7 @@ class ProbeMap
         return true;
     }
 
-    /** Calls @p fn(key, value&) for every entry (unspecified order). */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn)
-    {
-        for (std::size_t i = 0; i <= mask_; ++i) {
-            if (state_[i])
-                fn(keys_[i], vals_[i]);
-        }
-    }
-
-    /** Forgets every entry; value objects stay for recycling. */
+    /** Forgets every entry. */
     void
     clear()
     {

@@ -1,10 +1,6 @@
 #include "common/rng.hh"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/bitutil.hh"
-#include "common/log.hh"
 
 namespace sac {
 
@@ -18,60 +14,6 @@ Rng::Rng(std::uint64_t seed, std::uint64_t salt)
         x += 0x9e3779b97f4a7c15ULL;
         word = mix64(x);
     }
-}
-
-ZipfSampler::ZipfSampler(std::uint64_t n, double alpha)
-    : n_(n), alpha_(alpha)
-{
-    SAC_ASSERT(n > 0, "zipf population must be positive");
-    SAC_ASSERT(alpha >= 0.0, "zipf alpha must be non-negative");
-    if (alpha == 0.0)
-        return; // uniform fast path, no CDF needed
-
-    // Building an n-entry CDF for multi-million-line working sets is
-    // wasteful: beyond a few thousand ranks a Zipf tail is nearly
-    // uniform. Keep an explicit CDF for the head and spread the
-    // remaining mass uniformly over the tail.
-    headSize = std::min<std::uint64_t>(n, 4096);
-    cdf.resize(headSize);
-    double total = 0.0;
-    for (std::uint64_t i = 0; i < headSize; ++i)
-        total += 1.0 / std::pow(static_cast<double>(i + 1), alpha);
-    double tail_mass = 0.0;
-    if (n > headSize) {
-        // Integral approximation of sum_{headSize+1}^{n} i^-alpha.
-        if (alpha == 1.0) {
-            tail_mass = std::log(static_cast<double>(n) /
-                                 static_cast<double>(headSize));
-        } else {
-            tail_mass = (std::pow(static_cast<double>(n), 1.0 - alpha) -
-                         std::pow(static_cast<double>(headSize), 1.0 - alpha)) /
-                        (1.0 - alpha);
-        }
-        tail_mass = std::max(tail_mass, 0.0);
-    }
-    const double grand = total + tail_mass;
-    headMass = total / grand;
-    double acc = 0.0;
-    for (std::uint64_t i = 0; i < headSize; ++i) {
-        acc += (1.0 / std::pow(static_cast<double>(i + 1), alpha)) / grand;
-        cdf[i] = acc;
-    }
-}
-
-std::uint64_t
-ZipfSampler::sample(Rng &rng) const
-{
-    if (alpha_ == 0.0)
-        return rng.nextBounded(n_);
-    const double u = rng.nextDouble();
-    if (u < headMass || n_ <= headSize) {
-        auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
-        if (it == cdf.end())
-            return headSize - 1;
-        return static_cast<std::uint64_t>(it - cdf.begin());
-    }
-    return headSize + rng.nextBounded(n_ - headSize);
 }
 
 } // namespace sac

@@ -11,7 +11,6 @@
 #define SAC_COMMON_RNG_HH
 
 #include <cstdint>
-#include <vector>
 
 namespace sac {
 
@@ -77,34 +76,6 @@ class Rng
     }
 
     std::uint64_t s[4];
-};
-
-/**
- * Zipf-distributed sampler over {0, ..., n-1} with exponent alpha.
- *
- * Uses a precomputed CDF and binary search; alpha = 0 degenerates to
- * uniform. The workload generators use this to model hot shared
- * working sets (a few lines absorb most accesses).
- */
-class ZipfSampler
-{
-  public:
-    /** @param n population size (> 0); @param alpha skew (>= 0). */
-    ZipfSampler(std::uint64_t n, double alpha);
-
-    /** Draws one index in [0, n). */
-    std::uint64_t sample(Rng &rng) const;
-
-    std::uint64_t population() const { return n_; }
-    double alpha() const { return alpha_; }
-
-  private:
-    std::uint64_t n_;
-    double alpha_;
-    /** CDF over a capped head; the tail is sampled uniformly. */
-    std::vector<double> cdf;
-    double headMass = 1.0;
-    std::uint64_t headSize = 0;
 };
 
 } // namespace sac

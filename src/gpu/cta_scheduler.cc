@@ -1,41 +1,8 @@
 #include "gpu/cta_scheduler.hh"
 
-#include "common/bitutil.hh"
 #include "common/log.hh"
 
 namespace sac {
-
-CtaScheduler::CtaScheduler(std::uint64_t ctas, int num_chips)
-    : ctas_(ctas), chips(num_chips)
-{
-    SAC_ASSERT(ctas > 0, "kernel needs at least one CTA");
-    SAC_ASSERT(num_chips > 0, "need at least one chip");
-}
-
-CtaScheduler::Range
-CtaScheduler::chipRange(ChipId chip) const
-{
-    SAC_ASSERT(chip >= 0 && chip < chips, "bad chip id ", chip);
-    const auto base = ctas_ / static_cast<std::uint64_t>(chips);
-    const auto extra = ctas_ % static_cast<std::uint64_t>(chips);
-    const auto c = static_cast<std::uint64_t>(chip);
-    Range r;
-    r.first = c * base + std::min(c, extra);
-    r.count = base + (c < extra ? 1 : 0);
-    return r;
-}
-
-ChipId
-CtaScheduler::chipOf(std::uint64_t cta) const
-{
-    SAC_ASSERT(cta < ctas_, "CTA out of range");
-    for (ChipId c = 0; c < chips; ++c) {
-        const auto r = chipRange(c);
-        if (cta >= r.first && cta < r.first + r.count)
-            return c;
-    }
-    panic("unreachable: CTA ", cta, " mapped to no chip");
-}
 
 std::vector<CtaScheduler::Range>
 CtaScheduler::partitionClusters(int clusters, const std::vector<double> &shares)
@@ -95,17 +62,6 @@ CtaScheduler::partitionClusters(int clusters, const std::vector<double> &shares)
         first += ranges[s].count;
     }
     return ranges;
-}
-
-std::uint64_t
-CtaScheduler::ctaFor(ChipId chip, ClusterId cluster, int warp,
-                     std::uint64_t iteration) const
-{
-    const auto r = chipRange(chip);
-    SAC_ASSERT(r.count > 0, "chip ", chip, " has no CTAs");
-    const auto h = mix64((static_cast<std::uint64_t>(cluster) << 32) ^
-                         (static_cast<std::uint64_t>(warp) << 8) ^ iteration);
-    return r.first + h % r.count;
 }
 
 } // namespace sac

@@ -1,11 +1,10 @@
 /**
  * @file
- * Distributed CTA scheduling (Arunkumar et al.).
+ * SM-cluster partitioning between co-resident kernel streams.
  *
- * The CTA space is divided into contiguous blocks, one per chip, to
- * maximize inter-CTA locality within a chip. Workload generators use
- * the mapping to decide which chip "owns" which part of the private
- * data set.
+ * Distributed CTA scheduling (Arunkumar et al.: contiguous CTA blocks
+ * per chip) needs no mapping here: the trace generator's per-chip
+ * private regions model it (workload/tracegen.hh).
  */
 
 #ifndef SAC_GPU_CTA_SCHEDULER_HH
@@ -14,37 +13,18 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/types.hh"
-
 namespace sac {
 
-/** Contiguous block assignment of CTAs to chips. */
+/** Cluster ranges of co-resident kernel streams. */
 class CtaScheduler
 {
   public:
-    /** @param ctas total CTA count; @param num_chips chip count. */
-    CtaScheduler(std::uint64_t ctas, int num_chips);
-
-    /** [first, first+count) CTAs assigned to @p chip. */
+    /** [first, first+count) clusters of every chip. */
     struct Range
     {
         std::uint64_t first = 0;
         std::uint64_t count = 0;
     };
-
-    Range chipRange(ChipId chip) const;
-
-    /** Chip that executes @p cta. */
-    ChipId chipOf(std::uint64_t cta) const;
-
-    /**
-     * CTA id a given (cluster, warp, iteration) tuple works on within
-     * its chip's range — a simple round-robin walk over the block.
-     */
-    std::uint64_t ctaFor(ChipId chip, ClusterId cluster, int warp,
-                         std::uint64_t iteration) const;
-
-    std::uint64_t totalCtas() const { return ctas_; }
 
     /**
      * Partitions @p clusters SM clusters (per chip) between
@@ -56,10 +36,6 @@ class CtaScheduler
      */
     static std::vector<Range>
     partitionClusters(int clusters, const std::vector<double> &shares);
-
-  private:
-    std::uint64_t ctas_;
-    int chips;
 };
 
 } // namespace sac

@@ -93,7 +93,6 @@ class SmCluster
     bool atRest() const { return sched.idle() && outstanding() == 0; }
 
     const ClusterStats &stats() const { return stats_; }
-    void resetStats() { stats_ = ClusterStats{}; }
 
     /** Kernel stream this cluster executes (0 in a plain run). */
     void setStream(int stream) { stream_ = stream; }

@@ -52,14 +52,6 @@ WarpScheduler::consume(int warp)
 }
 
 void
-WarpScheduler::defer(int warp)
-{
-    SAC_ASSERT(!ready.empty() && ready.front() == warp,
-               "defer out of order");
-    // Leave the warp at the front: GTO keeps trying the same warp.
-}
-
-void
 WarpScheduler::reset()
 {
     ready.clear();

@@ -82,9 +82,6 @@ class WarpScheduler
     /** Removes @p warp from the ready list (it issued or blocked). */
     void consume(int warp);
 
-    /** Re-inserts @p warp at the front (issue refused, retry next cycle). */
-    void defer(int warp);
-
     /** Drops all state (kernel boundary). */
     void reset();
 

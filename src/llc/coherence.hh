@@ -5,7 +5,7 @@
  * Software coherence (the commercial default): no per-write actions;
  * at kernel boundaries dirty replicated data is written back and the
  * replicating caches are invalidated. The System charges that flush
- * cost using CoherenceManager::flushCost().
+ * through llc/flush_model.hh.
  *
  * Hardware coherence (evaluated in Fig. 14): a directory at each
  * line's home chip tracks which chips hold replicas; a write updates
@@ -67,7 +67,6 @@ class CoherenceManager
     std::vector<ChipId> invalidationTargets(Addr line_addr, ChipId writer);
 
     std::uint64_t invalidationsSent() const { return invalidations; }
-    void resetStats() { invalidations = 0; }
 
   private:
     CoherenceKind kind_;

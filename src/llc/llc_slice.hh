@@ -99,7 +99,6 @@ class LlcSlice
     const SetAssocCache &cache() const { return array; }
 
     const SliceStats &stats() const { return stats_; }
-    void resetStats() { stats_ = SliceStats{}; }
 
     /**
      * Sizes the per-stream request/hit accounting for @p streams

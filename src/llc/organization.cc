@@ -35,20 +35,48 @@ orgKindFromName(const std::string &name)
             didYouMean(name, {"mem", "sm", "static", "dynamic", "sac"}));
 }
 
-std::unique_ptr<Organization>
-Organization::make(OrgKind kind)
+void
+Organization::setMode(LlcMode mode)
 {
-    switch (kind) {
+    SAC_ASSERT(kind_ == OrgKind::Sac, "only SAC switches modes");
+    mode_ = mode;
+}
+
+const char *
+Organization::modeName() const
+{
+    return kind_ == OrgKind::Sac ? toString(mode_) : name();
+}
+
+RoutePlan
+Organization::route(Addr line_addr, ChipId src, ChipId home,
+                    const AddressMap &map) const
+{
+    switch (kind_) {
       case OrgKind::MemorySide:
-        return std::make_unique<MemorySideOrg>();
+        return memorySideRoute(line_addr, home, map);
       case OrgKind::SmSide:
-        return std::make_unique<SmSideOrg>();
+        return smSideRoute(line_addr, src, home, map);
       case OrgKind::StaticLlc:
-        return std::make_unique<StaticLlcOrg>();
       case OrgKind::DynamicLlc:
-        return std::make_unique<DynamicLlcOrg>();
+        return partitionedRoute(line_addr, src, home, map);
       case OrgKind::Sac:
-        return std::make_unique<SacOrg>();
+        return mode_ == LlcMode::MemorySide
+                   ? memorySideRoute(line_addr, home, map)
+                   : smSideRoute(line_addr, src, home, map);
+    }
+    panic("unknown organization kind");
+}
+
+bool
+Organization::cachesRemoteData() const
+{
+    switch (kind_) {
+      case OrgKind::MemorySide: return false;
+      case OrgKind::SmSide:
+      case OrgKind::StaticLlc:
+      case OrgKind::DynamicLlc: return true;
+      case OrgKind::Sac: return mode_ == LlcMode::SmSide;
     }
     panic("unknown organization kind");
 }

@@ -11,12 +11,16 @@
  *    data (Milic et al.), driven by DynamicPartitionController.
  *  - SAC: starts memory-side, profiles, and may reconfigure to
  *    SM-side per kernel (driven by sac::TenantSacService).
+ *
+ * All five share one memory-side substrate with bypass paths and a
+ * routing switch (Fig. 6): an organization differs only in which
+ * slice serves a miss and a few policy bits, so it is one value — its
+ * kind plus SAC's live mode — and every trait is one switch.
  */
 
 #ifndef SAC_LLC_ORGANIZATION_HH
 #define SAC_LLC_ORGANIZATION_HH
 
-#include <memory>
 #include <string>
 
 #include "common/types.hh"
@@ -39,123 +43,67 @@ OrgKind orgKindFromName(const std::string &name);
 
 /**
  * Organization policy: routing + partitioning + coherence behaviour.
- * The System consults it on every L1 miss and at kernel boundaries.
+ * The System consults it on every L1 miss and at kernel boundaries;
+ * sac::TenantSacService flips a SAC organization's mode.
  */
 class Organization
 {
   public:
-    virtual ~Organization() = default;
+    explicit Organization(OrgKind kind) : kind_(kind) {}
 
-    virtual OrgKind kind() const = 0;
-    virtual const char *name() const { return toString(kind()); }
+    OrgKind kind() const { return kind_; }
+    const char *name() const { return toString(kind_); }
 
-    /** Routing policy in effect right now. */
-    virtual const RoutingPolicy &routing() const = 0;
+    /** SAC's live mode; MemorySide for every other organization. */
+    LlcMode mode() const { return mode_; }
+    /** Switches SAC's routing and bypass logic. @pre kind() == Sac. */
+    void setMode(LlcMode mode);
+
+    /** Mode tag of a telemetry sample: SAC's mode, else name(). */
+    const char *modeName() const;
+
+    /** Routes a miss from @p src to a line homed on @p home. */
+    RoutePlan route(Addr line_addr, ChipId src, ChipId home,
+                    const AddressMap &map) const;
 
     /**
      * True when the organization caches data away from its home chip
      * and therefore needs coherence (kernel-boundary flushes under
      * software coherence, directory invalidations under hardware).
      */
-    virtual bool cachesRemoteData() const = 0;
+    bool cachesRemoteData() const;
+
+    /**
+     * True when the kernel-boundary flush keeps home-resident lines
+     * and drops only replicas (Static/Dynamic: the local partition
+     * is memory-side and needs no coherence).
+     */
+    bool flushesReplicasOnly() const { return partitioned(); }
 
     /**
      * True for the two-NoC SM-side baseline: remote bypass traffic
      * and fills skip the shared crossbar ports.
      */
-    virtual bool separateRemoteNoc() const { return false; }
+    bool separateRemoteNoc() const { return kind_ == OrgKind::SmSide; }
 
     /** Initial local-partition way count out of @p ways. */
-    virtual int initialWaySplit(int ways) const { return ways; }
+    int initialWaySplit(int ways) const
+    {
+        return partitioned() ? ways / 2 : ways;
+    }
 
     /** True when the way split is adjusted at run time. */
-    virtual bool dynamicPartitioning() const { return false; }
-
-    /** Factory for the four fixed baselines (not SAC). */
-    static std::unique_ptr<Organization> make(OrgKind kind);
-};
-
-/** Memory-side LLC baseline. */
-class MemorySideOrg : public Organization
-{
-  public:
-    OrgKind kind() const override { return OrgKind::MemorySide; }
-    const RoutingPolicy &routing() const override { return policy; }
-    bool cachesRemoteData() const override { return false; }
+    bool dynamicPartitioning() const { return kind_ == OrgKind::DynamicLlc; }
 
   private:
-    MemorySideRouting policy;
-};
-
-/** Two-NoC SM-side LLC baseline. */
-class SmSideOrg : public Organization
-{
-  public:
-    OrgKind kind() const override { return OrgKind::SmSide; }
-    const RoutingPolicy &routing() const override { return policy; }
-    bool cachesRemoteData() const override { return true; }
-    bool separateRemoteNoc() const override { return true; }
-
-  private:
-    SmSideRouting policy;
-};
-
-/** Static (L1.5) half-local/half-remote partitioned LLC. */
-class StaticLlcOrg : public Organization
-{
-  public:
-    OrgKind kind() const override { return OrgKind::StaticLlc; }
-    const RoutingPolicy &routing() const override { return policy; }
-    bool cachesRemoteData() const override { return true; }
-    int initialWaySplit(int ways) const override { return ways / 2; }
-
-  private:
-    PartitionedRouting policy;
-};
-
-/** Dynamic way-partitioned LLC. */
-class DynamicLlcOrg : public Organization
-{
-  public:
-    OrgKind kind() const override { return OrgKind::DynamicLlc; }
-    const RoutingPolicy &routing() const override { return policy; }
-    bool cachesRemoteData() const override { return true; }
-    int initialWaySplit(int ways) const override { return ways / 2; }
-    bool dynamicPartitioning() const override { return true; }
-
-  private:
-    PartitionedRouting policy;
-};
-
-/**
- * SAC's reconfigurable organization: a memory-side substrate whose
- * routing policy and bypass logic flip to SM-side when the EAB model
- * says so. Mode changes are performed by sac::TenantSacService.
- */
-class SacOrg : public Organization
-{
-  public:
-    OrgKind kind() const override { return OrgKind::Sac; }
-
-    const RoutingPolicy &routing() const override
+    /** Static and Dynamic: local and remote way partitions. */
+    bool partitioned() const
     {
-        return mode_ == LlcMode::MemorySide
-                   ? static_cast<const RoutingPolicy &>(memPolicy)
-                   : static_cast<const RoutingPolicy &>(smPolicy);
+        return kind_ == OrgKind::StaticLlc || kind_ == OrgKind::DynamicLlc;
     }
 
-    bool cachesRemoteData() const override
-    {
-        return mode_ == LlcMode::SmSide;
-    }
-
-    LlcMode mode() const { return mode_; }
-    void setMode(LlcMode mode) { mode_ = mode; }
-
-  private:
+    OrgKind kind_;
     LlcMode mode_ = LlcMode::MemorySide;
-    MemorySideRouting memPolicy;
-    SmSideRouting smPolicy;
 };
 
 } // namespace sac

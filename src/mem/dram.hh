@@ -50,7 +50,6 @@ class DramChannel
     std::size_t inFlight() const { return q.size(); }
     std::uint64_t bytesServed() const { return served; }
     double bandwidth() const { return bw; }
-    void setBandwidth(double bytes_per_cycle);
 
     /**
      * Occupies the channel for @p bytes of bulk traffic (cache-flush

@@ -85,11 +85,4 @@ MemCtrl::inFlight() const
     return n;
 }
 
-void
-MemCtrl::setChannelBandwidth(double bytes_per_cycle)
-{
-    for (auto &ch : channels)
-        ch.setBandwidth(bytes_per_cycle);
-}
-
 } // namespace sac

@@ -56,8 +56,6 @@ class MemCtrl
     std::uint64_t bytesServed() const;
     std::size_t inFlight() const;
 
-    void setChannelBandwidth(double bytes_per_cycle);
-
   private:
     const AddressMap &map_;
     ChipId chip_;

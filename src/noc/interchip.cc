@@ -81,11 +81,4 @@ InterChipNet::inFlight() const
     return n;
 }
 
-void
-InterChipNet::setEgressBandwidth(double egress_bw)
-{
-    for (auto &q : egress)
-        q.setBandwidth(egress_bw);
-}
-
 } // namespace sac

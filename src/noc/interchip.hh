@@ -65,8 +65,6 @@ class InterChipNet
     /** Packets currently in flight or queued. */
     std::size_t inFlight() const;
 
-    void setEgressBandwidth(double egress_bw);
-
   private:
     struct Arrival
     {

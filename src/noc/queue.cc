@@ -26,11 +26,4 @@ BwQueue::popHead()
     q.pop_front();
 }
 
-void
-BwQueue::setBandwidth(double bytes_per_cycle)
-{
-    SAC_ASSERT(bytes_per_cycle > 0.0, "queue bandwidth must be positive");
-    bw = bytes_per_cycle;
-}
-
 } // namespace sac

@@ -118,8 +118,6 @@ class BwQueue
     bool empty() const { return q.empty(); }
 
     double bandwidth() const { return bw; }
-    /** Changes the drain rate (used by sensitivity sweeps). */
-    void setBandwidth(double bytes_per_cycle);
 
     /** Total bytes ever drained (utilization stats). */
     std::uint64_t bytesDrained() const { return drained; }

@@ -6,8 +6,7 @@
 namespace sac {
 
 RoutePlan
-MemorySideRouting::route(Addr line_addr, ChipId /*src*/, ChipId home,
-                         const AddressMap &map) const
+memorySideRoute(Addr line_addr, ChipId home, const AddressMap &map)
 {
     RoutePlan plan;
     plan.serveChip = home;
@@ -17,8 +16,7 @@ MemorySideRouting::route(Addr line_addr, ChipId /*src*/, ChipId home,
 }
 
 RoutePlan
-SmSideRouting::route(Addr line_addr, ChipId src, ChipId home,
-                     const AddressMap &map) const
+smSideRoute(Addr line_addr, ChipId src, ChipId home, const AddressMap &map)
 {
     RoutePlan plan;
     plan.serveChip = src;
@@ -29,8 +27,8 @@ SmSideRouting::route(Addr line_addr, ChipId src, ChipId home,
 }
 
 RoutePlan
-PartitionedRouting::route(Addr line_addr, ChipId src, ChipId home,
-                          const AddressMap &map) const
+partitionedRoute(Addr line_addr, ChipId src, ChipId home,
+                 const AddressMap &map)
 {
     RoutePlan plan;
     plan.serveChip = src;

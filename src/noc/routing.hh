@@ -1,7 +1,7 @@
 /**
  * @file
- * Configurable NoC routing policies (the heart of SAC's
- * reconfiguration, Fig. 6 of the paper).
+ * The NoC routing rules (the heart of SAC's reconfiguration, Fig. 6
+ * of the paper); llc/organization.hh picks one per miss.
  *
  * A RoutePlan tells the system, for one L1 miss, which chip's LLC
  * slice serves the request, which way-partition class a fill may
@@ -41,53 +41,22 @@ struct RoutePlan
     bool bypassHomeLlc = false;
 };
 
-/**
- * Routing policy interface. One concrete policy per LLC organization;
- * SAC swaps between MemorySideRouting and SmSideRouting at run time.
- */
-class RoutingPolicy
-{
-  public:
-    virtual ~RoutingPolicy() = default;
-
-    /** Computes the plan for a miss from @p src to a line homed on @p home. */
-    virtual RoutePlan route(Addr line_addr, ChipId src, ChipId home,
-                            const AddressMap &map) const = 0;
-
-    virtual const char *name() const = 0;
-};
-
 /** Memory-side: the home chip's slice serves everyone (Fig. 4). */
-class MemorySideRouting : public RoutingPolicy
-{
-  public:
-    RoutePlan route(Addr line_addr, ChipId src, ChipId home,
-                    const AddressMap &map) const override;
-    const char *name() const override { return "memory-side"; }
-};
+RoutePlan memorySideRoute(Addr line_addr, ChipId home,
+                          const AddressMap &map);
 
 /** SM-side: the requester's local slice serves; remote misses bypass
  *  the home LLC (Fig. 5, Fig. 6 SR path). */
-class SmSideRouting : public RoutingPolicy
-{
-  public:
-    RoutePlan route(Addr line_addr, ChipId src, ChipId home,
-                    const AddressMap &map) const override;
-    const char *name() const override { return "SM-side"; }
-};
+RoutePlan smSideRoute(Addr line_addr, ChipId src, ChipId home,
+                      const AddressMap &map);
 
 /**
  * Partitioned (Static L1.5 / Dynamic): local data is memory-side in
  * the local partition; remote data is cached requester-side in the
  * remote partition, with a second-level memory-side lookup at home.
  */
-class PartitionedRouting : public RoutingPolicy
-{
-  public:
-    RoutePlan route(Addr line_addr, ChipId src, ChipId home,
-                    const AddressMap &map) const override;
-    const char *name() const override { return "partitioned"; }
-};
+RoutePlan partitionedRoute(Addr line_addr, ChipId src, ChipId home,
+                           const AddressMap &map);
 
 /** Applies a RoutePlan's fields onto a request packet. */
 void applyRoute(Packet &pkt, const RoutePlan &plan);

@@ -36,11 +36,4 @@ Xbar::bytesDrained() const
     return total;
 }
 
-void
-Xbar::setPortBandwidth(double port_bw)
-{
-    for (auto &q : queues)
-        q.setBandwidth(port_bw);
-}
-
 } // namespace sac

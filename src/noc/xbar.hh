@@ -78,9 +78,6 @@ class Xbar
     std::size_t queued(int port) const;
     std::uint64_t bytesDrained() const;
 
-    /** Adjusts every port's bandwidth (sensitivity sweeps). */
-    void setPortBandwidth(double port_bw);
-
   private:
     std::vector<BwQueue> queues;
 };

@@ -17,7 +17,7 @@ decideWindow(const eab::ArchParams &arch, const SacParams &params,
     return d;
 }
 
-TenantSacService::TenantSacService(const GpuConfig &cfg, SacOrg &org,
+TenantSacService::TenantSacService(const GpuConfig &cfg, Organization &org,
                                    TenantHost &host)
     : cfg_(cfg),
       params_(cfg.sac),

@@ -102,8 +102,12 @@ class TenantHost
 class TenantSacService
 {
   public:
-    /** @p cfg must outlive the service (tenants are built from it). */
-    TenantSacService(const GpuConfig &cfg, SacOrg &org, TenantHost &host);
+    /**
+     * @p cfg must outlive the service (tenants are built from it);
+     * @p org is the machine's SAC organization, whose mode it flips.
+     */
+    TenantSacService(const GpuConfig &cfg, Organization &org,
+                     TenantHost &host);
 
     /** Re-arms the service for a run of @p streams kernel streams. */
     void reset(int streams);
@@ -172,7 +176,7 @@ class TenantSacService
     const GpuConfig &cfg_;
     SacParams params_;
     eab::ArchParams arch_;
-    SacOrg &org_;
+    Organization &org_;
     TenantHost &host_;
     std::vector<Tenant> tenants_;
 };

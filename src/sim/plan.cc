@@ -55,7 +55,10 @@ class KeyWriter
         out_ += v;
         out_ += ';';
     }
-    void field(const char *name, const char *v) { field(name, std::string(v)); }
+    void field(const char *name, const char *v)
+    {
+        field(name, std::string(v));
+    }
     void field(const char *name, std::uint64_t v)
     {
         field(name, std::to_string(v));
@@ -122,7 +125,7 @@ writeConfig(KeyWriter &w, const GpuConfig &cfg, OrgKind org)
         w.field("sac.crdWays", cfg.sac.crdWays);
         w.field("sac.reprofileInterval", cfg.sac.reprofileInterval);
     }
-    if (Organization::make(org)->dynamicPartitioning()) {
+    if (org == OrgKind::DynamicLlc) {
         w.field("dyn.epoch", cfg.dynamicLlc.epoch);
         w.field("dyn.step", cfg.dynamicLlc.step);
         w.field("dyn.minWays", cfg.dynamicLlc.minWays);

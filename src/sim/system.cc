@@ -51,7 +51,7 @@ System::System(const GpuConfig &cfg, OrgKind kind, TraceSource &trace)
       map(cfg.slicesPerChip, cfg.channelsPerChip, cfg.lineBytes),
       pages(cfg.pageBytes, cfg.numChips),
       trace_(trace),
-      org(Organization::make(kind)),
+      org(kind),
       coherence(cfg.coherence, cfg.numChips),
       icn(cfg.numChips, cfg.interChipBw, cfg.interChipLatency),
       chipDramSnapshot(static_cast<std::size_t>(cfg.numChips), 0),
@@ -60,9 +60,7 @@ System::System(const GpuConfig &cfg, OrgKind kind, TraceSource &trace)
 {
     cfg_.validate();
 
-    if (kind == OrgKind::Sac)
-        sacOrg = static_cast<SacOrg *>(org.get());
-    if (org->dynamicPartitioning()) {
+    if (org.dynamicPartitioning()) {
         dynCtrl = std::make_unique<DynamicPartitionController>(
             cfg_.dynamicLlc, cfg_.numChips, cfg_.llcWays);
     }
@@ -71,16 +69,16 @@ System::System(const GpuConfig &cfg, OrgKind kind, TraceSource &trace)
     for (ChipId c = 0; c < cfg_.numChips; ++c)
         chips.push_back(std::make_unique<Chip>(cfg_, map, c, trace_, *this));
 
-    const int split = org->initialWaySplit(cfg_.llcWays);
+    const int split = org.initialWaySplit(cfg_.llcWays);
     for (auto &chip : chips) {
         chip->setWaySplit(split);
-        chip->setDirectBypass(org->separateRemoteNoc());
+        chip->setDirectBypass(org.separateRemoteNoc());
     }
 
-    result.organization = org->name();
+    result.organization = org.name();
 
-    if (sacOrg)
-        sacSvc_ = std::make_unique<TenantSacService>(cfg_, *sacOrg, *this);
+    if (kind == OrgKind::Sac)
+        sacSvc_ = std::make_unique<TenantSacService>(cfg_, org, *this);
 }
 
 System::~System() = default;
@@ -120,18 +118,12 @@ System::counterTotals() const
 }
 
 std::string
-System::currentModeName() const
-{
-    return sacOrg ? toString(sacOrg->mode()) : org->name();
-}
-
-std::string
 System::occupancyDigest() const
 {
     std::ostringstream os;
     os << "occupancy digest @ cycle " << clock << ", kernel "
-       << currentKernel << ", org " << org->name() << ", mode "
-       << currentModeName() << "\n";
+       << currentKernel << ", org " << org.name() << ", mode "
+       << org.modeName() << "\n";
 
     const telemetry::Counters t = counterTotals();
     os << "  counters: llcRequests=" << t.llcRequests
@@ -176,8 +168,7 @@ System::injectMiss(Packet &&pkt, Cycle now)
     const ChipId home = pages.touch(pkt.lineAddr, pkt.srcChip);
     pkt.homeChip = home;
 
-    const RoutePlan plan =
-        org->routing().route(pkt.lineAddr, pkt.srcChip, home, map);
+    const RoutePlan plan = org.route(pkt.lineAddr, pkt.srcChip, home, map);
     applyRoute(pkt, plan);
 
     if (sacSvc_) {
@@ -205,7 +196,7 @@ System::icnSend(ChipId src, ChipId dst, Packet pkt)
 void
 System::handleWrite(const Packet &pkt, ChipId writer)
 {
-    if (!org->cachesRemoteData())
+    if (!org.cachesRemoteData())
         return;
     // Software coherence defers everything to kernel-boundary flushes.
     for (const ChipId target :
@@ -450,12 +441,10 @@ System::finishStreamKernel(int stream, int kernel_index,
     for (auto &chip : chips)
         chip->flushL1s(clusters.first, clusters.count);
 
-    const bool llc_needs_flush = org->cachesRemoteData() &&
+    const bool llc_needs_flush = org.cachesRemoteData() &&
                                  coherence.kind() == CoherenceKind::Software;
     if (llc_needs_flush) {
-        const bool replicas_only = org->kind() == OrgKind::StaticLlc ||
-                                   org->kind() == OrgKind::DynamicLlc;
-        const Cycle done = flushLlc(replicas_only);
+        const Cycle done = flushLlc(org.flushesReplicasOnly());
         result.flushStallCycles += done - clock;
         streamResults_[static_cast<std::size_t>(stream)].flushStallCycles +=
             done - clock;
@@ -559,7 +548,7 @@ System::control(bool jumped)
 {
     const int kernel = currentKernel;
     if (clock >= sampleDue())
-        sampler_->sample(counterTotals(), clock, kernel, currentModeName());
+        sampler_->sample(counterTotals(), clock, kernel, org.modeName());
     if (sacSvc_)
         sacSvc_->tick(clock);
     if (clock >= epochDue())
@@ -792,7 +781,7 @@ System::runStreams(std::vector<KernelStreamState> streams)
             // Close the partial tail epoch (flush stalls may have
             // advanced the clock past the last sample boundary).
             sampler_->finish(counterTotals(), clock,
-                             currentKernel, currentModeName());
+                             currentKernel, org.modeName());
             t.samples = sampler_->take();
         }
         if (eventTrace_)

@@ -359,8 +359,6 @@ class System : public ClusterEnv, public ChipHooks, public TenantHost
     void sampleOccupancy();
     /** Current counter totals in the Sampler's input shape. */
     telemetry::Counters counterTotals() const;
-    /** Mode tag for a sample: SAC's live mode, else the org name. */
-    std::string currentModeName() const;
 
     // --- TenantHost -------------------------------------------------------
     std::pair<std::uint64_t, std::uint64_t>
@@ -375,8 +373,7 @@ class System : public ClusterEnv, public ChipHooks, public TenantHost
     PageTable pages;
     TraceSource &trace_;
 
-    std::unique_ptr<Organization> org;
-    SacOrg *sacOrg = nullptr; // non-owning view when kind == Sac
+    Organization org;
     CoherenceManager coherence;
     std::unique_ptr<DynamicPartitionController> dynCtrl;
 

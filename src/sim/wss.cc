@@ -92,15 +92,4 @@ WorkingSetAnalyzer::measure(std::uint64_t window_accesses,
     return out;
 }
 
-std::vector<WorkingSetSample>
-WorkingSetAnalyzer::sweep(const std::vector<std::uint64_t> &window_sizes,
-                          std::uint64_t total_accesses)
-{
-    std::vector<WorkingSetSample> out;
-    out.reserve(window_sizes.size());
-    for (const auto w : window_sizes)
-        out.push_back(measure(w, total_accesses));
-    return out;
-}
-
 } // namespace sac

@@ -15,7 +15,6 @@
 #define SAC_SIM_WSS_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "common/config.hh"
 #include "workload/tracegen.hh"
@@ -53,11 +52,6 @@ class WorkingSetAnalyzer
      */
     WorkingSetSample measure(std::uint64_t window_accesses,
                              std::uint64_t total_accesses);
-
-    /** Runs measure() for each window size (Fig. 11's 1K..100K). */
-    std::vector<WorkingSetSample> sweep(
-        const std::vector<std::uint64_t> &window_sizes,
-        std::uint64_t total_accesses);
 
   private:
     const GpuConfig &cfg_;

@@ -70,15 +70,6 @@ struct EpochSample
                                  static_cast<double>(llcRequests)
                            : 0.0;
     }
-    /** Responses per cycle, all origins (the effective-bandwidth axis). */
-    double responsesPerCycle() const
-    {
-        const Cycle c = cycles();
-        return c ? static_cast<double>(respLocalLlc + respRemoteLlc +
-                                       respLocalMem + respRemoteMem) /
-                       static_cast<double>(c)
-                 : 0.0;
-    }
 };
 
 /** Discrete event kinds recorded by the EventTrace. */

@@ -27,9 +27,10 @@ namespace sac {
  *
  * Locality is modelled per region as a *hot set*: a fraction
  * `XHotFrac` of the region's accesses goes uniformly to a hot subset
- * of `XHotMB` megabytes, the rest uniformly to the whole region. Hot
- * sets are sized between L1 and LLC reach, which is what makes the
- * LLC organization matter (a Zipf head would be absorbed by the L1s).
+ * of `XHotMB` megabytes, the rest uniformly to the rest of the
+ * region. Hot sets are sized between L1 and LLC reach, which is what
+ * makes the LLC organization matter (a Zipf head would be absorbed
+ * by the L1s).
  * Hot-set sizes are full-scale MB and are scaled together with the
  * footprint by WorkloadProfile::scaledData().
  */

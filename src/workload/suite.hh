@@ -7,13 +7,13 @@
  * characterization from Sections 1, 2 and 5.3:
  *
  *  - SM-side preferred (top half): most accesses go to shared data;
- *    the truly shared *hot* set is small (high Zipf skew) so SM-side
- *    replication fits, and the falsely shared set is large — caching
- *    it locally is pure win.
+ *    the truly shared *hot* set is small (1-2 MB) and takes nearly
+ *    all truly shared accesses, so SM-side replication fits, and the
+ *    falsely shared set is large — caching it locally is pure win.
  *  - Memory-side preferred (bottom half): private data dominates the
- *    access stream, while the truly shared working set is large and
- *    flat (low skew) — replicating it under an SM-side LLC exceeds
- *    capacity and thrashes (Fig. 11).
+ *    access stream, while the truly shared hot set is large (mostly
+ *    6-8 MB) — replicating it under an SM-side LLC exceeds capacity
+ *    and thrashes (Fig. 11).
  *  - Atypical benchmarks (3DC, BS, BP, DWT) sit near the boundary.
  */
 

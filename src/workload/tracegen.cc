@@ -31,8 +31,7 @@ SharingTraceGen::SharingTraceGen(const WorkloadProfile &profile,
       lineBytes(cfg.lineBytes),
       pageBytes(cfg.pageBytes),
       linesPerPage(cfg.linesPerPage()),
-      sectorsPerLine(cfg.sectorsPerLine),
-      ctas(profile.ctas ? profile.ctas : 1, cfg.numChips)
+      sectorsPerLine(cfg.sectorsPerLine)
 {
     trueLines_ = mbToLines(profile.trueSharedMB, lineBytes);
     const auto false_lines = mbToLines(profile.falseSharedMB, lineBytes);

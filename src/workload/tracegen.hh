@@ -7,13 +7,16 @@
  *
  *   [ truly shared | falsely shared | chip 0 private | chip 1 ... ]
  *
- * Truly shared lines are drawn by every chip from the same Zipf
- * distribution (so they get accessed, and under an SM-side LLC
- * replicated, by all chips). Falsely shared pages are shared at page
- * granularity but each chip only touches its own interleaved lines
- * within them. Private lines are touched only by the owning chip,
- * whose CTA block covers that slice of the data (distributed CTA
- * scheduling).
+ * Every region is drawn from as a hot set: with probability
+ * `*HotFrac` uniformly from its first `*HotMB`, otherwise uniformly
+ * from the rest of the region. Truly shared lines are drawn by every
+ * chip from the same distribution (so they get accessed, and under an
+ * SM-side LLC replicated, by all chips). Falsely shared pages are
+ * shared at page granularity but each chip only touches its own
+ * interleaved lines within them. Private lines are touched only by
+ * the owning chip: its private region stands for the data its block
+ * of CTAs works on, which is how the generator models distributed
+ * CTA scheduling.
  *
  * First-touch page placement then spreads shared pages across memory
  * partitions (whichever chip reaches a page first homes it) while
@@ -29,7 +32,6 @@
 
 #include "common/config.hh"
 #include "common/rng.hh"
-#include "gpu/cta_scheduler.hh"
 #include "gpu/kernel.hh"
 #include "workload/profile.hh"
 
@@ -98,7 +100,6 @@ class SharingTraceGen : public TraceSource
     std::uint64_t hotFalsePages = 0;
     std::uint64_t hotPrivLines = 0;
 
-    CtaScheduler ctas;
     std::vector<Rng> rngs;
 
     /** Per-warp ring of recently touched lines (reread modelling). */

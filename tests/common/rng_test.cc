@@ -1,8 +1,6 @@
-/** @file Unit and property tests for the deterministic RNG and Zipf. */
+/** @file Unit and property tests for the deterministic RNG. */
 
 #include <gtest/gtest.h>
-
-#include <vector>
 
 #include "common/rng.hh"
 
@@ -68,50 +66,6 @@ TEST(Rng, BernoulliMatchesProbability)
     for (int i = 0; i < 100000; ++i)
         hits += rng.nextBool(0.3) ? 1 : 0;
     EXPECT_NEAR(hits / 100000.0, 0.3, 0.01);
-}
-
-TEST(Zipf, AlphaZeroIsUniform)
-{
-    ZipfSampler z(100, 0.0);
-    Rng rng(11);
-    std::vector<int> counts(100, 0);
-    for (int i = 0; i < 100000; ++i)
-        ++counts[z.sample(rng)];
-    for (const int c : counts) {
-        EXPECT_GT(c, 700);
-        EXPECT_LT(c, 1300);
-    }
-}
-
-TEST(Zipf, SkewConcentratesOnHead)
-{
-    ZipfSampler z(10000, 1.2);
-    Rng rng(13);
-    std::uint64_t head = 0;
-    const int n = 100000;
-    for (int i = 0; i < n; ++i)
-        head += z.sample(rng) < 100 ? 1 : 0;
-    // With alpha=1.2, the top-1% ranks absorb well over a third of
-    // the draws.
-    EXPECT_GT(head, static_cast<std::uint64_t>(n) * 35 / 100);
-}
-
-TEST(Zipf, SamplesAlwaysInRange)
-{
-    for (double alpha : {0.0, 0.5, 1.0, 1.5}) {
-        ZipfSampler z(37, alpha);
-        Rng rng(17);
-        for (int i = 0; i < 5000; ++i)
-            EXPECT_LT(z.sample(rng), 37u);
-    }
-}
-
-TEST(Zipf, LargePopulationWorks)
-{
-    ZipfSampler z(10'000'000, 0.9);
-    Rng rng(19);
-    for (int i = 0; i < 1000; ++i)
-        EXPECT_LT(z.sample(rng), 10'000'000u);
 }
 
 } // namespace

@@ -59,17 +59,6 @@ TEST(WarpScheduler, WakeBeyondKeyRangePanics)
     EXPECT_THROW(s.wake(0, cycleNever), PanicError);
 }
 
-TEST(WarpScheduler, DeferKeepsGreedyWarpAtFront)
-{
-    WarpScheduler s(2);
-    s.wake(0, 0);
-    s.wake(1, 0);
-    s.advance(0);
-    EXPECT_EQ(s.peek(), 0);
-    s.defer(0);
-    EXPECT_EQ(s.peek(), 0); // GTO: same warp retried
-}
-
 TEST(WarpScheduler, DuplicateWakesCollapse)
 {
     WarpScheduler s(2);

@@ -84,20 +84,5 @@ TEST(InterChip, SelfSendPanics)
     EXPECT_THROW(icn.send(0, 5, pkt(8), 0), PanicError);
 }
 
-TEST(InterChip, SetEgressBandwidth)
-{
-    InterChipNet icn(2, 8.0, 0);
-    icn.setEgressBandwidth(4096.0);
-    for (int i = 0; i < 8; ++i)
-        icn.send(0, 1, pkt(128), 0);
-    icn.beginCycle();
-    icn.tick(0);
-    Packet out;
-    int n = 0;
-    while (icn.receive(1, out, 0))
-        ++n;
-    EXPECT_EQ(n, 8);
-}
-
 } // namespace
 } // namespace sac

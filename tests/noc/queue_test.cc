@@ -214,19 +214,5 @@ TEST(BwQueue, AtRestMeansEmptyWithAFullBudget)
     EXPECT_EQ(refills, 16); // -112 + 16 * 8 = 16 = 2 * bw
 }
 
-TEST(BwQueue, SetBandwidthTakesEffect)
-{
-    BwQueue q(8.0, 0);
-    q.setBandwidth(1024.0);
-    for (int i = 0; i < 4; ++i)
-        q.push(pkt(128), 0);
-    q.beginCycle();
-    Packet out;
-    int n = 0;
-    while (q.tryPop(out, 0))
-        ++n;
-    EXPECT_EQ(n, 4);
-}
-
 } // namespace
 } // namespace sac

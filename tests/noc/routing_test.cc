@@ -1,4 +1,4 @@
-/** @file Unit tests for the configurable routing policies (Fig. 6). */
+/** @file Unit tests for the routing rules (Fig. 6). */
 
 #include <gtest/gtest.h>
 
@@ -18,8 +18,7 @@ class RoutingTest : public ::testing::Test
 
 TEST_F(RoutingTest, MemorySideServesAtHome)
 {
-    MemorySideRouting r;
-    const auto plan = r.route(0x1000, /*src=*/0, /*home=*/3, map);
+    const auto plan = memorySideRoute(0x1000, /*home=*/3, map);
     EXPECT_EQ(plan.serveChip, 3);
     EXPECT_EQ(plan.slice, map.sliceIndex(0x1000));
     EXPECT_EQ(plan.allocPartition, partitionLocal);
@@ -29,27 +28,25 @@ TEST_F(RoutingTest, MemorySideServesAtHome)
 
 TEST_F(RoutingTest, SmSideServesLocallyAndBypassesRemoteHome)
 {
-    SmSideRouting r;
-    const auto remote = r.route(0x1000, 0, 3, map);
+    const auto remote = smSideRoute(0x1000, /*src=*/0, /*home=*/3, map);
     EXPECT_EQ(remote.serveChip, 0);
     EXPECT_TRUE(remote.bypassHomeLlc);
     EXPECT_FALSE(remote.homeLookup);
 
-    const auto local = r.route(0x1000, 2, 2, map);
+    const auto local = smSideRoute(0x1000, 2, 2, map);
     EXPECT_EQ(local.serveChip, 2);
     EXPECT_FALSE(local.bypassHomeLlc);
 }
 
 TEST_F(RoutingTest, PartitionedUsesRemotePartitionAndHomeLookup)
 {
-    PartitionedRouting r;
-    const auto remote = r.route(0x2000, 1, 3, map);
+    const auto remote = partitionedRoute(0x2000, 1, 3, map);
     EXPECT_EQ(remote.serveChip, 1);
     EXPECT_EQ(remote.allocPartition, partitionRemote);
     EXPECT_TRUE(remote.homeLookup);
     EXPECT_EQ(remote.homeAllocPartition, partitionLocal);
 
-    const auto local = r.route(0x2000, 3, 3, map);
+    const auto local = partitionedRoute(0x2000, 3, 3, map);
     EXPECT_EQ(local.serveChip, 3);
     EXPECT_EQ(local.allocPartition, partitionLocal);
     EXPECT_FALSE(local.homeLookup);
@@ -57,8 +54,7 @@ TEST_F(RoutingTest, PartitionedUsesRemotePartitionAndHomeLookup)
 
 TEST_F(RoutingTest, ApplyRouteCopiesFields)
 {
-    PartitionedRouting r;
-    const auto plan = r.route(0x3000, 0, 2, map);
+    const auto plan = partitionedRoute(0x3000, 0, 2, map);
     Packet pkt;
     pkt.lineAddr = 0x3000;
     applyRoute(pkt, plan);
@@ -73,18 +69,10 @@ TEST_F(RoutingTest, SliceChoiceIsChipAgnostic)
 {
     // The same line maps to the same slice index on every chip, which
     // is what lets SM-side replicas live in same-index slices.
-    MemorySideRouting mem;
-    SmSideRouting sm;
     for (Addr a = 0; a < 64 * 128; a += 128) {
-        EXPECT_EQ(mem.route(a, 0, 2, map).slice, sm.route(a, 1, 2, map).slice);
+        EXPECT_EQ(memorySideRoute(a, 2, map).slice,
+                  smSideRoute(a, 1, 2, map).slice);
     }
-}
-
-TEST_F(RoutingTest, PolicyNames)
-{
-    EXPECT_STREQ(MemorySideRouting{}.name(), "memory-side");
-    EXPECT_STREQ(SmSideRouting{}.name(), "SM-side");
-    EXPECT_STREQ(PartitionedRouting{}.name(), "partitioned");
 }
 
 } // namespace

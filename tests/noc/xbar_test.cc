@@ -79,19 +79,5 @@ TEST(Xbar, BadPortPanics)
     EXPECT_THROW(x.push(-1, pkt(8), 0), PanicError);
 }
 
-TEST(Xbar, SetPortBandwidth)
-{
-    Xbar x(1, 8.0, 0);
-    x.setPortBandwidth(512.0);
-    for (int i = 0; i < 4; ++i)
-        x.push(0, pkt(128), 0);
-    x.beginCycle();
-    Packet out;
-    int n = 0;
-    while (x.tryPop(0, out, 0))
-        ++n;
-    EXPECT_EQ(n, 4);
-}
-
 } // namespace
 } // namespace sac

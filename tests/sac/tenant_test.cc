@@ -121,7 +121,7 @@ poll(TenantSacService &svc, Cycle now)
     svc.tick(now);
 }
 
-/** Fixture: one service over a SacOrg and a fake host. */
+/** Fixture: one service over a SAC organization and a fake host. */
 class SacControl
 {
   public:
@@ -161,7 +161,7 @@ class SacControl
     }
 
     GpuConfig config;
-    SacOrg org;
+    Organization org{OrgKind::Sac};
     FakeHost host;
     TenantSacService svc;
 };

@@ -39,10 +39,11 @@ TEST(WorkingSet, LargerWindowsSeeLargerWorkingSets)
     auto c = cfg();
     SharingTraceGen gen(profile(), c, 1);
     WorkingSetAnalyzer wss(c, gen);
-    const auto sweep = wss.sweep({1000, 4000, 16000}, 64000);
-    ASSERT_EQ(sweep.size(), 3u);
-    EXPECT_LT(sweep[0].totalMB(), sweep[1].totalMB());
-    EXPECT_LT(sweep[1].totalMB(), sweep[2].totalMB());
+    const auto small = wss.measure(1000, 64000);
+    const auto medium = wss.measure(4000, 64000);
+    const auto large = wss.measure(16000, 64000);
+    EXPECT_LT(small.totalMB(), medium.totalMB());
+    EXPECT_LT(medium.totalMB(), large.totalMB());
 }
 
 TEST(WorkingSet, AllClassesPresent)

@@ -1,21 +1,23 @@
-# Runs `sacsim ARGS` and passes only when sacsim exits with CODE (any
-# non-zero code when CODE is empty) and its stdout+stderr contains
-# every |-separated substring of EXPECT, in that order:
+# Runs `TOOL ARGS` (the built sacsim or sacsimd) and passes only when
+# it exits with CODE (any non-zero code when CODE is empty) and its
+# stdout+stderr contains every |-separated substring of EXPECT, in
+# that order:
 #
-#   cmake -DSACSIM=path/to/sacsim "-DARGS=--sectors x" -DCODE= \
+#   cmake -DTOOL=path/to/sacsim "-DARGS=--sectors x" -DCODE= \
 #         -DEXPECT=--sectors -P sacsim_cli.cmake
+get_filename_component(tool "${TOOL}" NAME)
 separate_arguments(args UNIX_COMMAND "${ARGS}")
-execute_process(COMMAND ${SACSIM} ${args}
+execute_process(COMMAND ${TOOL} ${args}
                 RESULT_VARIABLE code
                 OUTPUT_VARIABLE out
                 ERROR_VARIABLE err)
 set(output "${out}${err}")
 if (CODE STREQUAL "")
     if (code EQUAL 0)
-        message(FATAL_ERROR "sacsim ${ARGS} exited 0:\n${output}")
+        message(FATAL_ERROR "${tool} ${ARGS} exited 0:\n${output}")
     endif()
 elseif (NOT code EQUAL CODE)
-    message(FATAL_ERROR "sacsim ${ARGS} exited ${code}, not ${CODE}:\n"
+    message(FATAL_ERROR "${tool} ${ARGS} exited ${code}, not ${CODE}:\n"
                         "${output}")
 endif()
 string(REPLACE "|" ";" expected "${EXPECT}")
@@ -23,7 +25,7 @@ set(rest "${output}")
 foreach(text IN LISTS expected)
     string(FIND "${rest}" "${text}" at)
     if (at EQUAL -1)
-        message(FATAL_ERROR "sacsim ${ARGS} exited ${code}; expected "
+        message(FATAL_ERROR "${tool} ${ARGS} exited ${code}; expected "
                             "'${text}' (in the order '${EXPECT}'):\n"
                             "${output}")
     endif()

@@ -32,7 +32,6 @@
  *   sacsim --benchmark RN --org mem,sm --coherence hw --sectors 4 --stats
  */
 
-#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -41,8 +40,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <system_error>
 
+#include "cli.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 #include "service/result_cache.hh"
@@ -57,6 +56,7 @@
 namespace {
 
 using namespace sac;
+using cli::number;
 
 struct Options
 {
@@ -149,26 +149,6 @@ flagOf(const std::string &key)
         {"coherence", "--coherence"},     {"sectors", "--sectors"},
         {"interChipBw", "--interchip-bw"}, {"apw", "--apw"}};
     return flags.at(key);
-}
-
-/**
- * Parses @p text, the value given to @p flag, as a T. The whole text
- * must be one number that fits T: trailing text, a sign on an
- * unsigned flag and a value outside T's range are rejected, and the
- * message names the flag.
- */
-template <typename T>
-T
-number(const std::string &flag, const std::string &text)
-{
-    T value{};
-    const char *end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-    if (ec == std::errc::result_out_of_range)
-        fatal("value '", text, "' for ", flag, " is out of range");
-    if (ec != std::errc() || ptr != end)
-        fatal("invalid value '", text, "' for ", flag);
-    return value;
 }
 
 Options

@@ -31,15 +31,18 @@
  * layout.
  */
 
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "cli.hh"
 #include "service/daemon.hh"
 
 namespace {
 
 using namespace sac;
+using cli::number;
 
 [[noreturn]] void
 usage(int code)
@@ -146,27 +149,24 @@ run(int argc, char **argv)
         else if (arg == "--cache")
             options.cacheDir = value();
         else if (arg == "--jobs")
-            options.jobs = static_cast<unsigned>(std::stoul(value()));
+            options.jobs = number<unsigned>(arg, value());
         else if (arg == "--connections")
-            options.connections =
-                static_cast<unsigned>(std::stoul(value()));
+            options.connections = number<unsigned>(arg, value());
         else if (arg == "--max-sessions")
-            options.maxSessions =
-                static_cast<unsigned>(std::stoul(value()));
+            options.maxSessions = number<unsigned>(arg, value());
         else if (arg == "--plan-queue")
-            options.planQueue =
-                static_cast<unsigned>(std::stoul(value()));
+            options.planQueue = number<unsigned>(arg, value());
         else if (arg == "--max-plan-wall-ms")
-            options.maxPlanWallMs = std::stoull(value());
+            options.maxPlanWallMs = number<std::uint64_t>(arg, value());
         else if (arg == "--drain-ms")
-            options.drainMs = std::stoull(value());
+            options.drainMs = number<std::uint64_t>(arg, value());
         else if (arg == "--max-line-bytes")
-            options.maxLineBytes =
-                static_cast<std::size_t>(std::stoull(value()));
+            options.maxLineBytes = number<std::size_t>(arg, value());
         else if (arg == "--cache-max-bytes")
-            options.cacheBudget.maxBytes = std::stoull(value());
+            options.cacheBudget.maxBytes = number<std::uint64_t>(arg, value());
         else if (arg == "--cache-max-entries")
-            options.cacheBudget.maxEntries = std::stoull(value());
+            options.cacheBudget.maxEntries =
+                number<std::uint64_t>(arg, value());
         else if (arg == "--prune-only")
             pruneMode = true;
         else if (arg == "--verify-cache")
