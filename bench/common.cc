@@ -38,25 +38,13 @@ class MemoryCache final : public JobCache
     std::unordered_map<std::string, RunRecord> records_;
 };
 
-/** $SAC_JOBS if set, otherwise 0 (every hardware thread). */
-unsigned
-benchJobs()
-{
-    if (const char *env = std::getenv("SAC_JOBS")) {
-        const long n = std::strtol(env, nullptr, 10);
-        if (n > 0)
-            return static_cast<unsigned>(n);
-    }
-    return 0; // engine picks hardware_concurrency()
-}
-
 } // namespace
 
 std::vector<RunRecord>
 runPlan(const ExperimentPlan &plan)
 {
     static MemoryCache cache;
-    ExperimentEngine engine(benchJobs());
+    ExperimentEngine engine(workers);
     engine.setCache(&cache);
     engine.onProgress([](const EngineProgress &p) {
         std::cerr << "  [" << p.completed << "/" << p.total << "] "

@@ -41,12 +41,17 @@ defaultConfig()
 }
 
 /**
- * Runs @p plan on $SAC_JOBS workers (default: every hardware thread)
- * with a stderr progress line per job and returns the records in plan
- * order. A job whose canonical key an earlier plan of this process
- * already ran is served from memory instead of simulated. Exits 1
- * after printing "label: status: diagnostic" for every record that
- * is not ok.
+ * Worker count of every runPlan() engine; 0, the default, is every
+ * hardware thread. bench/figures sets it from SAC_JOBS.
+ */
+inline unsigned workers = 0;
+
+/**
+ * Runs @p plan on `workers` threads with a stderr progress line per
+ * job and returns the records in plan order. A job whose canonical
+ * key an earlier plan of this process already ran is served from
+ * memory instead of simulated. Exits 1 after printing
+ * "label: status: diagnostic" for every record that is not ok.
  */
 std::vector<RunRecord> runPlan(const ExperimentPlan &plan);
 

@@ -73,8 +73,14 @@ struct DynamicLlcParams
 };
 
 /**
- * Full system configuration. Defaults are the paper baseline scaled
- * down 4x (see scaled()); all counts are per chip unless noted.
+ * Full system configuration; all counts are per chip unless noted.
+ *
+ * The member defaults are a small test machine that only tests
+ * construct. They are not scaled(4): every program (sacsim, sacsimd,
+ * bench/figures, perfbench and the examples) builds its machine with
+ * scaled(), at scale 4 unless told otherwise, and scaled(4) differs
+ * from the defaults, e.g. 256 KB of L1 per cluster instead of 64 KB
+ * and a 16,384-cycle profiling window instead of 2,048.
  */
 struct GpuConfig
 {

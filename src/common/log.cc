@@ -5,27 +5,11 @@
 namespace sac {
 namespace log_detail {
 
-namespace {
-bool quietFlag = false;
-} // namespace
-
 void
 emit(const char *tag, const std::string &msg)
 {
     std::fprintf(stderr, "[%s] %s\n", tag, msg.c_str());
     std::fflush(stderr);
-}
-
-void
-setQuiet(bool quiet)
-{
-    quietFlag = quiet;
-}
-
-bool
-quiet()
-{
-    return quietFlag;
 }
 
 } // namespace log_detail

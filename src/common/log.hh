@@ -4,8 +4,7 @@
  *
  * panic()  — simulator bug; should never happen regardless of input.
  * fatal()  — user error (bad configuration, invalid arguments).
- * warn()   — something works, but suspiciously.
- * inform() — plain status output.
+ * warn()   — something works, but suspiciously (stderr).
  *
  * panic/fatal/invalid only throw typed exceptions, instead of aborting
  * or printing, so that unit tests can assert on misuse and every error
@@ -79,10 +78,6 @@ concat(Args &&...args)
 
 void emit(const char *tag, const std::string &msg);
 
-/** Enables or disables inform()/warn() console output (tests use this). */
-void setQuiet(bool quiet);
-bool quiet();
-
 } // namespace log_detail
 
 /** An internal simulator bug: throws PanicError. */
@@ -118,17 +113,7 @@ template <typename... Args>
 void
 warn(Args &&...args)
 {
-    if (!log_detail::quiet())
-        log_detail::emit("warn", log_detail::concat(std::forward<Args>(args)...));
-}
-
-/** Emits a plain informational message. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    if (!log_detail::quiet())
-        log_detail::emit("info", log_detail::concat(std::forward<Args>(args)...));
+    log_detail::emit("warn", log_detail::concat(std::forward<Args>(args)...));
 }
 
 /** panic() unless the condition holds. */

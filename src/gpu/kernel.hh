@@ -8,6 +8,12 @@
  * (see DESIGN.md, substitution table). A TraceSource synthesizes the
  * access stream for each (chip, cluster, warp); the workload library
  * provides generators parameterized by the paper's Table 4.
+ *
+ * Distributed CTA scheduling (Arunkumar et al.: contiguous CTA blocks
+ * per chip) needs no mapping here: the trace generator's per-chip
+ * private regions model it (workload/tracegen.hh). Co-resident kernel
+ * streams split each chip's clusters into ClusterRanges
+ * (Scenario::clusterRanges).
  */
 
 #ifndef SAC_GPU_KERNEL_HH
@@ -67,6 +73,13 @@ struct KernelDescriptor
     std::uint64_t accessesPerWarp = 128;
     /** Kernel stream this invocation belongs to (0 in a plain run). */
     int stream = 0;
+};
+
+/** SM clusters [first, first+count) of every chip: one stream's share. */
+struct ClusterRange
+{
+    std::uint64_t first = 0;
+    std::uint64_t count = 0;
 };
 
 } // namespace sac

@@ -54,13 +54,13 @@ LlcSlice::tick(Cycle now, SliceEnv &env)
     vcQ.beginCycle();
 
     // Retry misses that found the memory-controller queue full.
-    drainMissQ(now, env);
+    drainMissQ(env);
 
     // Fills first: they free MSHRs and wake the most waiters.
     while (budget > 0.0 && !fillQ.empty()) {
         Packet pkt = fillQ.front();
         fillQ.pop_front();
-        processFill(pkt, now, env);
+        processFill(pkt, env);
     }
 
     // Second virtual channel: home-level lookups, bypass traffic and
@@ -101,7 +101,7 @@ LlcSlice::tick(Cycle now, SliceEnv &env)
             continue;
         }
         SAC_ASSERT(pkt.atHome, "first-level request on the home VC");
-        processRequest(pkt, now, env);
+        processRequest(pkt, env);
     }
 
     // First-level requests from the crossbar port.
@@ -119,7 +119,7 @@ LlcSlice::tick(Cycle now, SliceEnv &env)
         }
         Packet pkt = *head;
         inQ.popHead();
-        processRequest(pkt, now, env);
+        processRequest(pkt, env);
     }
 }
 
@@ -134,7 +134,7 @@ LlcSlice::missWouldStall(const MshrFile &file, const Packet &head) const
 }
 
 void
-LlcSlice::processRequest(Packet pkt, Cycle now, SliceEnv &env)
+LlcSlice::processRequest(Packet pkt, SliceEnv &env)
 {
     ++stats_.requests;
     const auto stream = static_cast<std::size_t>(pkt.stream);
@@ -186,13 +186,12 @@ LlcSlice::processRequest(Packet pkt, Cycle now, SliceEnv &env)
         ++stats_.mshrMerges;
         return;
     }
-    forwardMiss(pkt, now, env);
+    forwardMiss(pkt, env);
 }
 
 void
-LlcSlice::forwardMiss(Packet pkt, Cycle now, SliceEnv &env)
+LlcSlice::forwardMiss(Packet pkt, SliceEnv &env)
 {
-    (void)now;
     Packet req = pkt;
     req.bytes = requestBytes;
     if (pkt.homeChip == chip_) {
@@ -218,9 +217,8 @@ LlcSlice::forwardMiss(Packet pkt, Cycle now, SliceEnv &env)
 }
 
 void
-LlcSlice::drainMissQ(Cycle now, SliceEnv &env)
+LlcSlice::drainMissQ(SliceEnv &env)
 {
-    (void)now;
     while (!missQ.empty() && env.memCanAccept(missQ.front().lineAddr)) {
         env.memPush(missQ.front());
         missQ.pop_front();
@@ -228,10 +226,8 @@ LlcSlice::drainMissQ(Cycle now, SliceEnv &env)
 }
 
 void
-LlcSlice::emitWriteback(Addr line_addr, ChipId home, Cycle now,
-                        SliceEnv &env)
+LlcSlice::emitWriteback(Addr line_addr, ChipId home, SliceEnv &env)
 {
-    (void)now;
     ++stats_.writebacks;
     Packet wb;
     wb.kind = PacketKind::Writeback;
@@ -255,7 +251,7 @@ LlcSlice::emitWriteback(Addr line_addr, ChipId home, Cycle now,
 }
 
 void
-LlcSlice::processFill(const Packet &pkt, Cycle now, SliceEnv &env)
+LlcSlice::processFill(const Packet &pkt, SliceEnv &env)
 {
     ++stats_.fills;
     budget -= static_cast<double>(sectorBytes);
@@ -273,7 +269,7 @@ LlcSlice::processFill(const Packet &pkt, Cycle now, SliceEnv &env)
         if (evict.home != chip_)
             env.directoryEvict(evict.lineAddr, chip_);
         if (evict.dirty)
-            emitWriteback(evict.lineAddr, evict.home, now, env);
+            emitWriteback(evict.lineAddr, evict.home, env);
     }
     if (pkt.homeChip != chip_)
         env.directoryFill(pkt.lineAddr, chip_);

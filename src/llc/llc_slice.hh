@@ -149,11 +149,11 @@ class LlcSlice
      * and the array does not hold it.
      */
     bool missWouldStall(const MshrFile &file, const Packet &head) const;
-    void processRequest(Packet pkt, Cycle now, SliceEnv &env);
-    void processFill(const Packet &pkt, Cycle now, SliceEnv &env);
-    void forwardMiss(Packet pkt, Cycle now, SliceEnv &env);
-    void drainMissQ(Cycle now, SliceEnv &env);
-    void emitWriteback(Addr line_addr, ChipId home, Cycle now, SliceEnv &env);
+    void processRequest(Packet pkt, SliceEnv &env);
+    void processFill(const Packet &pkt, SliceEnv &env);
+    void forwardMiss(Packet pkt, SliceEnv &env);
+    void drainMissQ(SliceEnv &env);
+    void emitWriteback(Addr line_addr, ChipId home, SliceEnv &env);
     void respond(Packet resp, SliceEnv &env);
 
     ChipId chip_;

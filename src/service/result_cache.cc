@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -39,17 +40,6 @@ hashName(const ExperimentJob &job)
     return hexHashName(contentHash(job));
 }
 
-/** Parses an entry's text; a JSON error means a torn or corrupt file. */
-json::Value
-parseEntry(const std::string &text)
-{
-    try {
-        return json::parse(text);
-    } catch (const std::exception &e) {
-        throw FatalError(std::string("torn or corrupt: ") + e.what());
-    }
-}
-
 /** True for "<hex>.json" entry files; temporaries ("*.tmp.*") and
  *  the lockfile never match. */
 bool
@@ -61,64 +51,109 @@ isEntryName(const std::string &name)
 }
 
 /** The model fingerprint a canonical key carries, "" when none. */
-std::string
-keyModel(const std::string &key)
+std::string_view
+keyModel(std::string_view key)
 {
-    const std::string field = ";model=";
+    const std::string_view field = ";model=";
     const std::size_t at = key.find(field);
-    if (at == std::string::npos)
+    if (at == std::string_view::npos)
         return {};
     const std::size_t begin = at + field.size();
     return key.substr(begin, key.find(';', begin) - begin);
 }
 
 /** canaryDigest as canonicalJobKey() prints it. */
-std::string
+const std::string &
 currentModel()
 {
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(canaryDigest));
-    return buf;
+    static const std::string model = [] {
+        char buf[20];
+        std::snprintf(buf, sizeof(buf), "%016llx",
+                      static_cast<unsigned long long>(canaryDigest));
+        return std::string(buf);
+    }();
+    return model;
 }
 
-/** What verify() makes of one entry file. */
-enum class EntryState { Current, Stale, Rejected };
+/** What one entry file is to this build. */
+enum class EntryState
+{
+    Missing,  //!< no file to open
+    Current,  //!< intact, this plan schema and model
+    Stale,    //!< intact, another plan schema or model
+    Rejected, //!< torn, corrupt or wrong-schema
+};
+
+/** One entry file as readEntry() found it. */
+struct StoredEntry
+{
+    EntryState state = EntryState::Missing;
+    /** Why the entry is stale or rejected. */
+    std::string why;
+    /** The canonical key the entry stores (Current and Stale). */
+    std::string key;
+    RunRecord record;
+};
 
 /**
- * The same tolerance as lookup(), minus the job to compare against:
- * instead, the filename must equal the hash of the canonical key the
- * entry itself stores. An intact entry of another plan schema or
- * model is stale: no lookup of this build can reach it.
+ * Reads and checks one entry: the sac.cache.v1 schema, then "plan",
+ * "key" and "record". An intact entry of another plan schema or model
+ * is stale: no lookup of this build can reach it.
  */
-EntryState
-classifyEntry(const fs::path &path)
+StoredEntry
+readEntry(const fs::path &path)
 {
+    StoredEntry e;
+    std::ifstream is(path);
+    if (!is)
+        return e;
+    std::ostringstream buf;
+    buf << is.rdbuf();
+    e.state = EntryState::Rejected;
+    json::Value doc;
     try {
-        std::ifstream is(path);
-        if (!is)
-            throw FatalError("unreadable");
-        std::ostringstream buf;
-        buf << is.rdbuf();
-        const json::Value doc = json::parse(buf.str());
+        doc = json::parse(buf.str());
+    } catch (const std::exception &err) {
+        e.why = std::string("torn or corrupt: ") + err.what();
+        return e;
+    }
+    try {
         if (!doc.has("schema") ||
             doc.at("schema").asString() != cacheSchema) {
             throw FatalError("wrong cache entry schema");
         }
         if (!doc.has("plan") || !doc.has("key") || !doc.has("record"))
             throw FatalError("missing field");
-        (void)result_io::recordFromValue(doc.at("record"));
-        const std::string key = doc.at("key").asString();
-        if (hexHashName(contentHashOfKey(key)) != path.filename().string())
-            throw FatalError("filename / key hash mismatch");
-        if (doc.at("plan").asString() != planSchemaVersion ||
-            keyModel(key) != currentModel()) {
-            return EntryState::Stale;
-        }
-        return EntryState::Current;
-    } catch (const std::exception &) {
+        e.record = result_io::recordFromValue(doc.at("record"));
+        e.key = doc.at("key").asString();
+        if (doc.at("plan").asString() != planSchemaVersion)
+            e.why = "stale plan schema";
+        else if (keyModel(e.key) != currentModel())
+            e.why = "stale model";
+    } catch (const std::exception &err) {
+        e.why = err.what();
+        return e;
+    }
+    e.state = e.why.empty() ? EntryState::Current : EntryState::Stale;
+    return e;
+}
+
+/**
+ * What verify() and prune() make of one listed entry: readEntry()
+ * with the filename checked against the hash of the stored key. A
+ * file that vanished or cannot be opened counts as rejected.
+ */
+EntryState
+verifiedState(const fs::path &path)
+{
+    const StoredEntry e = readEntry(path);
+    if (e.state == EntryState::Missing)
+        return EntryState::Rejected;
+    if (e.state != EntryState::Rejected &&
+        hexHashName(contentHashOfKey(e.key)) != path.filename().string()) {
         return EntryState::Rejected;
     }
+    return e.state;
 }
 
 /** True for store() temporaries left behind by a crashed writer. */
@@ -176,51 +211,37 @@ std::optional<RunRecord>
 ResultCache::lookup(const ExperimentJob &job)
 {
     const std::string path = entryPath(job);
-    std::ifstream is(path);
-    if (!is) {
+    StoredEntry e = readEntry(path);
+    if (e.state == EntryState::Missing) {
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.misses;
         return std::nullopt;
     }
-    std::ostringstream buf;
-    buf << is.rdbuf();
+    if (e.state == EntryState::Current && e.key != canonicalJobKey(job)) {
+        e.state = EntryState::Rejected;
+        e.why = "canonical key mismatch";
+    }
 
     // Tolerant read: anything unusable — a torn write from a crashed
     // process, a corrupted byte, a stale schema, a hash collision —
     // is named on stderr and is a miss; the job re-simulates and the
     // store overwrites it.
-    try {
-        const json::Value doc = parseEntry(buf.str());
-        if (!doc.has("schema") ||
-            doc.at("schema").asString() != cacheSchema) {
-            throw FatalError("wrong cache entry schema");
-        }
-        if (!doc.has("plan") ||
-            doc.at("plan").asString() != planSchemaVersion) {
-            throw FatalError("stale plan schema");
-        }
-        if (!doc.has("key") ||
-            doc.at("key").asString() != canonicalJobKey(job)) {
-            throw FatalError("canonical key mismatch");
-        }
-        RunRecord rec = result_io::recordFromValue(doc.at("record"));
-        // Touch the entry so prune()'s mtime order is LRU, not FIFO.
-        // Best effort: a concurrent prune may have unlinked the file.
-        std::error_code touch_ec;
-        fs::last_write_time(path,
-                            std::filesystem::file_time_type::clock::now(),
-                            touch_ec);
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.hits;
-        return rec;
-    } catch (const std::exception &e) {
-        warn("result cache: rejected '", path, "' (", e.what(),
+    if (e.state != EntryState::Current) {
+        warn("result cache: rejected '", path, "' (", e.why,
              "); re-simulating");
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.rejected;
         ++stats_.misses;
         return std::nullopt;
     }
+    // Touch the entry so prune()'s mtime order is LRU, not FIFO. Best
+    // effort: a concurrent prune may have unlinked the file.
+    std::error_code touch_ec;
+    fs::last_write_time(path, std::filesystem::file_time_type::clock::now(),
+                        touch_ec);
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.hits;
+    return std::move(e.record);
 }
 
 void
@@ -345,7 +366,7 @@ ResultCache::prune(const Budget &budget, bool remove_stale)
         }
         if (!isEntryName(name))
             continue;
-        if (remove_stale && classifyEntry(path) == EntryState::Stale) {
+        if (remove_stale && verifiedState(path) == EntryState::Stale) {
             if (fs::remove(path, stat_ec))
                 ++report.staleEntries;
             continue;
@@ -412,11 +433,9 @@ ResultCache::verify() const
         if (!stat_ec)
             report.bytes += bytes;
 
-        switch (classifyEntry(path)) {
-          case EntryState::Current: break;
-          case EntryState::Stale: ++report.stale; break;
-          case EntryState::Rejected: ++report.rejected; break;
-        }
+        const EntryState state = verifiedState(path);
+        report.stale += state == EntryState::Stale;
+        report.rejected += state == EntryState::Rejected;
     }
     return report;
 }

@@ -4,6 +4,7 @@
 #include <iomanip>
 #include <ostream>
 #include <sstream>
+#include <tuple>
 
 #include "common/log.hh"
 #include "llc/flush_model.hh"
@@ -43,6 +44,34 @@ constexpr unsigned invalidateBytes = 16;
 /** The wall budget token's reason: checkCancel() tells a spent wall
  *  budget from a cancelled parent by it. */
 const char *const wallBudgetReason = "wall-clock budget spent";
+
+/**
+ * Adds the cluster-side counters of @p range on every chip to @p out
+ * (a RunResult or a StreamResult) and sets its average load latency
+ * from the summed integers.
+ */
+template <typename Result>
+void
+sumClusters(const std::vector<std::unique_ptr<Chip>> &chips,
+            const ClusterRange &range, Result &out)
+{
+    std::uint64_t lat_sum = 0;
+    std::uint64_t lat_n = 0;
+    for (const auto &chip : chips) {
+        for (std::uint64_t c = range.first; c < range.first + range.count;
+             ++c) {
+            const auto &cs = chip->cluster(static_cast<ClusterId>(c)).stats();
+            out.accesses += cs.accesses;
+            out.l1Hits += cs.l1Hits;
+            out.l1Misses += cs.l1Misses;
+            lat_sum += cs.loadLatencySum;
+            lat_n += cs.loadsCompleted;
+        }
+    }
+    out.avgLoadLatency =
+        lat_n ? static_cast<double>(lat_sum) / static_cast<double>(lat_n)
+              : 0.0;
+}
 
 } // namespace
 
@@ -299,7 +328,7 @@ System::tenantWindowClosed(int stream, const SacDecision &d,
                            double hit_rate)
 {
     result.sacDecisions.push_back(d);
-    streamResults_[static_cast<std::size_t>(stream)].sacDecisions.push_back(
+    streams_[static_cast<std::size_t>(stream)].result.sacDecisions.push_back(
         d);
     if (eventTrace_) {
         eventTrace_->windowClose(
@@ -383,13 +412,69 @@ System::flushLlc(bool replicas_only)
     return flush::flushDoneCycle(traffic, costs, clock, mem);
 }
 
-void
-System::launchStreamKernel(int stream, const KernelDescriptor &kernel,
-                           const CtaScheduler::Range &clusters)
+bool
+System::finished() const
 {
+    return std::all_of(streams_.begin(), streams_.end(),
+                       [](const StreamState &s) { return s.complete(); });
+}
+
+bool
+System::anyResident() const
+{
+    return std::any_of(streams_.begin(), streams_.end(),
+                       [](const StreamState &s) { return s.running; });
+}
+
+Cycle
+System::nextLaunch() const
+{
+    Cycle due = cycleNever;
+    for (const auto &s : streams_) {
+        if (!s.started() && s.launchAt < due)
+            due = s.launchAt;
+    }
+    return due;
+}
+
+void
+System::settle()
+{
+    bool progress = true;
+    while (progress) {
+        progress = false;
+        for (auto &s : streams_) {
+            if (!s.started() && clock >= s.launchAt) {
+                launchStreamKernel(s);
+                progress = true;
+            }
+        }
+        for (auto &s : streams_) {
+            if (!s.running)
+                continue;
+            const bool done = std::all_of(
+                chips.begin(), chips.end(), [&](const auto &chip) {
+                    return chip->clustersDone(s.clusters.first,
+                                              s.clusters.count);
+                });
+            if (done) {
+                finishStreamKernel(s);
+                if (!s.complete())
+                    launchStreamKernel(s);
+                progress = true;
+            }
+        }
+    }
+}
+
+void
+System::launchStreamKernel(StreamState &s)
+{
+    const KernelDescriptor &kernel = s.kernels[s.next];
+    const int stream = s.result.stream;
     trace_.beginStreamKernel(stream, kernel.index);
     for (auto &chip : chips) {
-        chip->beginKernel(clusters.first, clusters.count,
+        chip->beginKernel(s.clusters.first, s.clusters.count,
                           kernel.accessesPerWarp, clock);
     }
     // The livelock cap re-bases on any stream's launch.
@@ -414,18 +499,25 @@ System::launchStreamKernel(int stream, const KernelDescriptor &kernel,
                 chipIcnInBytes[static_cast<std::size_t>(chip->id())];
         }
     }
+
+    if (!s.started())
+        s.result.launchCycle = clock;
+    s.kernelStart = clock;
+    s.running = true;
+    ++s.next;
 }
 
 void
-System::finishStreamKernel(int stream, int kernel_index,
-                           const CtaScheduler::Range &clusters,
-                           Cycle kernel_start)
+System::finishStreamKernel(StreamState &s)
 {
-    const Cycle duration = clock - kernel_start;
+    const int kernel_index = s.kernels[s.next - 1].index;
+    const ClusterRange &clusters = s.clusters;
+    s.running = false;
+
+    const Cycle duration = clock - s.kernelStart;
     if (eventTrace_)
         eventTrace_->kernelEnd(kernel_index, clock, duration);
-    streamResults_[static_cast<std::size_t>(stream)].kernelCycles.push_back(
-        duration);
+    s.result.kernelCycles.push_back(duration);
     // The flat list keeps completion order across streams (the
     // per-stream split lives in RunResult::streams).
     result.kernelCycles.push_back(duration);
@@ -446,8 +538,7 @@ System::finishStreamKernel(int stream, int kernel_index,
     if (llc_needs_flush) {
         const Cycle done = flushLlc(org.flushesReplicasOnly());
         result.flushStallCycles += done - clock;
-        streamResults_[static_cast<std::size_t>(stream)].flushStallCycles +=
-            done - clock;
+        s.result.flushStallCycles += done - clock;
         if (eventTrace_) {
             eventTrace_->flush(kernel_index, clock, done - clock,
                                "kernel-boundary");
@@ -466,7 +557,9 @@ System::finishStreamKernel(int stream, int kernel_index,
         }
     }
     if (sacSvc_)
-        sacSvc_->endStreamKernel(stream, whole_machine);
+        sacSvc_->endStreamKernel(s.result.stream, whole_machine);
+    if (s.complete())
+        s.result.finishCycle = clock;
 }
 
 void
@@ -537,7 +630,7 @@ System::cycleLimitDue() const
 Cycle
 System::nextDeadline() const
 {
-    const Cycle due = std::min({ks_.nextLaunch(), sampleDue(), epochDue(),
+    const Cycle due = std::min({nextLaunch(), sampleDue(), epochDue(),
                                 occupancyDue(), cycleLimitDue()});
     // The tick at due - 1 raises the clock to due.
     return due == 0 || due == cycleNever ? due : due - 1;
@@ -555,7 +648,7 @@ System::control(bool jumped)
         dynamicEpochUpdate();
     if (clock >= occupancyDue())
         sampleOccupancy();
-    if (ks_.anyResident() && clock - lastLaunch_ > limits_.livelockCap()) {
+    if (anyResident() && clock - lastLaunch_ > limits_.livelockCap()) {
         // Instead of dying silently at the cap, capture what every
         // queue and MSHR file was holding so the post-mortem starts
         // with data.
@@ -569,7 +662,7 @@ System::control(bool jumped)
             "-cycle deadline in kernel ", kernel, "\n", occupancyDigest()));
     }
     checkCancel(jumped, kernel);
-    ks_.settle();
+    settle();
 }
 
 void
@@ -658,7 +751,7 @@ System::run(const std::vector<KernelDescriptor> &kernels)
     SAC_ASSERT(!kernels.empty(), "run() needs at least one kernel");
 
     // The one-stream scenario: launch cycle 0, every cluster.
-    std::vector<KernelStreamState> streams(1);
+    std::vector<StreamState> streams(1);
     streams[0].clusters.count =
         static_cast<std::uint64_t>(cfg_.clustersPerChip);
     streams[0].kernels = kernels;
@@ -671,33 +764,29 @@ System::run(const Scenario &scenario)
     SAC_ASSERT(!scenario.streams.empty(),
                "run() needs at least one scenario stream");
 
-    std::vector<double> shares;
-    shares.reserve(scenario.streams.size());
-    for (const auto &s : scenario.streams)
-        shares.push_back(s.clusterShare);
-    const auto ranges =
-        CtaScheduler::partitionClusters(cfg_.clustersPerChip, shares);
-
-    std::vector<KernelStreamState> states(scenario.streams.size());
+    const auto ranges = scenario.clusterRanges(cfg_.clustersPerChip);
+    std::vector<StreamState> states(scenario.streams.size());
     for (std::size_t s = 0; s < states.size(); ++s) {
         const StreamSpec &spec = scenario.streams[s];
+        const int stream = static_cast<int>(s);
         auto &state = states[s];
-        state.stream = static_cast<int>(s);
         state.launchAt = spec.launchCycle;
         state.clusters = ranges[s];
-        state.kernels =
-            kernelsFor(spec.profile, spec.numKernels, state.stream);
-        state.name = spec.profile.name;
+        state.kernels = kernelsFor(spec.profile, spec.numKernels, stream);
+        state.result.stream = stream;
+        state.result.name = spec.profile.name;
         for (auto &chip : chips)
-            chip->setClusterStream(ranges[s].first, ranges[s].count,
-                                   state.stream);
+            chip->setClusterStream(ranges[s].first, ranges[s].count, stream);
     }
     return runStreams(std::move(states));
 }
 
 RunResult
-System::runStreams(std::vector<KernelStreamState> streams)
+System::runStreams(std::vector<StreamState> streams)
 {
+    SAC_ASSERT(!streams.empty(), "run without any kernel stream");
+    for (const auto &s : streams)
+        SAC_ASSERT(!s.kernels.empty(), "stream without any kernel");
     const int n = static_cast<int>(streams.size());
     for (auto &chip : chips) {
         for (int sl = 0; sl < chip->numSlices(); ++sl)
@@ -705,10 +794,9 @@ System::runStreams(std::vector<KernelStreamState> streams)
     }
     if (sacSvc_)
         sacSvc_->reset(n);
-    streamResults_.assign(streams.size(), StreamResult{});
 
     currentKernel = 0;
-    ks_.reset(std::move(streams));
+    streams_ = std::move(streams);
     startCancelWatch();
 
     // The loop body is the whole story: tick one cycle, then run the
@@ -716,10 +804,10 @@ System::runStreams(std::vector<KernelStreamState> streams)
     // machine is at rest, a tick changes nothing but the clock, so
     // the clock jumps to the earliest pre-tick control deadline: the
     // steps it passes over would all have found nothing due.
-    ks_.settle();
-    while (!ks_.finished()) {
+    settle();
+    while (!finished()) {
         bool jumped = false;
-        if (!ks_.anyResident() && fastForward_ && atRest()) {
+        if (!anyResident() && fastForward_ && atRest()) {
             const Cycle wake = nextDeadline();
             if (wake > clock && wake != cycleNever) {
                 ++ffStats_.skips;
@@ -738,22 +826,10 @@ System::runStreams(std::vector<KernelStreamState> streams)
     result.llcRequests = req;
     result.llcHits = hits;
 
-    std::uint64_t lat_sum = 0;
-    std::uint64_t lat_n = 0;
-    for (const auto &chip : chips) {
-        for (int c = 0; c < chip->numClusters(); ++c) {
-            const auto &cs = chip->cluster(c).stats();
-            result.accesses += cs.accesses;
-            result.l1Hits += cs.l1Hits;
-            result.l1Misses += cs.l1Misses;
-            lat_sum += cs.loadLatencySum;
-            lat_n += cs.loadsCompleted;
-        }
+    sumClusters(chips, {0, static_cast<std::uint64_t>(cfg_.clustersPerChip)},
+                result);
+    for (const auto &chip : chips)
         result.dramBytes += chip->memCtrl().bytesServed();
-    }
-    result.avgLoadLatency =
-        lat_n ? static_cast<double>(lat_sum) / static_cast<double>(lat_n)
-              : 0.0;
     result.icnBytes = icn.bytesTransferred();
     result.invalidations = coherence.invalidationsSent();
 
@@ -792,41 +868,13 @@ System::runStreams(std::vector<KernelStreamState> streams)
     if (n > 1) {
         // Per-stream splits: cluster-side counters from each stream's
         // cluster range, LLC counters from the per-slice stream
-        // accounting, names and launch/finish cycles from the kernel
-        // flow.
-        const auto &states = ks_.streams();
-        for (std::size_t s = 0; s < streamResults_.size(); ++s) {
-            StreamResult &sr = streamResults_[s];
-            const auto &range = states[s].clusters;
-            sr.stream = states[s].stream;
-            sr.name = states[s].name;
-            sr.launchCycle = states[s].startedAt;
-            sr.finishCycle = states[s].finishedAt;
-            std::uint64_t lat_sum = 0;
-            std::uint64_t lat_n = 0;
-            for (const auto &chip : chips) {
-                for (std::uint64_t c = range.first;
-                     c < range.first + range.count; ++c) {
-                    const auto &cs =
-                        chip->cluster(static_cast<ClusterId>(c)).stats();
-                    sr.accesses += cs.accesses;
-                    sr.l1Hits += cs.l1Hits;
-                    sr.l1Misses += cs.l1Misses;
-                    lat_sum += cs.loadLatencySum;
-                    lat_n += cs.loadsCompleted;
-                }
-                for (int sl = 0; sl < chip->numSlices(); ++sl) {
-                    sr.llcRequests +=
-                        chip->slice(sl).streamRequests(static_cast<int>(s));
-                    sr.llcHits +=
-                        chip->slice(sl).streamHits(static_cast<int>(s));
-                }
-            }
-            sr.avgLoadLatency = lat_n ? static_cast<double>(lat_sum) /
-                                            static_cast<double>(lat_n)
-                                      : 0.0;
+        // accounting; the rest the kernel flow filled in.
+        for (auto &s : streams_) {
+            sumClusters(chips, s.clusters, s.result);
+            std::tie(s.result.llcRequests, s.result.llcHits) =
+                streamLlcTotals(s.result.stream);
+            result.streams.push_back(std::move(s.result));
         }
-        result.streams = streamResults_;
     }
     return result;
 }

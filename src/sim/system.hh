@@ -38,7 +38,6 @@
 #include "sac/tenant.hh"
 #include "sim/cancel.hh"
 #include "sim/chip.hh"
-#include "sim/kernel_scheduler.hh"
 #include "sim/watchdog.hh"
 #include "telemetry/event_trace.hh"
 #include "telemetry/sampler.hh"
@@ -179,8 +178,8 @@ class System : public ClusterEnv, public ChipHooks, public TenantHost
      * per-stream measurements. A one-stream scenario is a plain
      * run(kernels). The trace source this System was built with must
      * demultiplex streams the same way — use workload/scenario.hh's
-     * StreamTraceMux, which applies the identical
-     * CtaScheduler::partitionClusters split.
+     * StreamTraceMux, which takes the identical split from
+     * Scenario::clusterRanges.
      */
     RunResult run(const Scenario &scenario);
 
@@ -289,8 +288,26 @@ class System : public ClusterEnv, public ChipHooks, public TenantHost
     void dumpStats(std::ostream &os) const;
 
   private:
-    /** Kernel flow drives launch/finish on the System. */
-    friend class KernelScheduler;
+    /** One kernel stream of the current run and what it measured. */
+    struct StreamState
+    {
+        /** Cycle at which the stream's first kernel launches. */
+        Cycle launchAt = 0;
+        /** Cluster range the stream owns on every chip. */
+        ClusterRange clusters;
+        std::vector<KernelDescriptor> kernels;
+        /** Next kernel to launch. */
+        std::size_t next = 0;
+        /** A kernel of this stream is resident. */
+        bool running = false;
+        /** Launch cycle of the resident kernel. */
+        Cycle kernelStart = 0;
+        /** The stream's measurements, filled in as it runs. */
+        StreamResult result;
+
+        bool started() const { return next > 0; }
+        bool complete() const { return next == kernels.size() && !running; }
+    };
 
     /**
      * The run loop's control step, after every tick, in a fixed and
@@ -330,24 +347,44 @@ class System : public ClusterEnv, public ChipHooks, public TenantHost
      */
     bool atRest() const;
     /**
-     * Kernel launch: begins the kernel on the stream's cluster range
-     * and opens that tenant's profiling window.
+     * Kernel flow, the last check of control(): launches due first
+     * kernels and finishes completed ones, dispatching each stream's
+     * next kernel at the completion cycle, until nothing changes — a
+     * kernel with zero accesses per warp retires all warps at launch.
+     * Streams go in index order, so multi-stream ties are
+     * deterministic.
      */
-    void launchStreamKernel(int stream, const KernelDescriptor &kernel,
-                            const CtaScheduler::Range &clusters);
+    void settle();
+    /** Earliest launch cycle of a stream not yet started, else
+     *  cycleNever: the one kernel-flow threshold of the at-rest jump
+     *  (completions need none, since no kernel is resident then). */
+    Cycle nextLaunch() const;
+    /** True once every stream completed its kernel sequence. */
+    bool finished() const;
+    /**
+     * True while some stream has a kernel resident. Between a
+     * stream's last finish and another's first launch no kernel is:
+     * only then may the at-rest jump run, and the livelock cap does
+     * not count through such a gap.
+     */
+    bool anyResident() const;
+    /**
+     * Kernel launch: begins the stream's next kernel on its cluster
+     * range and opens that tenant's profiling window.
+     */
+    void launchStreamKernel(StreamState &s);
     /**
      * Kernel boundary: flushes the stream's L1s and runs the
      * software-coherence LLC flush. When the stream owns every
      * cluster nothing else runs, so the clock jumps over the flush
      * envelope without ticking, and SAC reverts without a charge.
      * Otherwise only the stream's clusters stall while co-resident
-     * streams keep running.
+     * streams keep running. A stream's finish cycle is read after
+     * the jump.
      */
-    void finishStreamKernel(int stream, int kernel_index,
-                            const CtaScheduler::Range &clusters,
-                            Cycle kernel_start);
+    void finishStreamKernel(StreamState &s);
     /** Shared run loop + aggregation behind both run() overloads. */
-    RunResult runStreams(std::vector<KernelStreamState> streams);
+    RunResult runStreams(std::vector<StreamState> streams);
     /**
      * Writes back dirty lines and invalidates LLC content; returns
      * the cycle the flush completes (llc/flush_model.hh computes the
@@ -425,10 +462,8 @@ class System : public ClusterEnv, public ChipHooks, public TenantHost
 
     /** SAC control (per-tenant windows); created when kind == Sac. */
     std::unique_ptr<TenantSacService> sacSvc_;
-    /** Kernel flow; reset at the top of every run. */
-    KernelScheduler ks_{*this};
-    /** Per-stream result accumulators of the current run. */
-    std::vector<StreamResult> streamResults_;
+    /** The current run's kernel streams; set at the top of each run. */
+    std::vector<StreamState> streams_;
 
     RunResult result;
 };

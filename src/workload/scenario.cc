@@ -102,6 +102,67 @@ Scenario::scaledData(double divisor) const
     return out;
 }
 
+std::vector<ClusterRange>
+Scenario::clusterRanges(int clusters_per_chip) const
+{
+    const auto n = streams.size();
+    SAC_ASSERT(n >= 1, "partition needs at least one stream");
+    if (static_cast<std::size_t>(clusters_per_chip) < n) {
+        invalid("scenario", n, " streams need at least ", n,
+                " clusters per chip, have ", clusters_per_chip);
+    }
+    double total = 0.0;
+    for (const auto &s : streams) {
+        SAC_ASSERT(s.clusterShare > 0.0, "cluster share must be positive");
+        total += s.clusterShare;
+    }
+
+    // Largest remainder over the ideal proportional split.
+    std::vector<int> counts(n, 0);
+    std::vector<double> remainder(n, 0.0);
+    int assigned = 0;
+    for (std::size_t s = 0; s < n; ++s) {
+        const double ideal =
+            clusters_per_chip * streams[s].clusterShare / total;
+        counts[s] = static_cast<int>(ideal);
+        remainder[s] = ideal - counts[s];
+        assigned += counts[s];
+    }
+    while (assigned < clusters_per_chip) {
+        std::size_t pick = 0;
+        for (std::size_t s = 1; s < n; ++s) {
+            if (remainder[s] > remainder[pick])
+                pick = s;
+        }
+        ++counts[pick];
+        remainder[pick] = -1.0;
+        ++assigned;
+    }
+
+    // Min-one floor: lend from the currently largest allocation.
+    for (std::size_t s = 0; s < n; ++s) {
+        while (counts[s] == 0) {
+            std::size_t donor = 0;
+            for (std::size_t d = 1; d < n; ++d) {
+                if (counts[d] > counts[donor])
+                    donor = d;
+            }
+            SAC_ASSERT(counts[donor] > 1, "no cluster to lend");
+            --counts[donor];
+            ++counts[s];
+        }
+    }
+
+    std::vector<ClusterRange> ranges(n);
+    std::uint64_t first = 0;
+    for (std::size_t s = 0; s < n; ++s) {
+        ranges[s].first = first;
+        ranges[s].count = static_cast<std::uint64_t>(counts[s]);
+        first += ranges[s].count;
+    }
+    return ranges;
+}
+
 Scenario
 Scenario::fromProfile(const WorkloadProfile &profile)
 {
@@ -162,15 +223,11 @@ StreamTraceMux::StreamTraceMux(const Scenario &scenario,
                                const GpuConfig &cfg, std::uint64_t seed)
 {
     SAC_ASSERT(!scenario.streams.empty(), "scenario has no streams");
-    std::vector<double> shares;
-    for (const auto &s : scenario.streams)
-        shares.push_back(s.clusterShare);
-    ranges_ = CtaScheduler::partitionClusters(cfg.clustersPerChip, shares);
-
+    const auto ranges = scenario.clusterRanges(cfg.clustersPerChip);
     clusterStream_.assign(static_cast<std::size_t>(cfg.clustersPerChip), 0);
-    for (std::size_t s = 0; s < ranges_.size(); ++s) {
-        for (std::uint64_t c = 0; c < ranges_[s].count; ++c)
-            clusterStream_[ranges_[s].first + c] = static_cast<int>(s);
+    for (std::size_t s = 0; s < ranges.size(); ++s) {
+        for (std::uint64_t c = 0; c < ranges[s].count; ++c)
+            clusterStream_[ranges[s].first + c] = static_cast<int>(s);
     }
 
     for (std::size_t s = 0; s < scenario.streams.size(); ++s) {

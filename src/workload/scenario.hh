@@ -5,8 +5,8 @@
  * A Scenario generalizes the flat kernel sequence a run used to be: a
  * set of kernel *streams*, each with its own workload profile, launch
  * cycle and cluster share. Co-resident streams partition the SM
- * clusters of every chip between them (CtaScheduler::partitionClusters)
- * and run their kernel sequences independently — the setting in which
+ * clusters of every chip between them (Scenario::clusterRanges) and
+ * run their kernel sequences independently — the setting in which
  * SAC's per-kernel sharing verdict is actually contested (FLEET-style
  * megakernels, ATA-Cache co-runners; see PAPERS.md).
  *
@@ -41,7 +41,6 @@
 #include "common/config.hh"
 #include "common/json.hh"
 #include "common/types.hh"
-#include "gpu/cta_scheduler.hh"
 #include "gpu/kernel.hh"
 #include "workload/profile.hh"
 #include "workload/tracegen.hh"
@@ -75,6 +74,17 @@ struct Scenario
 
     /** Applies WorkloadProfile::scaledData to every stream. */
     Scenario scaledData(double divisor) const;
+
+    /**
+     * Partitions @p clusters_per_chip SM clusters (per chip) between
+     * the streams in proportion to their clusterShare, by largest
+     * remainder. Every stream gets at least one cluster; rounding
+     * ties break toward the earlier stream, so the split is
+     * deterministic. Throws ValidationError when there are more
+     * streams than clusters. System::run and StreamTraceMux both
+     * take their split from here.
+     */
+    std::vector<ClusterRange> clusterRanges(int clusters_per_chip) const;
 
     /** The trivial one-stream scenario wrapping @p profile. */
     static Scenario fromProfile(const WorkloadProfile &profile);
@@ -121,20 +131,9 @@ class StreamTraceMux : public TraceSource
     int numStreams() const { return static_cast<int>(gens_.size()); }
     /** Stream owning @p cluster (same partition on every chip). */
     int streamOfCluster(ClusterId cluster) const;
-    /** Per-stream cluster ranges within each chip. */
-    const std::vector<CtaScheduler::Range> &clusterRanges() const
-    {
-        return ranges_;
-    }
-    /** Generator of one stream (tests, working-set analysis). */
-    const SharingTraceGen &streamGen(int stream) const
-    {
-        return *gens_[static_cast<std::size_t>(stream)];
-    }
 
   private:
     std::vector<std::unique_ptr<SharingTraceGen>> gens_;
-    std::vector<CtaScheduler::Range> ranges_;
     std::vector<int> clusterStream_;
     std::vector<Addr> offsets_;
 };

@@ -175,26 +175,4 @@ findBenchmark(const std::string &name)
             didYouMean(name, benchmarkNames()));
 }
 
-std::vector<WorkloadProfile>
-smSidePreferredSuite()
-{
-    std::vector<WorkloadProfile> out;
-    for (const auto &p : benchmarkSuite()) {
-        if (p.smSidePreferred)
-            out.push_back(p);
-    }
-    return out;
-}
-
-std::vector<WorkloadProfile>
-memorySidePreferredSuite()
-{
-    std::vector<WorkloadProfile> out;
-    for (const auto &p : benchmarkSuite()) {
-        if (!p.smSidePreferred)
-            out.push_back(p);
-    }
-    return out;
-}
-
 } // namespace sac

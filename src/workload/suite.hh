@@ -40,12 +40,6 @@ std::vector<std::string> benchmarkNames();
  */
 const WorkloadProfile &findBenchmark(const std::string &name);
 
-/** The SM-side preferred subset (top half of Table 4). */
-std::vector<WorkloadProfile> smSidePreferredSuite();
-
-/** The memory-side preferred subset (bottom half of Table 4). */
-std::vector<WorkloadProfile> memorySidePreferredSuite();
-
 } // namespace sac
 
 #endif // SAC_WORKLOAD_SUITE_HH

@@ -73,14 +73,5 @@ TEST(Log, ErrorsOnlyThrowAndLeaveStderrToTheCatcher)
     EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 }
 
-TEST(Log, QuietSuppressesNothingFatal)
-{
-    log_detail::setQuiet(true);
-    EXPECT_NO_THROW(warn("hidden"));
-    EXPECT_NO_THROW(inform("hidden"));
-    EXPECT_THROW(panic("still thrown"), PanicError);
-    log_detail::setQuiet(false);
-}
-
 } // namespace
 } // namespace sac

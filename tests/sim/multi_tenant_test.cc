@@ -1,6 +1,6 @@
 /**
  * @file
- * Multi-tenant scenario runs through the KernelScheduler.
+ * Multi-tenant scenario runs through System's kernel flow.
  *
  * Three contracts: (1) the one-stream scenario is the plain
  * run(kernels), byte-identical through lossless serialization;

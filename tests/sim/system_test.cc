@@ -73,6 +73,22 @@ TEST(System, AllOrganizationsCompleteAllAccesses)
     }
 }
 
+TEST(System, ZeroAccessKernelFinishesAtItsLaunchCycle)
+{
+    // Kernel 0's warps retire inside beginKernel, so it finishes at
+    // its launch cycle and kernel 1 launches in the same control step.
+    auto p = sharedProfile();
+    p.phases.push_back(p.phases[0]);
+    p.phases[0].accessesPerWarp = 0;
+    const auto r = runOrg(OrgKind::MemorySide, p);
+
+    EXPECT_EQ(r.kernelCycles, (std::vector<Cycle>{0, r.cycles}));
+    const auto cfg = tinyConfig();
+    EXPECT_EQ(r.accesses,
+              static_cast<std::uint64_t>(cfg.totalClusters()) *
+                  static_cast<std::uint64_t>(cfg.warpsPerCluster) * 64);
+}
+
 TEST(System, DeterministicAcrossRuns)
 {
     const auto p = sharedProfile();

@@ -1,7 +1,7 @@
-# Runs `TOOL ARGS` (the built sacsim or sacsimd) and passes only when
-# it exits with CODE (any non-zero code when CODE is empty) and its
-# stdout+stderr contains every |-separated substring of EXPECT, in
-# that order:
+# Runs `TOOL ARGS` (the built sacsim, sacsimd or figures) and passes
+# only when it exits with CODE (any non-zero code when CODE is empty)
+# and its stdout+stderr contains every |-separated substring of
+# EXPECT, in that order:
 #
 #   cmake -DTOOL=path/to/sacsim "-DARGS=--sectors x" -DCODE= \
 #         -DEXPECT=--sectors -P sacsim_cli.cmake

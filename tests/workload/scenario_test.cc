@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/log.hh"
-#include "gpu/cta_scheduler.hh"
 #include "workload/scenario.hh"
 #include "workload/suite.hh"
 #include "workload/tracegen.hh"
@@ -28,6 +27,16 @@ doc(const std::string &streams)
 {
     return std::string("{\"schema\":\"sac.scenario.v1\",\"streams\":") +
            streams + "}";
+}
+
+/** A scenario whose streams have @p shares, in order. */
+Scenario
+withShares(const std::vector<double> &shares)
+{
+    Scenario scn;
+    for (const double share : shares)
+        scn.streams.push_back(StreamSpec{findBenchmark("RN"), 0, share, 0});
+    return scn;
 }
 
 TEST(ScenarioParse, ReadsStreamsWithDefaults)
@@ -115,7 +124,7 @@ TEST(ScenarioParse, UnknownBenchmarkSuggestsNearestName)
 TEST(ScenarioPartition, SharesAndFloors)
 {
     // Equal shares split evenly.
-    auto r = CtaScheduler::partitionClusters(8, {1.0, 1.0});
+    auto r = withShares({1.0, 1.0}).clusterRanges(8);
     ASSERT_EQ(r.size(), 2u);
     EXPECT_EQ(r[0].first, 0u);
     EXPECT_EQ(r[0].count, 4u);
@@ -123,18 +132,18 @@ TEST(ScenarioPartition, SharesAndFloors)
     EXPECT_EQ(r[1].count, 4u);
 
     // Weighted split; ranges stay contiguous and exhaustive.
-    r = CtaScheduler::partitionClusters(8, {3.0, 1.0});
+    r = withShares({3.0, 1.0}).clusterRanges(8);
     EXPECT_EQ(r[0].count, 6u);
     EXPECT_EQ(r[1].count, 2u);
 
     // A tiny share still gets one cluster.
-    r = CtaScheduler::partitionClusters(8, {1000.0, 1e-3});
+    r = withShares({1000.0, 1e-3}).clusterRanges(8);
     EXPECT_EQ(r[0].count, 7u);
     EXPECT_EQ(r[1].count, 1u);
     EXPECT_EQ(r[1].first, 7u);
 
     // More streams than clusters cannot be placed.
-    EXPECT_THROW(CtaScheduler::partitionClusters(2, {1.0, 1.0, 1.0}),
+    EXPECT_THROW(withShares({1.0, 1.0, 1.0}).clusterRanges(2),
                  ValidationError);
 }
 
@@ -172,7 +181,7 @@ TEST(StreamTraceMux, StreamsAreDisjointAndPartitioned)
     ASSERT_EQ(mux.numStreams(), 2);
 
     // The cluster partition covers every cluster exactly once.
-    const auto &ranges = mux.clusterRanges();
+    const auto ranges = scn.clusterRanges(cfg.clustersPerChip);
     ASSERT_EQ(ranges.size(), 2u);
     EXPECT_EQ(ranges[0].first, 0u);
     EXPECT_EQ(ranges[0].count + ranges[1].count,

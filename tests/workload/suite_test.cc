@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/log.hh"
 #include "workload/suite.hh"
 
@@ -15,8 +17,12 @@ TEST(Suite, HasSixteenBenchmarks)
 
 TEST(Suite, GroupsSplitEightEight)
 {
-    EXPECT_EQ(smSidePreferredSuite().size(), 8u);
-    EXPECT_EQ(memorySidePreferredSuite().size(), 8u);
+    const auto &suite = benchmarkSuite();
+    const auto sm_side = std::count_if(
+        suite.begin(), suite.end(),
+        [](const WorkloadProfile &p) { return p.smSidePreferred; });
+    EXPECT_EQ(sm_side, 8);
+    EXPECT_EQ(suite.size() - static_cast<std::size_t>(sm_side), 8u);
 }
 
 TEST(Suite, Table4ValuesSpotCheck)
